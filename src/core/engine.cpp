@@ -1,5 +1,6 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace hpccsim::sim {
@@ -110,9 +111,52 @@ void Engine::rethrow_pending_error() {
   }
 }
 
+void Engine::schedule_call_deferred(Time at, Time when, Callback fn) {
+  HPCCSIM_EXPECTS(at >= now_);
+  HPCCSIM_EXPECTS(when >= at);
+  HPCCSIM_EXPECTS(static_cast<bool>(fn));
+  const HeldCall h{at.picoseconds(), when.picoseconds(),
+                   store_call(std::move(fn))};
+  held_.insert(std::upper_bound(held_.begin(), held_.end(), h.at,
+                                [](std::uint64_t t, const HeldCall& x) {
+                                  return t < x.at;
+                                }),
+               h);
+  ++calls_scheduled_;
+}
+
+void Engine::release_held(std::uint64_t limit) {
+  // A held call's sequence number is assigned here, once no event at or
+  // before its `at` remains to dispatch — exactly where a schedule_call
+  // made during instant `at` would have placed it. Releasing against
+  // `limit` is safe too: the caller dispatches nothing at or after it
+  // now, and later deferrals need `at >= now() >= limit`.
+  std::size_t n = 0;
+  for (; n < held_.size(); ++n) {
+    const std::uint64_t next =
+        queue_.empty() ? limit : std::min(queue_.top().when, limit);
+    if (held_[n].at >= next) break;
+    queue_.push({held_[n].when, next_seq_++, call_payload(held_[n].slot)});
+  }
+  if (n == 0) return;
+  held_.erase(held_.begin(), held_.begin() + static_cast<std::ptrdiff_t>(n));
+  note_queue_depth();
+}
+
+std::int64_t Engine::next_event_time_ps() {
+  std::int64_t t = queue_.empty()
+                       ? kNoPendingEvent
+                       : static_cast<std::int64_t>(queue_.top().when);
+  for (const HeldCall& h : held_)
+    t = std::min(t, static_cast<std::int64_t>(h.when));
+  return t;
+}
+
 std::uint64_t Engine::run() {
   const std::uint64_t start = events_processed_;
-  while (!queue_.empty()) {
+  for (;;) {
+    if (!held_.empty()) release_held(std::numeric_limits<std::uint64_t>::max());
+    if (queue_.empty()) break;
     const detail::QEvent ev = queue_.pop();
     dispatch(ev);
     check_errors();
@@ -132,7 +176,9 @@ std::uint64_t Engine::run() {
 
 std::uint64_t Engine::run_until(Time stop) {
   const std::uint64_t start = events_processed_;
-  while (!queue_.empty() && queue_.top().when <= stop.picoseconds()) {
+  for (;;) {
+    if (!held_.empty()) release_held(stop.picoseconds());
+    if (queue_.empty() || queue_.top().when > stop.picoseconds()) break;
     const detail::QEvent ev = queue_.pop();
     dispatch(ev);
     check_errors();
@@ -145,7 +191,9 @@ std::uint64_t Engine::run_until(Time stop) {
 
 std::uint64_t Engine::run_window(Time end) {
   const std::uint64_t start = events_processed_;
-  while (!queue_.empty() && queue_.top().when < end.picoseconds()) {
+  for (;;) {
+    if (!held_.empty()) release_held(end.picoseconds());
+    if (queue_.empty() || queue_.top().when >= end.picoseconds()) break;
     const detail::QEvent ev = queue_.pop();
     dispatch(ev);
     check_errors();
@@ -153,9 +201,8 @@ std::uint64_t Engine::run_window(Time end) {
       throw std::runtime_error("engine exceeded max_events limit");
   }
   if (events_processed_ != start) last_window_event_ps_ = now_.picoseconds();
-  // Advance to the window edge so cross-band deliveries scheduled by
-  // the coordinator (arrival >= end by the lookahead bound) satisfy the
-  // schedule-time monotonicity contract.
+  // Advance to the window edge: the coordinator defers every delivery to
+  // a departure at or after it (docs/MODEL.md §15).
   now_ = std::max(now_, end);
   return events_processed_ - start;
 }

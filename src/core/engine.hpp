@@ -110,20 +110,20 @@ class Engine {
   void schedule_call(Time when, Callback fn) {
     HPCCSIM_EXPECTS(when >= now_);
     HPCCSIM_EXPECTS(static_cast<bool>(fn));
-    std::uint32_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-      call_slots_[slot] = std::move(fn);
-    } else {
-      slot = static_cast<std::uint32_t>(call_slots_.size());
-      call_slots_.push_back(std::move(fn));
-    }
-    queue_.push({when.picoseconds(), next_seq_++,
-                 (static_cast<std::uintptr_t>(slot) << 1) | 1});
+    const std::uint32_t slot = store_call(std::move(fn));
+    queue_.push({when.picoseconds(), next_seq_++, call_payload(slot)});
     ++calls_scheduled_;
     note_queue_depth();
   }
+
+  /// Schedule `fn` at `when`, taking the (time, sequence) place it would
+  /// have had if scheduled during instant `at`: the call is held aside
+  /// and enters the queue just before the engine dispatches its first
+  /// event later than `at` (so after every event at `at`, before every
+  /// later one). The parallel nx engine's coordinator uses this to insert
+  /// a delivery whose sending instant the band has not reached yet
+  /// (docs/MODEL.md §15). Counts once in calls_scheduled().
+  void schedule_call_deferred(Time at, Time when, Callback fn);
 
   /// Start a root process; it first runs when the engine reaches now().
   ProcessId spawn(Task<void> task, std::string name = "proc");
@@ -156,12 +156,10 @@ class Engine {
   static constexpr std::int64_t kNoPendingEvent =
       std::numeric_limits<std::int64_t>::max();
 
-  /// Picosecond timestamp of the earliest pending event, or
-  /// kNoPendingEvent. Non-const: peeking may reorganize the two-tier
-  /// queue's buckets.
-  std::int64_t next_event_time_ps() {
-    return queue_.empty() ? kNoPendingEvent : queue_.top().when;
-  }
+  /// Picosecond timestamp of the earliest pending event, held deferred
+  /// calls included, or kNoPendingEvent. Non-const: peeking may
+  /// reorganize the two-tier queue's buckets.
+  std::int64_t next_event_time_ps();
 
   /// Timestamp of the last event dispatched by run_window (run_window
   /// overshoots now() to the window edge; the parallel engine needs the
@@ -258,6 +256,29 @@ class Engine {
     if (queue_.size() > peak_queue_depth_)
       peak_queue_depth_ = queue_.size();
   }
+  std::uint32_t store_call(Callback&& fn) {
+    if (!free_slots_.empty()) {
+      const std::uint32_t slot = free_slots_.back();
+      free_slots_.pop_back();
+      call_slots_[slot] = std::move(fn);
+      return slot;
+    }
+    call_slots_.push_back(std::move(fn));
+    return static_cast<std::uint32_t>(call_slots_.size() - 1);
+  }
+  static std::uintptr_t call_payload(std::uint32_t slot) {
+    return (static_cast<std::uintptr_t>(slot) << 1) | 1;
+  }
+  /// Queue every held call whose `at` precedes both the next queued
+  /// event and `limit` (the first instant the caller will not dispatch).
+  void release_held(std::uint64_t limit);
+
+  /// A schedule_call_deferred entry waiting for the engine to pass `at`.
+  struct HeldCall {
+    std::uint64_t at;
+    std::uint64_t when;
+    std::uint32_t slot;
+  };
 
   Time now_ = Time::zero();
   std::int64_t last_window_event_ps_ = 0;
@@ -272,6 +293,10 @@ class Engine {
   // stay POD; freed slots are recycled newest-first (cache-warm).
   std::vector<Callback> call_slots_;
   std::vector<std::uint32_t> free_slots_;
+  // Deferred calls, sorted by `at` (call order among equal instants).
+  // Sequential runs never hold any: their cost is one empty() test per
+  // dispatched event.
+  std::vector<HeldCall> held_;
   std::vector<std::unique_ptr<Root>> roots_;
 };
 

@@ -48,8 +48,9 @@ class AnalyticalMeshNet final : public NetworkModel {
   /// Every transfer pays at least one injection-channel latency: a
   /// self-send arrives at depart + nic_latency + ser, and a routed
   /// message at start + 2*nic_latency + hops*per_hop + ser with
-  /// start >= depart. This floor is what makes the parallel engine's
-  /// lookahead window sound on mesh machines.
+  /// start >= depart. The parallel nx engine requires a positive floor,
+  /// so every delivery lands strictly after its departure; its window
+  /// is the send overhead (docs/MODEL.md §15).
   sim::Time min_transfer_latency() const override {
     return params_.nic_latency;
   }

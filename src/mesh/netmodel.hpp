@@ -23,10 +23,11 @@ class NetworkModel {
                              sim::Time depart) = 0;
 
   /// Lower bound on `transfer() - depart` over all (src, dst, bytes),
-  /// including self-sends. The parallel engine's conservative lookahead
-  /// window (src/nx/parallel_engine.*, docs/MODEL.md §15) is built on
-  /// this guarantee; a model that cannot promise a positive floor
-  /// returns zero and the parallel engine falls back to sequential.
+  /// including self-sends. The parallel nx engine (src/nx/
+  /// parallel_engine.*, docs/MODEL.md §15) relies on every delivery
+  /// landing strictly after its departure; a model that cannot promise
+  /// a positive floor returns zero and the engine falls back to
+  /// sequential.
   virtual sim::Time min_transfer_latency() const { return sim::Time::zero(); }
 
   virtual std::int32_t node_count() const = 0;

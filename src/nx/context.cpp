@@ -69,22 +69,22 @@ void NxContext::record_compute(proc::Kernel k, std::int64_t m, std::int64_t n,
                  static_cast<std::uint64_t>(n)});
 }
 
+void NxContext::capture_intent(int dst, int tag, Bytes bytes,
+                               Payload payload, sim::Time depart) {
+  // The NetworkModel's link state is shared across rank bands, so the
+  // coordinator makes the transfer, serially between windows
+  // (src/nx/parallel_engine.cpp). Node-local accounting still happens
+  // here, on the band thread that owns this context.
+  ++stats_.sends;
+  stats_.bytes_sent += bytes;
+  intent_sink_->push_back(LaunchIntent{
+      depart, static_cast<std::int64_t>(now().picoseconds()), 0, rank_, dst,
+      tag, bytes, std::move(payload)});
+}
+
 void NxContext::launch_message(int dst, int tag, Bytes bytes,
                                Payload payload, sim::Time depart) {
   auto& eng = *engine_;
-  // Parallel window: the NetworkModel's link state is shared across
-  // rank bands, so the handoff is deferred — the coordinator replays
-  // captured intents serially between windows in deterministic order
-  // (src/nx/parallel_engine.cpp). Node-local accounting still happens
-  // here, on the band thread that owns this context.
-  if (intent_sink_) {
-    ++stats_.sends;
-    stats_.bytes_sent += bytes;
-    intent_sink_->push_back(LaunchIntent{
-        static_cast<std::int64_t>(eng.now().picoseconds()), 0, rank_, dst,
-        tag, bytes, depart, std::move(payload)});
-    return;
-  }
   // Hand the message to the network; the model returns the arrival time
   // of the last byte at the destination NIC.
   const sim::Time arrival =
@@ -134,10 +134,17 @@ sim::Task<> NxContext::send(int dst, int tag, Bytes bytes, Payload payload) {
   if (recorder_) record_send(dst, tag, bytes, payload);
   auto& eng = *engine_;
   const sim::Time start = eng.now();
+  // A sharded run captures the send here, one send_overhead before it
+  // departs: that gap is the parallel engine's lookahead window.
+  const bool captured = intent_sink_ != nullptr;
+  if (captured)
+    capture_intent(dst, tag, bytes, std::move(payload),
+                   start + config().send_overhead);
 
   // csend: the CPU drives the send — software overhead blocks the node.
   co_await eng.delay(config().send_overhead);
-  launch_message(dst, tag, bytes, std::move(payload), eng.now());
+  if (!captured)
+    launch_message(dst, tag, bytes, std::move(payload), eng.now());
   // The CPU-driven path also occupies the co-processor horizon so that
   // mixed send/isend traffic stays serialized per node.
   send_coproc_free_ = std::max(send_coproc_free_, eng.now());
@@ -156,10 +163,14 @@ Request NxContext::isend(int dst, int tag, Bytes bytes, Payload payload) {
       std::max(eng.now(), send_coproc_free_) + config().send_overhead;
   send_coproc_free_ = depart;
 
-  // Reserve the route now (deterministic: reservations happen in posting
-  // order) and mark the request complete at departure.
-  launch_message(dst, tag, bytes, std::move(payload), depart);
-  eng.schedule_call(depart, [state] {
+  // Reserve the route at departure, as a csend does, so reservations
+  // happen in departure order, and complete the request then. A sharded
+  // run captures the send now, like send().
+  const bool captured = intent_sink_ != nullptr;
+  if (captured) capture_intent(dst, tag, bytes, std::move(payload), depart);
+  eng.schedule_call(depart, [this, captured, dst, tag, bytes,
+                             p = std::move(payload), state]() mutable {
+    if (!captured) launch_message(dst, tag, bytes, std::move(p), now());
     state->finished = true;
     state->done.fire();
   });

@@ -30,18 +30,21 @@ namespace hpccsim::nx {
 
 class NxMachine;
 
-/// One network handoff a rank-band engine defers during a parallel
-/// window: the coordinator replays captured intents against the shared
-/// NetworkModel between windows, in deterministic (call_ps, src,
-/// capture-order) order (src/nx/parallel_engine.cpp, docs/MODEL.md §15).
+/// One send a rank-band engine captures when it is posted, instead of
+/// touching the shared NetworkModel at departure: the coordinator
+/// replays intents between windows in (depart, call_ps, src, seq) order
+/// — the order the sequential engine makes those transfer() calls
+/// (src/nx/parallel_engine.cpp, docs/MODEL.md §15).
 struct LaunchIntent {
-  std::int64_t call_ps = 0;  ///< band clock at the launch_message call
-  std::uint32_t seq = 0;     ///< capture index (assigned at merge time)
+  sim::Time depart;       ///< when the sequential engine calls transfer()
+  /// When the send was posted: the sequential engine scheduled its
+  /// departure event then, which orders equal departures.
+  std::int64_t call_ps = 0;
+  std::uint64_t seq = 0;  ///< band capture index (assigned at collection)
   int src = 0;
   int dst = 0;
   int tag = 0;
   Bytes bytes = 0;
-  sim::Time depart;
   Payload payload;
 };
 
@@ -80,8 +83,8 @@ class NxContext {
     mailbox_.set_engine(e);
   }
 
-  /// While set, launch_message captures a LaunchIntent instead of
-  /// touching the shared NetworkModel (nullptr restores direct launch).
+  /// While set, send/isend capture a LaunchIntent when posted instead of
+  /// launching at departure (nullptr restores direct launch).
   void set_intent_sink(std::vector<LaunchIntent>* sink) {
     intent_sink_ = sink;
   }
@@ -125,8 +128,9 @@ class NxContext {
 
   /// Non-blocking send (NX isend): returns immediately; the message
   /// departs after the node's message co-processor drains earlier
-  /// posted isends plus one send overhead. The request completes at
-  /// departure (local buffering semantics).
+  /// posted isends plus one send overhead. The message reserves its
+  /// route at departure, like a csend, and the request completes then
+  /// (local buffering semantics).
   Request isend(int dst, int tag, Bytes bytes, Payload payload = {});
 
   /// Non-blocking receive (NX irecv): posts the receive immediately
@@ -169,9 +173,14 @@ class NxContext {
   }
 
  private:
-  /// The actual network handoff shared by send/isend: reserves the
-  /// route from `depart` and schedules delivery at the destination.
+  /// The actual network handoff shared by send/isend, made at the
+  /// departure instant: reserves the route from `depart` and schedules
+  /// delivery at the destination.
   void launch_message(int dst, int tag, Bytes bytes, Payload payload,
+                      sim::Time depart);
+  /// Sharded-run stand-in for launch_message, made when the send is
+  /// posted: hands the message to the coordinator keyed by `depart`.
+  void capture_intent(int dst, int tag, Bytes bytes, Payload payload,
                       sim::Time depart);
 
   // Cold-path recording helpers (context.cpp).

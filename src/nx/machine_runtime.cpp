@@ -44,7 +44,7 @@ void NxMachine::set_threads(int n) {
 
 bool NxMachine::parallel_eligible() {
   return threads_ > 1 && nodes() >= kParallelMinNodes && !fault_hooks_ &&
-         !trace_writer_ &&
+         !trace_writer_ && config_.send_overhead > sim::Time::zero() &&
          net_->min_transfer_latency() > sim::Time::zero() &&
          engine_.next_event_time_ps() == sim::Engine::kNoPendingEvent;
 }

@@ -87,8 +87,9 @@ class NxMachine {
   /// Would the next run() take the parallel path? Requires threads > 1,
   /// at least kParallelMinNodes ranks, no fault hooks (fault injection
   /// mutates shared state mid-flight), no Chrome-trace writer (emits
-  /// from inside windows), a network model with a positive lookahead
-  /// floor, and an idle machine engine.
+  /// from inside windows), a positive send_overhead (the lookahead
+  /// window), a network model with a positive latency floor, and an
+  /// idle machine engine.
   bool parallel_eligible();
 
   int nodes() const { return config_.node_count(); }

@@ -15,10 +15,11 @@
 //           engine on the thread that created its coroutine frames.
 //
 // Between Window commands the coordinator (alone, workers parked)
-// replays every captured LaunchIntent against the shared NetworkModel
-// in (call time, src, capture order) order — the same order the
+// replays captured LaunchIntents against the shared NetworkModel in
+// (departure, post time, src, capture order) order — the order the
 // sequential engine would have made those transfer() calls, up to
-// same-picosecond cross-rank ties. All inter-band memory visibility
+// same-picosecond cross-rank ties — as far as the next window can no
+// longer capture an earlier departure. All inter-band memory visibility
 // rides on the BurstGate's release/acquire pairs; no band state needs
 // atomics of its own.
 #include "nx/parallel_engine.hpp"
@@ -53,6 +54,7 @@ struct alignas(64) Band {
   int last = -1;  ///< last rank (inclusive)
   std::unique_ptr<sim::Engine> engine;
   std::vector<LaunchIntent> intents;  ///< captured during the window
+  std::uint64_t captured = 0;         ///< intents collected so far
   obs::Registry coll_registry;        ///< band-private collective hists
   std::int64_t next_ps = sim::Engine::kNoPendingEvent;
   std::exception_ptr error;
@@ -203,8 +205,10 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
   HPCCSIM_EXPECTS((spmd != nullptr) != (per_node != nullptr));
   const int nodes = machine.nodes();
   const int band_count = std::min({threads, kMaxBands, nodes});
-  const std::int64_t lookahead_ps =
-      machine.network().min_transfer_latency().picoseconds();
+  // Every send is captured when posted, at least one send_overhead
+  // before it departs (docs/MODEL.md §15).
+  const auto lookahead_ps =
+      static_cast<std::int64_t>(machine.config().send_overhead.picoseconds());
   HPCCSIM_EXPECTS(lookahead_ps > 0);
   const std::int64_t start_ps = machine.engine().now().picoseconds();
 
@@ -243,7 +247,9 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
   totals.bands = band_count;
 
   mesh::NetworkModel& net = machine.network();
-  std::vector<LaunchIntent> merged;
+  // Captured intents not yet replayed, sorted by (depart, call_ps, src,
+  // seq).
+  std::vector<LaunchIntent> pending;
   std::exception_ptr coord_error;
   try {
     job.cmd = Job::Start;
@@ -258,38 +264,22 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
         t0 = std::min(t0, b.next_ps);
         if (b.error) band_failed = true;
       }
-      if (band_failed || t0 == sim::Engine::kNoPendingEvent) break;
-
-      if (!first_window && t0 > prev_end_ps) ++totals.window_skips;
-      first_window = false;
-      const std::int64_t end_ps = t0 + lookahead_ps;
-      job.cmd = Job::Window;
-      job.window_end_ps = end_ps;
-      pool.dispatch(job);
-      prev_end_ps = end_ps;
-      ++totals.windows;
+      if (band_failed) break;
 
       // Serial network phase: workers are parked, so the coordinator
-      // owns the NetworkModel, the trace, and every band engine. Merge
-      // the windows' captured intents into the order the sequential
-      // engine would have issued them: by call time, then by source
-      // rank, then by capture order (a rank lives in exactly one band,
-      // so capture order is that rank's program order). The key is
-      // unique, so plain sort (no allocation) is stable enough.
-      merged.clear();
-      for (Band& b : bands) {
-        for (std::size_t i = 0; i < b.intents.size(); ++i) {
-          b.intents[i].seq = static_cast<std::uint32_t>(i);
-          merged.push_back(std::move(b.intents[i]));
-        }
-        b.intents.clear();
-      }
-      std::sort(merged.begin(), merged.end(),
-                [](const LaunchIntent& a, const LaunchIntent& b) {
-                  return std::tie(a.call_ps, a.src, a.seq) <
-                         std::tie(b.call_ps, b.src, b.seq);
-                });
-      for (LaunchIntent& in : merged) {
+      // owns the NetworkModel, the trace, and every band engine. The
+      // next window starts at t0 and can only capture sends departing at
+      // or after t0 + L, so every pending intent departing before that
+      // precedes, in the sequential engine's transfer order, all that is
+      // not captured yet: replay those. A delivery can pull t0 earlier,
+      // tightening the bound, so t0 follows each one.
+      std::size_t replayed = 0;
+      for (; replayed < pending.size(); ++replayed) {
+        LaunchIntent& in = pending[replayed];
+        if (t0 != sim::Engine::kNoPendingEvent &&
+            static_cast<std::int64_t>(in.depart.picoseconds()) >=
+                t0 + lookahead_ps)
+          break;
         const sim::Time arrival =
             net.transfer(in.src, in.dst, in.bytes, in.depart);
         machine.record_message(MessageTraceRecord{in.depart, arrival,
@@ -307,15 +297,54 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
         };
         static_assert(sim::Callback::fits_inline<decltype(deliver)>);
         Band& db = bands[static_cast<std::size_t>(band_of(dst))];
-        // arrival >= end_ps by the lookahead bound, and every band's
-        // clock sits exactly at end_ps after its window — so this
-        // schedule is legal and lands in a later window.
-        db.engine->schedule_call(arrival, std::move(deliver));
-        db.next_ps = std::min(
-            db.next_ps, static_cast<std::int64_t>(arrival.picoseconds()));
+        // Every band's clock sits at the last window edge, at or before
+        // the departure. The sequential engine schedules the delivery
+        // during the departure instant, so it goes into the queue there:
+        // after events the band still runs up to that instant, ahead of
+        // events scheduled later for the same arrival picosecond.
+        db.engine->schedule_call_deferred(in.depart, arrival,
+                                          std::move(deliver));
+        const auto arrival_ps =
+            static_cast<std::int64_t>(arrival.picoseconds());
+        db.next_ps = std::min(db.next_ps, arrival_ps);
+        t0 = std::min(t0, arrival_ps);
         ++totals.intents;
         if (band_of(in.src) != band_of(dst)) ++totals.handoffs;
       }
+      pending.erase(pending.begin(),
+                    pending.begin() + static_cast<std::ptrdiff_t>(replayed));
+      // An unbounded replay (t0 was kNoPendingEvent) drained the set.
+      if (t0 == sim::Engine::kNoPendingEvent) break;
+
+      if (!first_window && t0 > prev_end_ps) ++totals.window_skips;
+      first_window = false;
+      const std::int64_t end_ps = t0 + lookahead_ps;
+      job.cmd = Job::Window;
+      job.window_end_ps = end_ps;
+      pool.dispatch(job);
+      prev_end_ps = end_ps;
+      ++totals.windows;
+
+      // Collect the window's captures. Equal departures go in the order
+      // the sequential engine scheduled them: by post time, then by
+      // source rank, then by capture order — seq counts a band's
+      // captures over the whole run, and a rank lives in exactly one
+      // band, so it is that rank's program order. The key is unique, so
+      // plain sort (no allocation) is stable enough.
+      const std::size_t before = pending.size();
+      for (Band& b : bands) {
+        for (LaunchIntent& in : b.intents) {
+          in.seq = b.captured++;
+          pending.push_back(std::move(in));
+        }
+        b.intents.clear();
+      }
+      if (pending.size() != before)
+        std::sort(pending.begin(), pending.end(),
+                  [](const LaunchIntent& a, const LaunchIntent& b) {
+                    return std::tie(a.depart, a.call_ps, a.src, a.seq) <
+                           std::tie(b.depart, b.call_ps, b.src, b.seq);
+                  });
     }
   } catch (...) {
     coord_error = std::current_exception();

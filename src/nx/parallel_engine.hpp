@@ -2,12 +2,12 @@
 //
 // The machine's ranks are partitioned into contiguous bands, each driven
 // by a private sequential Engine on its own host thread. Bands advance
-// in lock-step conservative-lookahead windows of width
-// NetworkModel::min_transfer_latency(): within a window no band can
-// affect another (every message needs at least the lookahead to arrive),
-// so bands run their windows concurrently; between windows the
-// coordinator replays all captured network handoffs serially against the
-// shared NetworkModel in deterministic order. The contract is byte
+// in lock-step conservative-lookahead windows of width send_overhead:
+// every send is captured when posted and departs at least that much
+// later, so within a window no band can affect another and bands run
+// their windows concurrently; between windows the coordinator replays
+// the captured sends serially against the shared NetworkModel in
+// departure order. The contract is byte
 // identity with the sequential engine at any thread count — see
 // docs/MODEL.md §15 for the correctness argument.
 #pragma once

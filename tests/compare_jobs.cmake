@@ -16,11 +16,14 @@
 #
 # Invoked by the `determinism`-labelled ctest entries:
 #
-#   cmake -DBENCH=<binary> -DARGS=<;-list> -DOUT=<scratch dir>
+#   cmake -DBENCH=<binary> -DARGS=<;-list> -DOUT=<scratch dir> -DNAME=<test>
 #         [-DCHECK_JSON=1] [-DAXIS=jobs|threads] -P compare_jobs.cmake
+#
+# Scratch files are keyed on NAME, not on the bench binary: several legs
+# run the same bench, and `ctest -j` runs them concurrently.
 
-if(NOT DEFINED BENCH OR NOT DEFINED OUT)
-  message(FATAL_ERROR "usage: cmake -DBENCH=... -DARGS=... -DOUT=... -P compare_jobs.cmake")
+if(NOT DEFINED BENCH OR NOT DEFINED OUT OR NOT DEFINED NAME)
+  message(FATAL_ERROR "usage: cmake -DBENCH=... -DARGS=... -DOUT=... -DNAME=... -P compare_jobs.cmake")
 endif()
 if(NOT DEFINED ARGS)
   set(ARGS "")
@@ -32,7 +35,7 @@ if(AXIS STREQUAL "threads" AND NOT CHECK_JSON)
   message(FATAL_ERROR "AXIS=threads requires CHECK_JSON (stdout has wall columns)")
 endif()
 
-get_filename_component(name "${BENCH}" NAME)
+set(name "${NAME}")
 file(MAKE_DIRECTORY "${OUT}")
 
 foreach(v 1 4)

@@ -185,6 +185,81 @@ TEST(Engine, ScheduleCallRunsPlainCallbacks) {
   EXPECT_EQ(e.now(), Time::us(2));
 }
 
+// ------------------------------------------------------ deferred calls --
+//
+// schedule_call_deferred(at, when, fn) must give fn exactly the queue
+// place a schedule_call(when, fn) made during instant `at` would have
+// had — the parallel nx engine's delivery insertion (docs/MODEL.md §15).
+
+TEST(EngineDeferred, RunsAfterEveryEventAtItsInstant) {
+  Engine e;
+  std::vector<int> order;
+  e.schedule_call_deferred(Time::us(1), Time::us(1),
+                           [&] { order.push_back(9); });
+  e.schedule_call(Time::us(1), [&] {
+    order.push_back(1);
+    e.schedule_call(Time::us(1), [&] { order.push_back(2); });
+  });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 9}));
+}
+
+TEST(EngineDeferred, RunsBeforeSameTimeEventsScheduledAfterItsInstant) {
+  Engine e;
+  std::vector<int> order;
+  const Time when = Time::us(5);
+  e.schedule_call(when, [&] { order.push_back(0); });
+  e.schedule_call_deferred(Time::us(2), when, [&] { order.push_back(9); });
+  // Scheduled during instant `at`: ahead of the held call.
+  e.schedule_call(Time::us(2), [&] {
+    e.schedule_call(when, [&] { order.push_back(1); });
+  });
+  // Scheduled after instant `at`: behind it.
+  e.schedule_call(Time::us(3), [&] {
+    e.schedule_call(when, [&] { order.push_back(3); });
+  });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 9, 3}));
+}
+
+TEST(EngineDeferred, CountsOnceAndShowsInNextEventTime) {
+  Engine e;
+  e.schedule_call(Time::us(10), [] {});
+  e.schedule_call_deferred(Time::us(2), Time::us(7), [] {});
+  EXPECT_EQ(e.calls_scheduled(), 2u);
+  EXPECT_EQ(e.next_event_time_ps(),
+            static_cast<std::int64_t>(Time::us(7).picoseconds()));
+  e.run();
+  EXPECT_EQ(e.calls_scheduled(), 2u);
+  EXPECT_EQ(e.events_processed(), 2u);
+  EXPECT_EQ(e.next_event_time_ps(), Engine::kNoPendingEvent);
+}
+
+TEST(EngineDeferred, RunWindowDispatchesHeldCallsBeforeItsEdge) {
+  Engine e;
+  int ran = 0;
+  e.schedule_call_deferred(Time::us(2), Time::us(3), [&] { ++ran; });
+  e.run_window(Time::us(3));  // exactly at the edge: not this window
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(e.next_event_time_ps(),
+            static_cast<std::int64_t>(Time::us(3).picoseconds()));
+  e.run_window(Time::us(4));
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(e.last_window_event_ps(),
+            static_cast<std::int64_t>(Time::us(3).picoseconds()));
+}
+
+TEST(EngineDeferred, RejectsPastInstantAndTimeBeforeInstant) {
+  Engine e;
+  e.schedule_call(Time::ms(5), [] {});
+  e.run();
+  EXPECT_THROW(e.schedule_call_deferred(Time::ms(1), Time::ms(6), [] {}),
+               hpccsim::ContractError);
+  EXPECT_THROW(e.schedule_call_deferred(Time::ms(7), Time::ms(6), [] {}),
+               hpccsim::ContractError);
+  EXPECT_EQ(e.calls_scheduled(), 1u);
+}
+
 // ------------------------------------------------------------- Trigger --
 
 TEST(Trigger, ReleasesAllWaiters) {

@@ -475,6 +475,34 @@ TEST(NonBlocking, IsendsSerializeOnCoprocessor) {
   EXPECT_EQ((t2 - t1), nb_machine(3).send_overhead);
 }
 
+TEST(NonBlocking, IsendReservesRouteAtDeparture) {
+  // On the 3x1 line, rank 0 posts a small and then a 1 MiB isend to
+  // rank 2 at t=0; the big one departs two overheads later, at 80 us,
+  // and holds link 1->2 for ~42 ms. Rank 1's csend to rank 2, posted
+  // at 1 us, departs at 41 us over that same link. Routes are reserved
+  // at departure, so it is not queued behind the big message's future
+  // reservation.
+  NxMachine m(nb_machine(3));
+  Time small_done;
+  m.run([&](NxContext& ctx) -> Task<> {
+    if (ctx.rank() == 0) {
+      Request a = ctx.isend(2, 1, 64);
+      Request b = ctx.isend(2, 2, 1 * MiB);
+      (void)co_await a.wait();
+      (void)co_await b.wait();
+    } else if (ctx.rank() == 1) {
+      co_await ctx.busy(Time::us(1));
+      co_await ctx.send(2, 3, 64);
+    } else {
+      (void)co_await ctx.recv(1, 3);
+      small_done = ctx.now();
+      (void)co_await ctx.recv(0, 1);
+      (void)co_await ctx.recv(0, 2);
+    }
+  });
+  EXPECT_LT(small_done, Time::ms(1));
+}
+
 TEST(NonBlocking, WaitallDrainsEverything) {
   NxMachine m(nb_machine(4));
   std::vector<double> got;
@@ -866,7 +894,11 @@ TEST(NxAllocation, ModeledLuIterationCommIsAllocationFree) {
 // same scenarios at several thread counts and demand exact equality —
 // not tolerance-based agreement.
 
+#include <algorithm>
+#include <functional>
+#include <optional>
 #include <sstream>
+#include <string>
 
 namespace hpccsim::nx {
 namespace {
@@ -927,20 +959,61 @@ std::vector<std::int64_t> invariant_counters(NxMachine& m) {
   return out;
 }
 
+/// Non-blocking traffic: every round each rank posts a burst of isends,
+/// so the later ones queue behind its co-processor and depart overheads
+/// after their post — past the next window edge, waiting in the
+/// coordinator's pending set — interleaved with a csend/recv exchange.
+Task<> isend_program(NxContext& ctx, std::vector<double>& out) {
+  const int n = ctx.nodes();
+  const int r = ctx.rank();
+  double acc = 0;
+  for (int k = 0; k < 4; ++k) {
+    const int tag = 300 + 8 * k;
+    std::vector<Request> rx, tx;
+    for (int j = 1; j <= 3; ++j)
+      rx.push_back(ctx.irecv((r + n - j * (k + 2)) % n, tag + j));
+    for (int j = 1; j <= 3; ++j)
+      tx.push_back(ctx.isend((r + j * (k + 2)) % n, tag + j,
+                             256 * j + 8 * (r % 13), Payload::sized(j)));
+    co_await ctx.busy(Time::ns(500 * (1 + r % 7)));
+    co_await ctx.send((r + 5) % n, tag, 64);
+    acc += static_cast<double>((co_await ctx.recv((r + n - 5) % n, tag)).bytes);
+    co_await ctx.waitall(tx);
+    for (Request& q : rx) {
+      Message got = co_await q.wait();
+      acc += static_cast<double>(got.bytes) +
+             static_cast<double>(got.payload.elements());
+    }
+  }
+  co_await barrier(ctx, Group::world(ctx));
+  out[static_cast<std::size_t>(r)] = acc;
+}
+
+using TrafficProgram =
+    std::function<Task<>(NxContext&, std::vector<double>&)>;
+
 struct TrafficResult {
   std::uint64_t first_run_ps = 0;
   std::uint64_t final_ps = 0;
   std::vector<double> values;
   std::vector<std::int64_t> counters;
+  /// Message-trace rows, sorted: same-picosecond departures from
+  /// different ranks may be recorded in a different order
+  /// (docs/MODEL.md §15), but every message's times must match.
+  std::vector<std::string> trace;
 };
 
-TrafficResult run_traffic(int threads, int nodes = 64) {
-  NxMachine m(proc::touchstone_delta().with_nodes(nodes));
+TrafficResult run_traffic(int threads,
+                          const TrafficProgram& program = traffic_program,
+                          int nodes = 64,
+                          NetKind net = NetKind::AnalyticalMesh) {
+  NxMachine m(proc::touchstone_delta().with_nodes(nodes), net);
   m.set_threads(threads);
+  m.enable_message_trace();
   TrafficResult res;
   res.values.assign(static_cast<std::size_t>(nodes), 0.0);
-  auto prog = [&res](NxContext& ctx) -> Task<> {
-    return traffic_program(ctx, res.values);
+  auto prog = [&res, &program](NxContext& ctx) -> Task<> {
+    return program(ctx, res.values);
   };
   res.first_run_ps = m.run(prog).picoseconds();
   // Second run on the same machine: covers the accumulated-clock path
@@ -948,18 +1021,68 @@ TrafficResult run_traffic(int threads, int nodes = 64) {
   m.run(prog);
   res.final_ps = m.engine().now().picoseconds();
   res.counters = invariant_counters(m);
+  std::istringstream rows(m.message_trace_csv());
+  for (std::string row; std::getline(rows, row);) res.trace.push_back(row);
+  std::sort(res.trace.begin(), res.trace.end());
   return res;
+}
+
+void expect_identical(const TrafficResult& par, const TrafficResult& seq,
+                      const std::string& what) {
+  EXPECT_EQ(par.first_run_ps, seq.first_run_ps) << what;
+  EXPECT_EQ(par.final_ps, seq.final_ps) << what;
+  EXPECT_EQ(par.values, seq.values) << what;
+  EXPECT_EQ(par.counters, seq.counters) << what;
+  EXPECT_EQ(par.trace, seq.trace) << what;
 }
 
 TEST(ParallelEngine, TrafficByteIdenticalAcrossThreadCounts) {
   const TrafficResult seq = run_traffic(1);
-  for (const int threads : {2, 4, 8}) {
-    const TrafficResult par = run_traffic(threads);
-    EXPECT_EQ(par.first_run_ps, seq.first_run_ps) << "threads=" << threads;
-    EXPECT_EQ(par.final_ps, seq.final_ps) << "threads=" << threads;
-    EXPECT_EQ(par.values, seq.values) << "threads=" << threads;
-    EXPECT_EQ(par.counters, seq.counters) << "threads=" << threads;
-  }
+  for (const int threads : {2, 4, 8})
+    expect_identical(run_traffic(threads), seq,
+                     "threads=" + std::to_string(threads));
+}
+
+TEST(ParallelEngine, IsendTrafficByteIdenticalAcrossThreadCounts) {
+  const TrafficResult seq = run_traffic(1, isend_program);
+  for (const int threads : {2, 4, 8})
+    expect_identical(run_traffic(threads, isend_program), seq,
+                     "threads=" + std::to_string(threads));
+}
+
+TEST(ParallelEngine, DeliveryTiedWithLaterRecvPostMatchesSequential) {
+  // Rank 0 csends to rank 63 at 10 us: captured in the first window
+  // [0, 40 us), departing at 50 us. Rank 63 arms a second delay at
+  // 45 us — after the window edge where the coordinator replays, before
+  // the departure — ending on exactly the arrival picosecond, then
+  // posts its recv. Sequentially that wake-up was scheduled before the
+  // delivery (45 us < 50 us), so the recv suspends and the delivery
+  // resumes it. A delivery queued at replay time rather than at its
+  // departure would run first and save the resume event.
+  auto run = [](int threads) {
+    const proc::MachineConfig mc = proc::touchstone_delta().with_nodes(64);
+    const Time depart = Time::us(10) + mc.send_overhead;
+    const Time arrival =
+        mesh::AnalyticalMeshNet(mc.mesh(), mc.net).transfer(0, 63, 64, depart);
+    NxMachine m(mc);
+    m.set_threads(threads);
+    m.run([arrival](NxContext& ctx) -> Task<> {
+      if (ctx.rank() == 0) {
+        co_await ctx.busy(Time::us(10));
+        co_await ctx.send(63, 1, 64);
+      } else if (ctx.rank() == 63) {
+        co_await ctx.busy(Time::us(45));
+        co_await ctx.busy(arrival - Time::us(45));
+        (void)co_await ctx.recv(0, 1);
+      }
+    });
+    std::vector<std::int64_t> out = invariant_counters(m);
+    out.push_back(static_cast<std::int64_t>(m.engine().now().picoseconds()));
+    return out;
+  };
+  const std::vector<std::int64_t> seq = run(1);
+  for (const int threads : {2, 4})
+    EXPECT_EQ(run(threads), seq) << "threads=" << threads;
 }
 
 TEST(ParallelEngine, CollectiveHistogramsMatchSequential) {
@@ -1064,6 +1187,13 @@ TEST(ParallelEngine, SmallMachinesFallBackToSequential) {
   });
   EXPECT_EQ(got, 4.5);
   EXPECT_EQ(m.snapshot_counters().value("engine.shard.runs"), 0);
+
+  // No send overhead, no lookahead window.
+  proc::MachineConfig no_overhead = proc::touchstone_delta().with_nodes(64);
+  no_overhead.send_overhead = Time::zero();
+  NxMachine z(no_overhead);
+  z.set_threads(4);
+  EXPECT_FALSE(z.parallel_eligible());
 }
 
 TEST(ParallelEngine, DeadlockMessageMatchesSequential) {
@@ -1133,6 +1263,124 @@ TEST(NxAllocation, ParallelSteadyStateIsAllocationFreeAcrossBands) {
       << "allocations in iteration " << kIters - 3;
   EXPECT_EQ(samples[kIters - 1] - samples[kIters - 2], 0u)
       << "allocations in iteration " << kIters - 2;
+}
+
+// ------------------------------------- randomized sharded-engine driver --
+//
+// Seeded random node programs over every entry point a sharded run
+// replays — csend, isend, recv, irecv, collectives — on 64+ ranks. Busy
+// grains and sizes come from small sets on the 10 ns grid the Delta's
+// per-hop, NIC and per-byte times share, so deliveries, recv posts and
+// window edges often land on the same picosecond: the ties where an
+// event-order bug shows. The machine uses the contention-free crossbar:
+// on the mesh, two ranks departing on the same picosecond over a shared
+// link may replay in another order than the sequential engine's, the
+// tie docs/MODEL.md §15 leaves open, and this grid makes such ties
+// common. The mesh's replay order is pinned by the traffic tests above
+// and the LU/CG determinism legs.
+
+struct RandomSpec {
+  std::uint64_t seed = 0;
+  int nodes = 64;
+  int rounds = 12;
+};
+
+std::uint64_t splitmix(std::uint64_t& s) {
+  std::uint64_t z = (s += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+Task<> random_program(NxContext& ctx, RandomSpec spec,
+                      std::vector<double>& out) {
+  static constexpr std::int64_t kGrainNs[] = {0,     10,    850,   1000,
+                                              2560,  40000, 40850, 75000};
+  static constexpr Bytes kBytes[] = {0, 8, 64, 1024};
+  const int n = ctx.nodes();
+  const int r = ctx.rank();
+  // Every rank draws the round structure from one shared stream, so each
+  // send has its receive; per-rank choices come from a private stream.
+  std::uint64_t shared = spec.seed;
+  std::uint64_t own =
+      spec.seed ^ (0x51ed27ull * static_cast<std::uint64_t>(r + 1));
+  auto pick = [](std::uint64_t& s, std::uint64_t k) {
+    return static_cast<int>(splitmix(s) % k);
+  };
+  auto grain = [&] { return Time::ns(kGrainNs[pick(own, 8)]); };
+  double acc = r;
+  for (int round = 0; round < spec.rounds; ++round) {
+    const int kind = pick(shared, 5);
+    const int stride = 1 + pick(shared, static_cast<std::uint64_t>(n - 1));
+    const int tag = 16 * round;
+    if (kind == 0) {
+      Message s = co_await allreduce(ctx, Group::world(ctx), ReduceOp::Sum,
+                                     8, payload_of(acc));
+      acc += s.values().at(0) / n;
+    } else if (kind == 1) {
+      co_await ctx.busy(grain());
+      co_await barrier(ctx, Group::world(ctx));
+    } else if (kind == 2) {
+      // An isend burst: later posts queue behind the co-processor.
+      const int fan = 1 + pick(shared, 3);
+      std::vector<Request> rx, tx;
+      for (int j = 1; j <= fan; ++j)
+        rx.push_back(ctx.irecv((r + n - (stride * j) % n) % n, tag + j));
+      for (int j = 1; j <= fan; ++j) {
+        const Bytes b = kBytes[pick(own, 4)];
+        tx.push_back(ctx.isend((r + stride * j) % n, tag + j, b,
+                               Payload::sized(b / 8)));
+      }
+      co_await ctx.busy(grain());
+      for (Request& q : rx) {
+        Message got = co_await q.wait();
+        acc += static_cast<double>(got.bytes + got.payload.elements());
+      }
+      co_await ctx.waitall(tx);
+    } else {
+      // One exchange at `stride`, blocking or not on either side.
+      const int to = (r + stride) % n;
+      const int from = (r + n - stride) % n;
+      std::optional<Request> rx;
+      if (pick(own, 2)) rx = ctx.irecv(from, tag);
+      co_await ctx.busy(grain());
+      const Bytes b = kBytes[pick(own, 4)];
+      std::optional<Request> tx;
+      if (pick(own, 2))
+        tx = ctx.isend(to, tag, b);
+      else
+        co_await ctx.send(to, tag, b);
+      co_await ctx.busy(grain());
+      Message got;
+      if (rx)
+        got = co_await rx->wait();
+      else
+        got = co_await ctx.recv(from, tag);
+      acc = acc / 2 + static_cast<double>(got.bytes) + got.src;
+      if (tx) co_await tx->wait();
+    }
+  }
+  co_await barrier(ctx, Group::world(ctx));
+  out[static_cast<std::size_t>(r)] = acc;
+}
+
+TEST(ShardedEngineRandom, ProgramsByteIdenticalAcrossThreadCounts) {
+  // Seed 4 is pinned: queueing its deliveries at replay time instead of
+  // at their departure changes core.engine.events at threads=2.
+  for (const RandomSpec spec :
+       {RandomSpec{4, 64, 12}, RandomSpec{1, 64, 16}, RandomSpec{3, 96, 10}}) {
+    const TrafficProgram prog = [spec](NxContext& ctx,
+                                       std::vector<double>& out) {
+      return random_program(ctx, spec, out);
+    };
+    const TrafficResult seq =
+        run_traffic(1, prog, spec.nodes, NetKind::Crossbar);
+    for (const int threads : {2, 4, 8})
+      expect_identical(
+          run_traffic(threads, prog, spec.nodes, NetKind::Crossbar), seq,
+                       "seed=" + std::to_string(spec.seed) +
+                           " threads=" + std::to_string(threads));
+  }
 }
 
 }  // namespace
