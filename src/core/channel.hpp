@@ -67,7 +67,6 @@ class Channel {
 
   bool empty() const { return items_.empty(); }
   std::size_t size() const { return items_.size(); }
-  std::size_t waiter_count() const { return waiters_.size(); }
 
  private:
   Engine* engine_;

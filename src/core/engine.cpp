@@ -152,17 +152,28 @@ std::int64_t Engine::next_event_time_ps() {
   return t;
 }
 
-std::uint64_t Engine::run() {
+template <Engine::StopEdge kEdge>
+std::uint64_t Engine::dispatch_loop(std::uint64_t limit) {
   const std::uint64_t start = events_processed_;
   for (;;) {
-    if (!held_.empty()) release_held(std::numeric_limits<std::uint64_t>::max());
+    if (!held_.empty()) release_held(limit);
     if (queue_.empty()) break;
-    const detail::QEvent ev = queue_.pop();
-    dispatch(ev);
+    if constexpr (kEdge == StopEdge::Inclusive) {
+      if (queue_.top().when > limit) break;
+    } else if constexpr (kEdge == StopEdge::Exclusive) {
+      if (queue_.top().when >= limit) break;
+    }
+    dispatch(queue_.pop());
     check_errors();
     if (max_events_ && events_processed_ - start >= max_events_)
       throw std::runtime_error("engine exceeded max_events limit");
   }
+  return events_processed_ - start;
+}
+
+std::uint64_t Engine::run() {
+  constexpr auto kNoLimit = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t n = dispatch_loop<StopEdge::None>(kNoLimit);
   if (live_process_count() > 0) {
     std::ostringstream os;
     os << "deadlock: event queue empty but " << live_process_count()
@@ -171,40 +182,22 @@ std::uint64_t Engine::run() {
       if (!r->finished) os << ' ' << r->name;
     throw DeadlockError(os.str());
   }
-  return events_processed_ - start;
+  return n;
 }
 
 std::uint64_t Engine::run_until(Time stop) {
-  const std::uint64_t start = events_processed_;
-  for (;;) {
-    if (!held_.empty()) release_held(stop.picoseconds());
-    if (queue_.empty() || queue_.top().when > stop.picoseconds()) break;
-    const detail::QEvent ev = queue_.pop();
-    dispatch(ev);
-    check_errors();
-    if (max_events_ && events_processed_ - start >= max_events_)
-      throw std::runtime_error("engine exceeded max_events limit");
-  }
+  const auto n = dispatch_loop<StopEdge::Inclusive>(stop.picoseconds());
   now_ = std::max(now_, stop);
-  return events_processed_ - start;
+  return n;
 }
 
 std::uint64_t Engine::run_window(Time end) {
-  const std::uint64_t start = events_processed_;
-  for (;;) {
-    if (!held_.empty()) release_held(end.picoseconds());
-    if (queue_.empty() || queue_.top().when >= end.picoseconds()) break;
-    const detail::QEvent ev = queue_.pop();
-    dispatch(ev);
-    check_errors();
-    if (max_events_ && events_processed_ - start >= max_events_)
-      throw std::runtime_error("engine exceeded max_events limit");
-  }
-  if (events_processed_ != start) last_window_event_ps_ = now_.picoseconds();
+  const auto n = dispatch_loop<StopEdge::Exclusive>(end.picoseconds());
+  if (n != 0) last_window_event_ps_ = now_.picoseconds();
   // Advance to the window edge: the coordinator defers every delivery to
   // a departure at or after it (docs/MODEL.md §15).
   now_ = std::max(now_, end);
-  return events_processed_ - start;
+  return n;
 }
 
 void Engine::append_unfinished_names(std::string& out) const {

@@ -244,6 +244,14 @@ class Engine {
 
   static RootCoro run_root(Root* root, Task<void> task);
   void dispatch(const detail::QEvent& ev);
+  /// Where dispatch_loop stops: only on an empty queue (run), after
+  /// `limit` (run_until) or at `limit` (run_window).
+  enum class StopEdge : std::uint8_t { None, Inclusive, Exclusive };
+  /// The loop behind run, run_until and run_window: release held calls
+  /// against `limit`, then dispatch events up to the stop edge,
+  /// enforcing max_events. Returns the number of events dispatched.
+  template <StopEdge kEdge>
+  std::uint64_t dispatch_loop(std::uint64_t limit);
   /// Called once per dispatched event: O(1) when no process has failed
   /// (the common case — unhandled_exception counts pending errors), so
   /// the per-event cost no longer scales with the number of roots.

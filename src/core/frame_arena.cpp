@@ -18,7 +18,6 @@ struct ArenaState {
   std::vector<void*> slabs;
   char* bump = nullptr;
   std::size_t bump_left = 0;
-  std::size_t outstanding = 0;
 
   ~ArenaState() {
     for (void* s : slabs) ::operator delete(s);
@@ -47,7 +46,6 @@ ArenaState& arena() {
 
 void* FrameArena::allocate(std::size_t bytes) {
   ArenaState& a = arena();
-  ++a.outstanding;
   const std::size_t total = bytes + kHeader;
   if (total > kMaxBlock) {
     char* raw = static_cast<char*>(::operator new(total));
@@ -70,17 +68,14 @@ void FrameArena::deallocate(void* p) noexcept {
   if (p == nullptr) return;
   char* raw = static_cast<char*>(p) - kHeader;
   const std::uint64_t cls = *reinterpret_cast<std::uint64_t*>(raw);
-  ArenaState& a = arena();
-  --a.outstanding;
   if (cls == 0) {
     ::operator delete(raw);
     return;
   }
+  ArenaState& a = arena();
   auto* node = reinterpret_cast<FreeNode*>(raw);
   node->next = a.free_list[cls];
   a.free_list[cls] = node;
 }
-
-std::size_t FrameArena::outstanding() noexcept { return arena().outstanding; }
 
 }  // namespace hpccsim::sim::detail

@@ -31,9 +31,6 @@ struct FrameArena {
 
   static void* allocate(std::size_t bytes);
   static void deallocate(void* p) noexcept;
-
-  /// Blocks handed out and not yet returned on this thread (testing).
-  static std::size_t outstanding() noexcept;
 };
 
 }  // namespace hpccsim::sim::detail

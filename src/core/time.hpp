@@ -3,8 +3,10 @@
 // Time is an integer count of picoseconds since simulation start. Integer
 // time makes the event queue total order exact (no floating-point ties or
 // drift), which is what makes runs bit-reproducible. One uint64_t of
-// picoseconds covers ~213 days of simulated time — far beyond any
-// experiment here (the longest is a multi-hour WAN transfer).
+// picoseconds covers ~213 days of simulated time. The longest runs here
+// (shared-platform months, 90-day fault-trace horizons) come within a
+// factor of a few of that, so conversions from double reject anything
+// that does not fit.
 #pragma once
 
 #include <compare>
@@ -57,13 +59,14 @@ class Time {
  private:
   constexpr explicit Time(std::uint64_t v) : ps_(v) {}
   static constexpr Time from(double v, double scale) {
-    // Round to nearest picosecond; negative durations are a caller bug.
-    return Time(static_cast<std::uint64_t>(v * scale + 0.5));
+    // Round to nearest picosecond (tiny negatives round to zero). NaN,
+    // values that round below zero and values of 2^64 ps or more have no
+    // uint64_t picosecond count: casting them would be undefined.
+    const double ps = v * scale + 0.5;
+    HPCCSIM_EXPECTS(ps >= 0.0 && ps < 0x1p64);
+    return Time(static_cast<std::uint64_t>(ps));
   }
   std::uint64_t ps_ = 0;
 };
-
-/// Seconds → Time for rate computations (bytes / bandwidth).
-constexpr Time seconds_to_time(double s) { return Time::sec(s); }
 
 }  // namespace hpccsim::sim

@@ -105,7 +105,6 @@ FaultInjector::FaultInjector(nx::NxMachine& machine, FaultConfig cfg)
       cfg_(cfg),
       trace_(generate_fault_trace(cfg, machine.config().mesh())),
       drop_rng_(named_substream(cfg.seed, "fault.drop")) {
-  up_triggers_.resize(static_cast<std::size_t>(machine.nodes()));
   machine_->set_fault_hooks(this);
 }
 
@@ -168,7 +167,7 @@ void FaultInjector::apply(const FaultEvent& ev) {
   switch (ev.kind) {
     case Kind::NodeCrash: {
       if (disarmed_ || !state.up(ev.a)) return;
-      state.set_down(ev.a, now);
+      state.set_down(ev.a);
       ++crashes_;
       if (obs::TraceWriter* tw = machine_->trace_writer())
         tw->instant(ev.a, "crash", "fault", now);
@@ -182,16 +181,12 @@ void FaultInjector::apply(const FaultEvent& ev) {
       return;
     }
     case Kind::NodeRepair: {
-      // Repairs fire even when disarmed so wait_until_up never hangs.
+      // Repairs fire even when disarmed so wait_until_all_up never hangs.
       if (state.up(ev.a)) return;
-      state.set_up(ev.a, now);
+      state.set_up(ev.a);
       ++repairs_;
       if (obs::TraceWriter* tw = machine_->trace_writer())
         tw->instant(ev.a, "repair", "fault", now);
-      if (auto& t = up_triggers_[static_cast<std::size_t>(ev.a)]) {
-        t->fire();
-        t.reset();
-      }
       if (all_up_trigger_ && state.up_count() == state.node_count()) {
         all_up_trigger_->fire();
         all_up_trigger_.reset();
@@ -214,15 +209,6 @@ void FaultInjector::apply(const FaultEvent& ev) {
                     "fault", now);
       return;
     }
-  }
-}
-
-sim::Task<> FaultInjector::wait_until_up(std::int32_t rank) {
-  auto& state = machine_->node_state();
-  while (!state.up(rank)) {
-    auto& t = up_triggers_[static_cast<std::size_t>(rank)];
-    if (!t) t = std::make_unique<sim::Trigger>(machine_->engine());
-    co_await t->wait();
   }
 }
 

@@ -125,8 +125,6 @@ class FaultInjector final : public nx::FaultHooks {
   /// here.
   void add_crash_listener(std::function<void(std::int32_t rank)> fn);
 
-  /// Awaitable: resolves once `rank` is up (immediately if it already is).
-  sim::Task<> wait_until_up(std::int32_t rank);
   /// Awaitable: resolves once every node is up.
   sim::Task<> wait_until_all_up();
 
@@ -157,8 +155,7 @@ class FaultInjector final : public nx::FaultHooks {
   bool disarmed_ = false;
 
   std::vector<std::function<void(std::int32_t)>> crash_listeners_;
-  // Lazily created; fired and reset on the matching repair.
-  std::vector<std::unique_ptr<sim::Trigger>> up_triggers_;
+  // Lazily created; fired and reset once every node is repaired.
   std::unique_ptr<sim::Trigger> all_up_trigger_;
 
   std::uint64_t crashes_ = 0;

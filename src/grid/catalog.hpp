@@ -22,7 +22,7 @@
 
 #include "grid/federation.hpp"
 #include "util/units.hpp"
-#include "wan/model.hpp"
+#include "wan/wan.hpp"
 
 namespace hpccsim::grid {
 

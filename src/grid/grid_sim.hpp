@@ -22,7 +22,7 @@
 #include "grid/federation.hpp"
 #include "grid/workload.hpp"
 #include "wan/flow_engine.hpp"
-#include "wan/model.hpp"
+#include "wan/wan.hpp"
 
 namespace hpccsim::obs {
 class Registry;

@@ -25,10 +25,6 @@ SharedBandwidth::SharedBandwidth(sim::Engine& engine, BytesPerSecond aggregate)
   HPCCSIM_EXPECTS(rate_ > 0.0);
 }
 
-double SharedBandwidth::share_bytes_per_sec() const {
-  return active_.empty() ? rate_ : rate_ / static_cast<double>(active_.size());
-}
-
 void SharedBandwidth::settle() {
   const sim::Time now = engine_->now();
   if (now == last_settle_) return;

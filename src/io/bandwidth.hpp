@@ -69,8 +69,6 @@ class SharedBandwidth {
   std::int32_t active() const {
     return static_cast<std::int32_t>(active_.size());
   }
-  /// Per-transfer share at this instant (full rate when idle).
-  double share_bytes_per_sec() const;
   const Stats& stats() const { return stats_; }
 
  private:

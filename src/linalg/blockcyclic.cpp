@@ -43,14 +43,4 @@ std::int64_t BlockCyclic::first_local_col_at_or_after(std::int32_t pcol,
   return lblock * nb_;
 }
 
-std::int64_t BlockCyclic::local_rows_from(std::int32_t prow,
-                                          std::int64_t g0) const {
-  return local_rows(prow) - first_local_row_at_or_after(prow, g0);
-}
-
-std::int64_t BlockCyclic::local_cols_from(std::int32_t pcol,
-                                          std::int64_t g0) const {
-  return local_cols(pcol) - first_local_col_at_or_after(pcol, g0);
-}
-
 }  // namespace hpccsim::linalg

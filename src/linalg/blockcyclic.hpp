@@ -78,10 +78,6 @@ class BlockCyclic {
     return numroc(n_, nb_, pcol, grid_.cols);
   }
 
-  /// Local rows of the trailing submatrix starting at global row g0.
-  std::int64_t local_rows_from(std::int32_t prow, std::int64_t g0) const;
-  std::int64_t local_cols_from(std::int32_t pcol, std::int64_t g0) const;
-
   /// First local row index >= the local image of global row g0.
   std::int64_t first_local_row_at_or_after(std::int32_t prow,
                                            std::int64_t g0) const;

@@ -15,18 +15,6 @@ double Matrix::norm_one() const {
   return best;
 }
 
-double Matrix::norm_inf() const {
-  std::vector<double> row_sum(static_cast<std::size_t>(rows_), 0.0);
-  for (Index c = 0; c < cols_; ++c) {
-    const double* p = col(c);
-    for (Index r = 0; r < rows_; ++r)
-      row_sum[static_cast<std::size_t>(r)] += std::fabs(p[r]);
-  }
-  double best = 0.0;
-  for (double s : row_sum) best = std::max(best, s);
-  return best;
-}
-
 Matrix Matrix::identity(Index n) {
   Matrix m(n, n);
   for (Index i = 0; i < n; ++i) m(i, i) = 1.0;

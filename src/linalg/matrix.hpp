@@ -46,8 +46,6 @@ class Matrix {
 
   /// ‖A‖₁ (max column sum) — the norm in the LINPACK residual check.
   double norm_one() const;
-  /// ‖A‖∞ (max row sum).
-  double norm_inf() const;
 
   static Matrix identity(Index n);
   /// Uniform entries in [-1, 1) — the HPL test matrix distribution.

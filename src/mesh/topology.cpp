@@ -5,16 +5,6 @@
 
 namespace hpccsim::mesh {
 
-const char* dir_name(Dir d) {
-  switch (d) {
-    case Dir::East: return "E";
-    case Dir::West: return "W";
-    case Dir::North: return "N";
-    case Dir::South: return "S";
-  }
-  return "?";
-}
-
 Mesh2D::Mesh2D(std::int32_t width, std::int32_t height)
     : width_(width), height_(height) {
   HPCCSIM_EXPECTS(width > 0 && height > 0);

@@ -28,8 +28,6 @@ enum class Dir : std::uint8_t { East = 0, West = 1, North = 2, South = 3 };
 inline constexpr std::array<Dir, 4> kAllDirs = {Dir::East, Dir::West,
                                                 Dir::North, Dir::South};
 
-const char* dir_name(Dir d);
-
 /// Unidirectional link id: 4 * node + direction.
 using LinkId = std::int32_t;
 

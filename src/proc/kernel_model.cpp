@@ -6,22 +6,6 @@
 
 namespace hpccsim::proc {
 
-const char* kernel_name(Kernel k) {
-  switch (k) {
-    case Kernel::Gemm: return "gemm";
-    case Kernel::Trsm: return "trsm";
-    case Kernel::Getf2: return "getf2";
-    case Kernel::Axpy: return "axpy";
-    case Kernel::Dot: return "dot";
-    case Kernel::Scal: return "scal";
-    case Kernel::Swap: return "swap";
-    case Kernel::Copy: return "copy";
-    case Kernel::Stencil: return "stencil";
-    case Kernel::Fft: return "fft";
-  }
-  return "?";
-}
-
 Flops kernel_flops(Kernel k, std::int64_t m, std::int64_t n,
                    std::int64_t p) {
   HPCCSIM_EXPECTS(m >= 0 && n >= 0 && p >= 0);

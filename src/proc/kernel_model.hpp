@@ -32,8 +32,6 @@ enum class Kernel {
   Fft,     ///< complex radix-2 FFT of length m (5 m log2 m flops)
 };
 
-const char* kernel_name(Kernel k);
-
 /// Flop count of a kernel invocation with shape (m, n, k).
 /// Shapes follow BLAS conventions; unused dimensions are ignored.
 Flops kernel_flops(Kernel k, std::int64_t m, std::int64_t n, std::int64_t p);

@@ -3,39 +3,20 @@
 namespace hpccsim::proc {
 
 NodeStateTable::NodeStateTable(std::int32_t nodes)
-    : entries_(static_cast<std::size_t>(nodes)), up_(nodes) {
+    : up_flags_(static_cast<std::size_t>(nodes), 1), up_(nodes) {
   HPCCSIM_EXPECTS(nodes > 0);
 }
 
-void NodeStateTable::set_down(std::int32_t rank, sim::Time now) {
-  HPCCSIM_EXPECTS(rank >= 0 && rank < node_count());
-  auto& e = entries_[static_cast<std::size_t>(rank)];
-  if (!e.up) return;
-  e.up = false;
-  ++e.failures;
-  e.down_since = now;
+void NodeStateTable::set_down(std::int32_t rank) {
+  if (!up(rank)) return;
+  up_flags_[static_cast<std::size_t>(rank)] = 0;
   --up_;
 }
 
-void NodeStateTable::set_up(std::int32_t rank, sim::Time now) {
-  HPCCSIM_EXPECTS(rank >= 0 && rank < node_count());
-  auto& e = entries_[static_cast<std::size_t>(rank)];
-  if (e.up) return;
-  e.up = true;
-  e.downtime += now - e.down_since;
+void NodeStateTable::set_up(std::int32_t rank) {
+  if (up(rank)) return;
+  up_flags_[static_cast<std::size_t>(rank)] = 1;
   ++up_;
-}
-
-std::uint64_t NodeStateTable::total_failures() const {
-  std::uint64_t n = 0;
-  for (const auto& e : entries_) n += e.failures;
-  return n;
-}
-
-sim::Time NodeStateTable::downtime(std::int32_t rank, sim::Time now) const {
-  const Entry& e = entry(rank);
-  if (e.up) return e.downtime;
-  return e.downtime + (now - e.down_since);
 }
 
 }  // namespace hpccsim::proc

@@ -4,14 +4,12 @@
 // Delta's long campaigns lost nodes mid-run. This table is the single
 // source of truth for which simulated nodes are currently up; the fault
 // injector (src/fault) flips entries and the NX runtime consults them
-// when delivering messages. It also accumulates the per-node downtime
-// that the waste accounting reports.
+// when delivering messages.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/time.hpp"
 #include "util/assert.hpp"
 
 namespace hpccsim::proc {
@@ -21,40 +19,23 @@ class NodeStateTable {
   explicit NodeStateTable(std::int32_t nodes);
 
   std::int32_t node_count() const {
-    return static_cast<std::int32_t>(entries_.size());
+    return static_cast<std::int32_t>(up_flags_.size());
   }
   std::int32_t up_count() const { return up_; }
 
-  bool up(std::int32_t rank) const { return entry(rank).up; }
-
-  /// Mark a node crashed at `now`. No-op if already down.
-  void set_down(std::int32_t rank, sim::Time now);
-
-  /// Mark a node repaired at `now`. No-op if already up.
-  void set_up(std::int32_t rank, sim::Time now);
-
-  /// Crashes recorded for one node / the whole machine.
-  std::uint64_t failures(std::int32_t rank) const {
-    return entry(rank).failures;
+  bool up(std::int32_t rank) const {
+    HPCCSIM_EXPECTS(rank >= 0 && rank < node_count());
+    return up_flags_[static_cast<std::size_t>(rank)] != 0;
   }
-  std::uint64_t total_failures() const;
 
-  /// Cumulative time the node has spent down, up to `now`.
-  sim::Time downtime(std::int32_t rank, sim::Time now) const;
+  /// Mark a node crashed. No-op if already down.
+  void set_down(std::int32_t rank);
+
+  /// Mark a node repaired. No-op if already up.
+  void set_up(std::int32_t rank);
 
  private:
-  struct Entry {
-    bool up = true;
-    std::uint64_t failures = 0;
-    sim::Time down_since;
-    sim::Time downtime;
-  };
-  const Entry& entry(std::int32_t rank) const {
-    HPCCSIM_EXPECTS(rank >= 0 && rank < node_count());
-    return entries_[static_cast<std::size_t>(rank)];
-  }
-
-  std::vector<Entry> entries_;
+  std::vector<std::uint8_t> up_flags_;
   std::int32_t up_ = 0;
 };
 

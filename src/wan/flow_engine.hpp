@@ -39,7 +39,6 @@
 #include "core/event_queue.hpp"
 #include "core/time.hpp"
 #include "util/units.hpp"
-#include "wan/model.hpp"
 #include "wan/wan.hpp"
 
 namespace hpccsim::wan {

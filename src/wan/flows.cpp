@@ -6,24 +6,20 @@
 
 #include "util/assert.hpp"
 #include "wan/flow_engine.hpp"
-#include "wan/model.hpp"
 
 namespace hpccsim::wan {
 
-FlowSimulator::FlowSimulator(const Wan& wan) : wan_(&wan) {}
+FlowSimulator::FlowSimulator(const Wan& wan) : routes_(wan) {}
 
 std::size_t FlowSimulator::add_flow(SiteId src, SiteId dst, Bytes bytes,
                                     sim::Time start) {
   HPCCSIM_EXPECTS(!ran_);  // single-shot: no late arrivals after run()
   HPCCSIM_EXPECTS(bytes > 0);
-  HPCCSIM_EXPECTS(src != dst);
-  const auto path = wan_->widest_path(src, dst);
-  if (!path) throw std::invalid_argument("flow endpoints are disconnected");
-  Route route;
-  for (const std::size_t l : wan_->path_links(*path))
-    route.links.push_back(l);
+  const RouteTable::Route* r = routes_.route(src, dst);
+  if (r == nullptr)
+    throw std::invalid_argument("flow endpoints are disconnected");
   flows_.push_back(Flow{src, dst, bytes, start, {}, false, 0.0});
-  routes_.push_back(std::move(route));
+  route_.push_back(r);
   return flows_.size() - 1;
 }
 
@@ -36,9 +32,10 @@ std::vector<double> FlowSimulator::fair_rates(
   // to the lowest link index (the strict `<` below scans links in
   // ascending index order) — see the header for why the order is pinned.
   std::vector<double> rate(flows_.size(), 0.0);
-  std::vector<double> cap(wan_->links().size());
+  const auto& links = routes_.wan().links();
+  std::vector<double> cap(links.size());
   for (std::size_t l = 0; l < cap.size(); ++l)
-    cap[l] = link_bandwidth(wan_->links()[l].type).bytes_per_sec();
+    cap[l] = link_bandwidth(links[l].type).bytes_per_sec();
   if (bottleneck_order) bottleneck_order->clear();
 
   std::vector<bool> frozen(flows_.size(), true);
@@ -49,7 +46,7 @@ std::vector<double> FlowSimulator::fair_rates(
     std::vector<int> users(cap.size(), 0);
     for (const std::size_t f : active)
       if (!frozen[f])
-        for (const std::size_t l : routes_[f].links) ++users[l];
+        for (const std::int32_t l : route_[f]->links) ++users[l];
 
     double best_share = std::numeric_limits<double>::infinity();
     std::size_t best_link = cap.size();
@@ -65,13 +62,15 @@ std::vector<double> FlowSimulator::fair_rates(
     if (bottleneck_order) bottleneck_order->push_back(best_link);
 
     // Freeze the bottleneck link's flows at the fair share.
+    const auto best = static_cast<std::int32_t>(best_link);
     for (const std::size_t f : active) {
       if (frozen[f]) continue;
-      const auto& ls = routes_[f].links;
-      if (std::find(ls.begin(), ls.end(), best_link) == ls.end()) continue;
+      const auto& ls = route_[f]->links;
+      if (std::find(ls.begin(), ls.end(), best) == ls.end()) continue;
       rate[f] = best_share;
       frozen[f] = true;
-      for (const std::size_t l : ls) cap[l] = std::max(0.0, cap[l] - best_share);
+      for (const std::int32_t l : ls)
+        cap[l] = std::max(0.0, cap[l] - best_share);
     }
   }
   return rate;
@@ -82,11 +81,8 @@ void FlowSimulator::finish_flow(std::size_t f, sim::Time finish) {
   fl.done = true;
   fl.finish = finish;
   // Idle-network fluid duration: bytes / route bottleneck.
-  double bottleneck = std::numeric_limits<double>::infinity();
-  for (const std::size_t l : routes_[f].links)
-    bottleneck = std::min(
-        bottleneck, link_bandwidth(wan_->links()[l].type).bytes_per_sec());
-  const double idle_s = static_cast<double>(fl.bytes) / bottleneck;
+  const double idle_s =
+      static_cast<double>(fl.bytes) / route_[f]->bottleneck_bps;
   fl.slowdown = (fl.finish - fl.start).as_sec() / idle_s;
 }
 
@@ -103,8 +99,7 @@ void FlowSimulator::run() {
                      return flows_[a].start < flows_[b].start;
                    });
 
-  RouteTable routes(*wan_);
-  FlowEngine engine(routes);
+  FlowEngine engine(routes_);
   const auto on_complete = [this](const FlowEngine::Completion& c) {
     finish_flow(static_cast<std::size_t>(c.tag), c.finish);
   };

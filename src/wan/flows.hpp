@@ -40,10 +40,10 @@ class FlowSimulator {
  public:
   explicit FlowSimulator(const Wan& wan);
 
-  /// Register a flow (before run()); routed on its widest path.
-  /// Returns the flow index. Throws std::invalid_argument if src and
-  /// dst are disconnected, and ContractError if called after run() —
-  /// the simulator is single-shot.
+  /// Register a flow (before run()); routed on its widest path through
+  /// the simulator's RouteTable. Returns the flow index. Throws
+  /// std::invalid_argument if src and dst are disconnected, and
+  /// ContractError if called after run() — the simulator is single-shot.
   std::size_t add_flow(SiteId src, SiteId dst, Bytes bytes,
                        sim::Time start = sim::Time::zero());
 
@@ -74,15 +74,11 @@ class FlowSimulator {
       std::vector<std::size_t>* bottleneck_order = nullptr) const;
 
  private:
-  struct Route {
-    std::vector<std::size_t> links;  // indices into wan_->links()
-  };
-
   void finish_flow(std::size_t f, sim::Time finish);
 
-  const Wan* wan_;
+  RouteTable routes_;  // also handed to the FlowEngine by run()
   std::vector<Flow> flows_;
-  std::vector<Route> routes_;
+  std::vector<const RouteTable::Route*> route_;  // per flow
   bool ran_ = false;
 };
 

@@ -119,39 +119,6 @@ std::optional<std::vector<SiteId>> Wan::widest_path(SiteId src,
   return path;
 }
 
-std::optional<std::vector<SiteId>> Wan::fastest_path(SiteId src,
-                                                     SiteId dst) const {
-  HPCCSIM_EXPECTS(src >= 0 && src < site_count());
-  HPCCSIM_EXPECTS(dst >= 0 && dst < site_count());
-  const auto kInf = std::numeric_limits<std::uint64_t>::max();
-  std::vector<std::uint64_t> dist(sites_.size(), kInf);
-  std::vector<SiteId> prev(sites_.size(), -1);
-  using Entry = std::pair<std::uint64_t, SiteId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
-  dist[static_cast<std::size_t>(src)] = 0;
-  pq.emplace(0, src);
-  while (!pq.empty()) {
-    auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[static_cast<std::size_t>(u)]) continue;
-    for (const Edge& e : adj_[static_cast<std::size_t>(u)]) {
-      const std::uint64_t nd =
-          d + links_[e.link].propagation.picoseconds();
-      if (nd < dist[static_cast<std::size_t>(e.to)]) {
-        dist[static_cast<std::size_t>(e.to)] = nd;
-        prev[static_cast<std::size_t>(e.to)] = u;
-        pq.emplace(nd, e.to);
-      }
-    }
-  }
-  if (dist[static_cast<std::size_t>(dst)] == kInf) return std::nullopt;
-  std::vector<SiteId> path;
-  for (SiteId at = dst; at != -1; at = prev[static_cast<std::size_t>(at)])
-    path.push_back(at);
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
 std::optional<TransferResult> Wan::transfer(SiteId src, SiteId dst,
                                             Bytes bytes,
                                             Bytes packet_bytes) const {
@@ -206,6 +173,41 @@ std::vector<SiteId> Wan::reachable_from(SiteId src) const {
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+RouteTable::RouteTable(const Wan& wan) : wan_(&wan) {
+  const auto n = static_cast<std::size_t>(wan.site_count());
+  state_.assign(n * n, State::Unknown);
+  routes_.resize(n * n);
+}
+
+const RouteTable::Route* RouteTable::route(SiteId src, SiteId dst) {
+  HPCCSIM_EXPECTS(src >= 0 && src < wan_->site_count());
+  HPCCSIM_EXPECTS(dst >= 0 && dst < wan_->site_count());
+  HPCCSIM_EXPECTS(src != dst);
+  const auto n = static_cast<std::size_t>(wan_->site_count());
+  const std::size_t idx =
+      static_cast<std::size_t>(src) * n + static_cast<std::size_t>(dst);
+  if (state_[idx] == State::Unknown) {
+    auto path = wan_->widest_path(src, dst);
+    if (!path) {
+      state_[idx] = State::Disconnected;
+    } else {
+      auto r = std::make_unique<Route>();
+      r->sites = std::move(*path);
+      double bottleneck = std::numeric_limits<double>::infinity();
+      for (const std::size_t l : wan_->path_links(r->sites)) {
+        r->links.push_back(static_cast<std::int32_t>(l));
+        bottleneck = std::min(
+            bottleneck,
+            link_bandwidth(wan_->links()[l].type).bytes_per_sec());
+      }
+      r->bottleneck_bps = bottleneck;
+      routes_[idx] = std::move(r);
+      state_[idx] = State::Routed;
+    }
+  }
+  return state_[idx] == State::Routed ? routes_[idx].get() : nullptr;
 }
 
 }  // namespace hpccsim::wan

@@ -6,11 +6,13 @@
 // packet granularity: each hop adds propagation delay, and each packet
 // serializes onto each link, so multi-hop paths pipeline at the
 // bottleneck link's rate — the behaviour that makes the NSFnet T3
-// backbone matter.
+// backbone matter. RouteTable caches the widest-path routes that the
+// fluid flow model (wan/flows.hpp, wan/flow_engine.hpp) shares.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -74,9 +76,6 @@ class Wan {
   /// hops): the route a well-run 1992 NOC would provision.
   std::optional<std::vector<SiteId>> widest_path(SiteId src, SiteId dst) const;
 
-  /// Lowest-latency path for small messages (minimise propagation sum).
-  std::optional<std::vector<SiteId>> fastest_path(SiteId src, SiteId dst) const;
-
   /// Store-and-forward transfer time along the widest path.
   /// Packets of `packet_bytes` pipeline across hops.
   std::optional<TransferResult> transfer(SiteId src, SiteId dst, Bytes bytes,
@@ -104,6 +103,33 @@ class Wan {
   std::vector<Site> sites_;
   std::vector<Link> links_;
   std::vector<std::vector<Edge>> adj_;
+};
+
+/// Memoized widest-path routing over a fixed topology. Routes are
+/// computed lazily per (src, dst) pair and never invalidated (the Wan
+/// is immutable once simulation starts), so a million transfers between
+/// a few dozen sites pay for a few dozen Dijkstra runs, not a million.
+class RouteTable {
+ public:
+  explicit RouteTable(const Wan& wan);
+
+  struct Route {
+    std::vector<SiteId> sites;        ///< src first, dst last
+    std::vector<std::int32_t> links;  ///< indices into wan().links()
+    double bottleneck_bps = 0.0;      ///< slowest link on the route
+  };
+
+  /// Cached widest path from src to dst; nullptr if disconnected.
+  /// Pointers stay valid for the table's lifetime.
+  const Route* route(SiteId src, SiteId dst);
+
+  const Wan& wan() const { return *wan_; }
+
+ private:
+  enum class State : std::uint8_t { Unknown, Routed, Disconnected };
+  const Wan* wan_;
+  std::vector<State> state_;                     // site_count^2
+  std::vector<std::unique_ptr<Route>> routes_;   // site_count^2
 };
 
 }  // namespace hpccsim::wan

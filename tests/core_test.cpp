@@ -3,6 +3,7 @@
 // (deadlock detection, exception propagation).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,20 @@ TEST(Time, ArithmeticAndComparison) {
 TEST(Time, RoundsToNearestPicosecond) {
   EXPECT_EQ(Time::ns(0.0004).picoseconds(), 0u);
   EXPECT_EQ(Time::ns(0.0006).picoseconds(), 1u);
+}
+
+TEST(Time, RejectsDoublesWithNoPicosecondCount) {
+  EXPECT_THROW(Time::sec(std::numeric_limits<double>::quiet_NaN()),
+               ContractError);
+  // Tiny negatives round to zero; anything rounding below zero throws.
+  EXPECT_EQ(Time::ns(-0.0004).picoseconds(), 0u);
+  EXPECT_THROW(Time::ns(-0.0006), ContractError);
+  EXPECT_THROW(Time::sec(-1.0), ContractError);
+  // 2^64 ps (~213.5 days) and beyond do not fit in uint64_t.
+  EXPECT_EQ(Time::sec(18446744.0).picoseconds(), 18446744000000000000u);
+  EXPECT_THROW(Time::sec(18446744.073709551616), ContractError);
+  EXPECT_THROW(Time::sec(std::numeric_limits<double>::infinity()),
+               ContractError);
 }
 
 TEST(Time, FormatsHumanReadable) {
@@ -173,6 +188,30 @@ TEST(Engine, MaxEventsGuardTrips) {
     for (;;) co_await eng.delay(Time::ns(1));
   }(e), "runaway");
   EXPECT_THROW(e.run(), std::runtime_error);
+}
+
+TEST(Engine, MaxEventsGuardBoundsRunUntilAndRunWindow) {
+  const auto runaway = [](Engine& eng) -> Task<> {
+    for (;;) co_await eng.delay(Time::ns(1));
+  };
+  Engine until;
+  until.set_max_events(100);
+  until.spawn(runaway(until), "runaway");
+  EXPECT_THROW(until.run_until(Time::ms(1)), std::runtime_error);
+  EXPECT_EQ(until.events_processed(), 100u);
+
+  Engine window;
+  window.set_max_events(100);
+  window.spawn(runaway(window), "runaway");
+  EXPECT_THROW(window.run_window(Time::ms(1)), std::runtime_error);
+  EXPECT_EQ(window.events_processed(), 100u);
+
+  // The limit counts events per call: a bounded call under it passes.
+  Engine bounded;
+  bounded.set_max_events(100);
+  bounded.spawn(runaway(bounded), "runaway");
+  EXPECT_EQ(bounded.run_until(Time::ns(49)), 50u);
+  EXPECT_EQ(bounded.run_window(Time::ns(100)), 50u);
 }
 
 TEST(Engine, ScheduleCallRunsPlainCallbacks) {

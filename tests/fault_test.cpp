@@ -265,7 +265,8 @@ TEST(FaultInjector, CrashPurgesQueuedMessages) {
   });
   EXPECT_EQ(injector.purged_messages(), 1u);
   EXPECT_EQ(machine.messages_dropped(), 1u);
-  EXPECT_EQ(machine.node_state().failures(1), 1u);
+  EXPECT_EQ(injector.crashes(), 1u);
+  EXPECT_EQ(injector.repairs(), 1u);
   EXPECT_TRUE(machine.node_state().up(1));  // repaired
 }
 

@@ -81,25 +81,11 @@ TEST(Wan, WidestPathBreaksTiesByHops) {
   EXPECT_EQ(path->size(), 2u);
 }
 
-TEST(Wan, FastestPathMinimizesPropagation) {
-  Wan w;
-  const SiteId a = w.add_site("a");
-  const SiteId b = w.add_site("b");
-  const SiteId c = w.add_site("c");
-  w.add_link(a, c, LinkType::HippiSonet, Time::ms(50));
-  w.add_link(a, b, LinkType::Regional56k, Time::ms(1));
-  w.add_link(b, c, LinkType::Regional56k, Time::ms(1));
-  const auto path = w.fastest_path(a, c);
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(path->size(), 3u);  // 2 ms via b beats 50 ms direct
-}
-
 TEST(Wan, UnreachableReturnsNullopt) {
   Wan w;
   const SiteId a = w.add_site("a");
   w.add_site("island");
   EXPECT_FALSE(w.widest_path(a, 1).has_value());
-  EXPECT_FALSE(w.fastest_path(a, 1).has_value());
   EXPECT_FALSE(w.transfer(a, 1, 1000).has_value());
 }
 
