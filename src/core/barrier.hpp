@@ -1,10 +1,11 @@
 // Host-thread synchronization for conservatively-synchronized parallel
-// simulation cores (the flit network's sharded scheduler,
-// src/mesh/flit_parallel.cpp).
+// simulation cores: the flit network's row bands
+// (src/mesh/flit_parallel.cpp) and the nx engine's rank bands
+// (src/nx/parallel_engine.cpp).
 //
 // The coroutine primitives in core/sync.hpp synchronize *simulated*
 // processes inside one single-threaded Engine; this header is the host
-// side: real threads pipelining shards of one simulation. Two pieces:
+// side: real threads pipelining shards of one simulation. Three pieces:
 //
 //   - ProgressCounter: a monotone per-shard clock. The owner publishes
 //     "I have completed cycle c" with release semantics; neighbours
@@ -17,6 +18,8 @@
 //     workers park on the generation between bursts, and the
 //     coordinator joins on a completion count. Parked workers cost
 //     nothing (futex wait, no spinning).
+//   - WorkerPool: the one process-wide set of worker threads both
+//     sharded engines run their bands on, driven through a BurstGate.
 //
 // Waiters spin briefly before parking: shard pipelines advance in
 // microseconds when balanced, so the fast path must not enter the
@@ -26,7 +29,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <thread>
+#include <type_traits>
+#include <vector>
 
 namespace hpccsim {
 
@@ -121,6 +127,59 @@ class BurstGate {
  private:
   std::atomic<std::uint64_t> gen_{0};
   std::atomic<int> done_{0};
+};
+
+/// Persistent process-wide worker pool shared by the sharded engines.
+/// Workers are created on demand, park on a BurstGate between commands
+/// and live until process exit.
+///
+/// A run takes the pool with acquire() and keeps it until the returned
+/// lock is released, so concurrent runs (util/parallel.hpp sweep points
+/// that each run a sharded engine) queue instead of interleaving
+/// commands. Within a run, band 0 executes on the calling thread and
+/// band i on worker i-1 for every command: a band engine is destroyed on
+/// the thread whose FrameArena allocated its coroutine frames.
+class WorkerPool {
+ public:
+  static WorkerPool& instance();
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
+
+  /// Take the pool for one run of up to `bands` bands, growing it to
+  /// bands-1 workers. A new worker starts at the current command
+  /// generation, so it never executes a command issued before it
+  /// existed.
+  [[nodiscard]] std::unique_lock<std::mutex> acquire(int bands);
+
+  /// Run fn(i) for every band i in [0, bands), band 0 on this thread,
+  /// and return once all have finished. fn must not throw. Call only
+  /// while holding acquire(n) with n >= bands; workers beyond `bands`
+  /// check in without running anything.
+  template <class Fn>
+  void dispatch(int bands, Fn&& fn) {
+    using F = std::remove_reference_t<Fn>;
+    const Task task = [](void* f, int band) { (*static_cast<F*>(f))(band); };
+    run_command(bands, task, &fn);
+  }
+
+ private:
+  using Task = void (*)(void*, int);
+
+  WorkerPool() = default;
+  ~WorkerPool();
+  void run_command(int bands, Task task, void* fn);
+  void worker_main(int index, std::uint64_t seen);
+
+  BurstGate gate_;
+  std::atomic<bool> exit_{false};
+  // Held by the run in progress, the only writer of the fields below.
+  std::mutex mu_;
+  // The current command, written before each gate_.issue().
+  Task task_ = nullptr;
+  void* fn_ = nullptr;
+  int bands_ = 0;
+  std::uint64_t issued_ = 0;  ///< commands issued (mirrors gate gen)
+  std::vector<std::thread> threads_;  ///< worker i runs band i+1
 };
 
 }  // namespace hpccsim

@@ -5,8 +5,9 @@
 // drift), which is what makes runs bit-reproducible. One uint64_t of
 // picoseconds covers ~213 days of simulated time. The longest runs here
 // (shared-platform months, 90-day fault-trace horizons) come within a
-// factor of a few of that, so conversions from double reject anything
-// that does not fit.
+// factor of a few of that, so nothing is allowed to wrap past it:
+// conversions from double reject anything that does not fit, and +, +=
+// and * throw ContractError where the result would.
 #pragma once
 
 #include <compare>
@@ -36,18 +37,21 @@ class Time {
   constexpr double as_sec() const { return static_cast<double>(ps_) / 1e12; }
 
   friend constexpr Time operator+(Time a, Time b) {
-    return Time(a.ps_ + b.ps_);
+    std::uint64_t sum = 0;
+    const bool past_2_64_ps = __builtin_add_overflow(a.ps_, b.ps_, &sum);
+    HPCCSIM_EXPECTS(!past_2_64_ps);
+    return Time(sum);
   }
   friend constexpr Time operator-(Time a, Time b) {
     HPCCSIM_EXPECTS(a.ps_ >= b.ps_);
     return Time(a.ps_ - b.ps_);
   }
-  constexpr Time& operator+=(Time b) {
-    ps_ += b.ps_;
-    return *this;
-  }
+  constexpr Time& operator+=(Time b) { return *this = *this + b; }
   friend constexpr Time operator*(Time a, std::uint64_t k) {
-    return Time(a.ps_ * k);
+    std::uint64_t product = 0;
+    const bool past_2_64_ps = __builtin_mul_overflow(a.ps_, k, &product);
+    HPCCSIM_EXPECTS(!past_2_64_ps);
+    return Time(product);
   }
   friend constexpr Time operator*(std::uint64_t k, Time a) { return a * k; }
 

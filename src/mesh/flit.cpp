@@ -9,12 +9,6 @@ namespace hpccsim::mesh {
 
 namespace {
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
-
-// A flit leaving east arrives on the neighbour's west input, etc.; the
-// Dir encoding pairs opposites as (E=0,W=1) and (N=2,S=3), so the
-// downstream input port is the output direction with its low bit
-// flipped.
-int opposite(int dir) { return dir ^ 1; }
 }  // namespace
 
 FlitNetwork::FlitNetwork(Mesh2D mesh, FlitParams params)
@@ -31,8 +25,9 @@ FlitNetwork::FlitNetwork(Mesh2D mesh, FlitParams params)
   owner_.assign(nports, -1);
   staged_count_.assign(nports, 0);
   router_flits_.assign(static_cast<std::size_t>(n_), 0);
-  active_.assign(static_cast<std::size_t>((n_ + 63) / 64), 0);
-  inject_mask_.assign(active_.size(), 0);
+  whole_.hi = n_;
+  whole_.active.assign(static_cast<std::size_t>((n_ + 63) / 64), 0);
+  whole_.inject.assign(whole_.active.size(), 0);
   inject_.resize(static_cast<std::size_t>(n_));
   nbr_.resize(static_cast<std::size_t>(n_) * 4);
   cx_.resize(static_cast<std::size_t>(n_));
@@ -56,8 +51,8 @@ std::size_t FlitNetwork::inject(NodeId src, NodeId dst, Bytes bytes,
   messages_.push_back(FlitMessage{src, dst, bytes, inject_cycle, 0, false});
   inject_[static_cast<std::size_t>(src)].pending.push_back(
       static_cast<std::int32_t>(messages_.size() - 1));
-  set_bit(inject_mask_, src);
-  ++undelivered_;
+  set_local(whole_.inject, src);
+  ++whole_.undelivered;
   return messages_.size() - 1;
 }
 
@@ -106,206 +101,14 @@ void FlitNetwork::route_candidates(NodeId node, NodeId dst, int out[3],
   HPCCSIM_ASSERT(count >= 1);
 }
 
-void FlitNetwork::fifo_pop(std::int32_t p, NodeId node) {
-  auto& head = q_head_[static_cast<std::size_t>(p)];
-  head = static_cast<std::uint16_t>(head + 1 == cap_ ? 0 : head + 1);
-  --q_size_[static_cast<std::size_t>(p)];
-  if (--router_flits_[static_cast<std::size_t>(node)] == 0)
-    clear_bit(active_, node);
-}
-
-void FlitNetwork::stage(NodeId node, int port, const Flit& f) {
-  staged_.push_back(Staged{node, port, f});
-  ++staged_count_[static_cast<std::size_t>(pidx(node, port))];
-}
-
-// Phase 1: injection — one flit per node per cycle into the local input
-// port, in node-id order over the sources with pending messages.
-void FlitNetwork::phase1_inject(bool& moved) {
-  for (std::size_t wi = 0; wi < inject_mask_.size(); ++wi) {
-    std::uint64_t w = inject_mask_[wi];
-    while (w) {
-      const NodeId n =
-          static_cast<NodeId>((wi << 6) + std::countr_zero(w));
-      w &= w - 1;
-      auto& st = inject_[static_cast<std::size_t>(n)];
-      const std::int32_t m = st.pending.front();
-      if (messages_[static_cast<std::size_t>(m)].inject_cycle > cycle_)
-        continue;
-      if (!has_space(pidx(n, kLocal))) continue;
-      const std::int64_t total = flits_of(m);
-      Flit f;
-      f.msg = m;
-      f.dst = messages_[static_cast<std::size_t>(m)].dst;
-      f.head = st.flits_sent == 0;
-      f.tail = st.flits_sent == total - 1;
-      stage(n, kLocal, f);
-      ++in_flight_flits_;
-      ++injected_flits_;
-      moved = true;
-      if (++st.flits_sent == total) {
-        st.pending.pop_front();
-        st.flits_sent = 0;
-        if (st.pending.empty()) clear_bit(inject_mask_, n);
-      }
-    }
-  }
-}
-
-// Phase 2 for one router: switch allocation, then traversal.
-void FlitNetwork::phase2_router(NodeId n, bool& moved) {
-  const std::int32_t base = pidx(n, 0);
-
-  // Allocation: each ungranted head flit claims its best free candidate
-  // output — for adaptive routing, the one with the most downstream
-  // buffer space (ties: route-preference order).
-  for (int ip = 0; ip < kPorts; ++ip) {
-    const std::int32_t p = base + ip;
-    if (q_size_[static_cast<std::size_t>(p)] == 0) continue;
-    const Flit& front = fifo_front(p);
-    if (!front.head) continue;
-    bool granted = false;
-    for (int op = 0; op < kPorts; ++op)
-      granted = granted || owner_[static_cast<std::size_t>(base + op)] == ip;
-    if (granted) continue;
-    int cands[3];
-    int nc = 0;
-    route_candidates(n, front.dst, cands, nc);
-    int best = -1;
-    std::int32_t best_space = -1;
-    for (int k = 0; k < nc; ++k) {
-      const int op = cands[k];
-      if (owner_[static_cast<std::size_t>(base + op)] >= 0) continue;
-      std::int32_t space;
-      if (op == kLocal) {
-        space = std::numeric_limits<std::int32_t>::max();
-      } else {
-        const NodeId next = nbr_[static_cast<std::size_t>(n) * 4 +
-                                 static_cast<std::size_t>(op)];
-        const std::int32_t dp = pidx(next, opposite(op));
-        space = cap_ -
-                static_cast<std::int32_t>(
-                    q_size_[static_cast<std::size_t>(dp)]) -
-                staged_count_[static_cast<std::size_t>(dp)];
-      }
-      if (space > best_space) {
-        best_space = space;
-        best = op;
-      }
-    }
-    if (best >= 0) owner_[static_cast<std::size_t>(base + best)] =
-        static_cast<std::int8_t>(ip);
-  }
-
-  // Traversal: one flit per owned output port.
-  for (int op = 0; op < kPorts; ++op) {
-    const std::int8_t own = owner_[static_cast<std::size_t>(base + op)];
-    if (own < 0) continue;
-    const std::int32_t p = base + own;
-    if (q_size_[static_cast<std::size_t>(p)] == 0) continue;
-    const Flit f = fifo_front(p);
-
-    if (op == kLocal) {
-      // Ejection: always accepted.
-      fifo_pop(p, n);
-      --in_flight_flits_;
-      ++ejected_flits_;
-      moved = true;
-      if (f.tail) {
-        auto& msg = messages_[static_cast<std::size_t>(f.msg)];
-        HPCCSIM_ASSERT(!msg.delivered);
-        // Charge router pipeline depth once per hop of the route.
-        msg.delivered_cycle =
-            cycle_ + 1 +
-            static_cast<std::uint64_t>(params_.pipeline_cycles) *
-                static_cast<std::uint64_t>(mesh_.distance(msg.src, msg.dst));
-        msg.delivered = true;
-        --undelivered_;
-        owner_[static_cast<std::size_t>(base + op)] = -1;
-      }
-    } else {
-      const NodeId next = nbr_[static_cast<std::size_t>(n) * 4 +
-                               static_cast<std::size_t>(op)];
-      HPCCSIM_ASSERT(next >= 0);
-      const int nip = opposite(op);
-      if (!has_space(pidx(next, nip))) continue;  // credit stall
-      fifo_pop(p, n);
-      stage(next, nip, f);
-      ++link_flits_;
-      moved = true;
-      if (f.tail) owner_[static_cast<std::size_t>(base + op)] = -1;
-    }
-  }
-}
-
-// Phase 3: staged arrivals become visible next cycle. At most one flit
-// is staged per (node, port) per cycle — each input port has a unique
-// upstream output — so application order cannot reorder a FIFO.
-void FlitNetwork::phase3_apply() {
-  for (const Staged& s : staged_) {
-    const std::int32_t p = pidx(s.node, s.port);
-    auto head = q_head_[static_cast<std::size_t>(p)];
-    auto& size = q_size_[static_cast<std::size_t>(p)];
-    std::int32_t slot = head + size;
-    if (slot >= cap_) slot -= cap_;
-    buf_[static_cast<std::size_t>(p * cap_ + slot)] = s.flit;
-    ++size;
-    staged_count_[static_cast<std::size_t>(p)] = 0;
-    if (router_flits_[static_cast<std::size_t>(s.node)]++ == 0)
-      set_bit(active_, s.node);
-  }
-  staged_.clear();
-}
-
-bool FlitNetwork::step_impl(bool full_scan) {
-  bool moved = false;
-  phase1_inject(moved);
-  if (full_scan) {
-    for (NodeId n = 0; n < n_; ++n) phase2_router(n, moved);
-  } else {
-    // Only routers holding a visible flit can change any state this
-    // cycle; both walks below visit exactly those routers in id order,
-    // matching the full scan (skipped routers are provable no-ops).
-    std::int64_t active_count = 0;
-    for (const std::uint64_t w : active_)
-      active_count += std::popcount(w);
-    router_visits_ += active_count;
-    if (active_count * 2 >= static_cast<std::int64_t>(n_)) {
-      // Dense regime (saturation): a predictable linear sweep beats
-      // the bit-extraction chain.
-      for (NodeId n = 0; n < n_; ++n)
-        if (router_flits_[static_cast<std::size_t>(n)] > 0)
-          phase2_router(n, moved);
-    } else {
-      // Sparse regime: walk set bits. Bits are only cleared for the
-      // router being visited, so snapshotting each word is safe.
-      for (std::size_t wi = 0; wi < active_.size(); ++wi) {
-        std::uint64_t w = active_[wi];
-        while (w) {
-          const NodeId n =
-              static_cast<NodeId>((wi << 6) + std::countr_zero(w));
-          w &= w - 1;
-          phase2_router(n, moved);
-        }
-      }
-    }
-  }
-  phase3_apply();
-  ++cycle_;
-  return moved;
-}
-
-bool FlitNetwork::step() { return step_impl(false); }
-bool FlitNetwork::step_reference() { return step_impl(true); }
-
 FlitNetwork::InjectHorizon FlitNetwork::inject_horizon() const {
   InjectHorizon h;
   h.first = kNever;
   h.second = kNever;
   h.node = -1;
   bool multi = false;
-  for (std::size_t wi = 0; wi < inject_mask_.size(); ++wi) {
-    std::uint64_t w = inject_mask_[wi];
+  for (std::size_t wi = 0; wi < whole_.inject.size(); ++wi) {
+    std::uint64_t w = whole_.inject[wi];
     while (w) {
       const NodeId n =
           static_cast<NodeId>((wi << 6) + std::countr_zero(w));
@@ -326,8 +129,8 @@ FlitNetwork::InjectHorizon FlitNetwork::inject_horizon() const {
     h.node = -1;
     return h;
   }
-  for (std::size_t wi = 0; wi < inject_mask_.size(); ++wi) {
-    std::uint64_t w = inject_mask_[wi];
+  for (std::size_t wi = 0; wi < whole_.inject.size(); ++wi) {
+    std::uint64_t w = whole_.inject[wi];
     while (w) {
       const NodeId n =
           static_cast<NodeId>((wi << 6) + std::countr_zero(w));
@@ -353,8 +156,8 @@ void FlitNetwork::throw_max_cycles(std::uint64_t max_cycles) const {
   throw std::runtime_error(
       "FlitNetwork::run exceeded max_cycles=" + std::to_string(max_cycles) +
       " (cycle=" + std::to_string(cycle_) +
-      ", in-flight flits=" + std::to_string(in_flight_flits_) +
-      ", undelivered messages=" + std::to_string(undelivered_) +
+      ", in-flight flits=" + std::to_string(whole_.in_flight) +
+      ", undelivered messages=" + std::to_string(whole_.undelivered) +
       ", threads=" + std::to_string(par ? threads_ : 1) +
       ", window=" + std::to_string(par ? window_cycles_ : 1) + ")");
 }
@@ -412,14 +215,14 @@ bool FlitNetwork::try_empty_advance(std::uint64_t max_cycles) {
       mm.delivered_cycle =
           done + static_cast<std::uint64_t>(params_.pipeline_cycles) * hops;
       mm.delivered = true;
-      --undelivered_;
-      injected_flits_ += nflits;
-      ejected_flits_ += nflits;
-      link_flits_ += nflits * hops;
+      --whole_.undelivered;
+      whole_.injected += nflits;
+      whole_.ejected += nflits;
+      whole_.link += nflits * hops;
       ffwd_flits_ += nflits;
       ++ffwd_messages_;
       st.pending.pop_front();
-      if (st.pending.empty()) clear_bit(inject_mask_, h.node);
+      if (st.pending.empty()) clear_local(whole_.inject, h.node);
       cycle_ = done;
       return true;
     }
@@ -432,26 +235,26 @@ void FlitNetwork::run(std::uint64_t max_cycles) {
     run_parallel(max_cycles);
     return;
   }
-  while (undelivered_ > 0) {
+  while (whole_.undelivered > 0) {
     if (cycle_ >= max_cycles) throw_max_cycles(max_cycles);
-    if (in_flight_flits_ == 0 && try_empty_advance(max_cycles)) continue;
+    if (whole_.in_flight == 0 && try_empty_advance(max_cycles)) continue;
     step();
   }
 }
 
 void FlitNetwork::run_reference(std::uint64_t max_cycles) {
-  while (undelivered_ > 0) {
+  while (whole_.undelivered > 0) {
     if (cycle_ >= max_cycles) throw_max_cycles(max_cycles);
     step_reference();
   }
 }
 
 void FlitNetwork::dump_counters(obs::Registry& reg) const {
-  reg.counter("mesh.link.flits").set(static_cast<std::int64_t>(link_flits_));
+  reg.counter("mesh.link.flits").set(static_cast<std::int64_t>(whole_.link));
   reg.counter("mesh.flit.injected")
-      .set(static_cast<std::int64_t>(injected_flits_));
+      .set(static_cast<std::int64_t>(whole_.injected));
   reg.counter("mesh.flit.ejected")
-      .set(static_cast<std::int64_t>(ejected_flits_));
+      .set(static_cast<std::int64_t>(whole_.ejected));
   reg.counter("mesh.flit.cycles").set(static_cast<std::int64_t>(cycle_));
   reg.counter("mesh.flit.cycles_skipped")
       .set(static_cast<std::int64_t>(skipped_cycles_));
@@ -460,11 +263,11 @@ void FlitNetwork::dump_counters(obs::Registry& reg) const {
   reg.counter("mesh.flit.ffwd_flits")
       .set(static_cast<std::int64_t>(ffwd_flits_));
   reg.counter("mesh.flit.router_visits")
-      .set(static_cast<std::int64_t>(router_visits_));
+      .set(static_cast<std::int64_t>(whole_.visits));
   reg.counter("mesh.flit.shard.boundary_flits")
-      .set(static_cast<std::int64_t>(boundary_flits_));
+      .set(static_cast<std::int64_t>(whole_.boundary));
   reg.counter("mesh.flit.shard.barrier_waits")
-      .set(static_cast<std::int64_t>(barrier_waits_));
+      .set(static_cast<std::int64_t>(whole_.waits));
   reg.counter("mesh.flit.shard.windows")
       .set(static_cast<std::int64_t>(windows_));
 }

@@ -42,17 +42,19 @@
 // and final cycle on every configuration (tests/flit_test.cpp).
 //
 // Parallel mode (docs/MODEL.md §11): set_threads(T > 1) makes run()
-// partition the mesh into spatially contiguous row bands, one shard
-// per band, stepped by a pipeline of worker threads under conservative
-// lookahead synchronization. Flits crossing a band boundary travel
-// through per-edge SPSC handoff rings; downstream buffer occupancy is
-// mirrored by per-edge sent/consumed credit counters. The schedule is
-// constructed so every cross-band read observes exactly the value the
-// sequential id-order walk would have produced, so results — message
-// delivery cycles, link/injected/ejected totals, final cycle — are
-// byte-identical at any thread count. Scheduling diagnostics
-// (skipped/fast-forwarded/visit/shard counters) are deterministic for
-// a fixed thread count but legitimately differ across thread counts.
+// partition the mesh into spatially contiguous row bands, each stepped
+// by the band step the sequential network runs as its one whole-mesh
+// band, pipelined on the process-wide worker pool (core/barrier.hpp)
+// under conservative lookahead synchronization. Flits crossing a band
+// boundary travel through per-edge SPSC handoff rings; downstream
+// buffer occupancy is mirrored by per-edge sent/consumed credit
+// counters. The schedule is constructed so every cross-band read
+// observes exactly the value the sequential id-order walk would have
+// produced, so results — message delivery cycles, link/injected/ejected
+// totals, final cycle — are byte-identical at any thread count.
+// Scheduling diagnostics (skipped/fast-forwarded/visit/shard counters)
+// are deterministic for a fixed thread count but legitimately differ
+// across thread counts.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +64,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/barrier.hpp"
 #include "core/time.hpp"
 #include "mesh/topology.hpp"
 #include "obs/counters.hpp"
@@ -152,14 +155,14 @@ class FlitNetwork {
   /// Total link traversals (one flit crossing one inter-router link);
   /// the "mesh.link.flits" observability counter. Ejections and
   /// injections are not link traversals and are counted separately.
-  std::uint64_t link_flits() const { return link_flits_; }
-  std::uint64_t injected_flits() const { return injected_flits_; }
-  std::uint64_t ejected_flits() const { return ejected_flits_; }
+  std::uint64_t link_flits() const { return whole_.link; }
+  std::uint64_t injected_flits() const { return whole_.injected; }
+  std::uint64_t ejected_flits() const { return whole_.ejected; }
 
   /// Flits currently buffered in the network (injected, not ejected).
-  std::int64_t in_flight_flits() const { return in_flight_flits_; }
+  std::int64_t in_flight_flits() const { return whole_.in_flight; }
   /// Messages injected or queued but not yet fully delivered.
-  std::int64_t undelivered() const { return undelivered_; }
+  std::int64_t undelivered() const { return whole_.undelivered; }
 
   // Fast-path scheduling counters (all zero under run_reference()).
   /// Cycles the clock jumped over because the network was provably idle.
@@ -170,16 +173,16 @@ class FlitNetwork {
   std::uint64_t fastforwarded_messages() const { return ffwd_messages_; }
   /// Routers visited by the active-set schedule (full scan would be
   /// cycles * node_count).
-  std::uint64_t router_visits() const { return router_visits_; }
+  std::uint64_t router_visits() const { return whole_.visits; }
 
   // Parallel-scheduler counters (all zero when running sequentially).
   // Like the fast-path counters above, these are schedule diagnostics:
   // deterministic for a fixed thread count, but not comparable across
   // thread counts.
   /// Flits handed across a shard boundary through an SPSC edge ring.
-  std::uint64_t boundary_flits() const { return boundary_flits_; }
+  std::uint64_t boundary_flits() const { return whole_.boundary; }
   /// Futex parks taken while a shard waited on a neighbour's progress.
-  std::uint64_t barrier_waits() const { return barrier_waits_; }
+  std::uint64_t barrier_waits() const { return whole_.waits; }
   /// Parallel burst windows executed by run().
   std::uint64_t parallel_windows() const { return windows_; }
 
@@ -230,32 +233,72 @@ class FlitNetwork {
   std::int32_t pidx(NodeId node, int port) const {
     return node * kPorts + port;
   }
-  // Is there space for one more flit (buffered + staged) at this port?
-  bool has_space(std::int32_t p) const {
-    return static_cast<std::int32_t>(q_size_[static_cast<std::size_t>(p)]) +
-               staged_count_[static_cast<std::size_t>(p)] <
-           params_.input_buffer_flits;
-  }
   const Flit& fifo_front(std::int32_t p) const {
     return buf_[static_cast<std::size_t>(p * cap_ + q_head_[
         static_cast<std::size_t>(p)])];
   }
-  void fifo_pop(std::int32_t p, NodeId node);
-  void stage(NodeId node, int port, const Flit& f);
 
-  void set_bit(std::vector<std::uint64_t>& bm, NodeId n) {
-    bm[static_cast<std::size_t>(n >> 6)] |= std::uint64_t{1} << (n & 63);
+  // --- The band step (src/mesh/flit_parallel.cpp) ---------------------
+  // The flit cycle's one implementation. A band is a run of whole rows,
+  // router ids [lo, hi): the sequential network is the band that spans
+  // every row, and a parallel run pipelines min(2*T, height) of them
+  // (docs/MODEL.md §11). Only kSharded instantiations route occupancy
+  // reads, flits and credits across band boundaries, so the whole-mesh
+  // step compiles without boundary checks.
+  struct Edge;  // one directed cross-band link
+  struct alignas(64) Band {
+    NodeId lo = 0, hi = 0;
+    // Bitmaps, bit j = router lo + j, exact at cycle boundaries: active
+    // holds >= 1 visible flit, inject has a non-empty pending-message
+    // queue. Band-private words, since rows are not 64-aligned.
+    std::vector<std::uint64_t> active;
+    std::vector<std::uint64_t> inject;
+    std::vector<Staged> staged;  // in-band arrivals this cycle
+    // Boundary edges, one per column, null without a neighbour band:
+    // from_* feed this band's top-row North / bottom-row South inputs,
+    // to_* carry its flits into the band above / below.
+    Edge* from_above = nullptr;
+    Edge* from_below = nullptr;
+    Edge* to_above = nullptr;
+    Edge* to_below = nullptr;
+    ProgressCounter progress;  // last completed cycle (sharded bands)
+    // The whole-mesh band's counters are the network's totals; a sharded
+    // band's are one burst's deltas, added to them after the burst.
+    std::uint64_t link = 0, injected = 0, ejected = 0, visits = 0;
+    std::uint64_t boundary = 0, waits = 0;
+    std::int64_t in_flight = 0, undelivered = 0;
+    std::uint64_t last_tail = 0;  // cycle+1 of the latest tail ejection
+  };
+
+  static void set_local(std::vector<std::uint64_t>& bm, std::int32_t j) {
+    bm[static_cast<std::size_t>(j >> 6)] |= std::uint64_t{1} << (j & 63);
   }
-  void clear_bit(std::vector<std::uint64_t>& bm, NodeId n) {
-    bm[static_cast<std::size_t>(n >> 6)] &= ~(std::uint64_t{1} << (n & 63));
+  static void clear_local(std::vector<std::uint64_t>& bm, std::int32_t j) {
+    bm[static_cast<std::size_t>(j >> 6)] &= ~(std::uint64_t{1} << (j & 63));
   }
 
-  // One cycle of the three-phase schedule; `full_scan` selects the
-  // reference (all routers) vs active-set router walk.
-  bool step_impl(bool full_scan);
-  void phase1_inject(bool& moved);
-  void phase2_router(NodeId n, bool& moved);
-  void phase3_apply();
+  // One cycle c of band b; `full_scan` visits every router (the
+  // reference schedule) instead of the active set. The small per-flit
+  // helpers are inline so the router walk keeps them in its body.
+  template <bool kSharded>
+  void band_cycle(Band& b, std::int64_t c, bool full_scan);
+  void phase1(Band& b, std::int64_t c);
+  template <bool kSharded>
+  void phase2_router(Band& b, NodeId n, std::int64_t c);
+  inline void phase3(Band& b);
+  inline void apply_inbound(Band& b, std::int64_t apply_c);
+  template <bool kSharded>
+  inline std::int32_t occ(const Band& b, NodeId node, int port) const;
+  template <bool kSharded>
+  inline void pop(Band& b, NodeId node, int port);
+  inline void push_fifo(Band& b, std::int32_t p, NodeId node,
+                        const Flit& f);
+  template <bool kSharded>
+  inline void stage_to(Band& b, NodeId node, int port, const Flit& f,
+                       std::int64_t c);
+  inline Edge* edge_to(const Band& b, NodeId node) const;
+  void rebuild_bitmaps(Band& b);  // from router_flits_ and inject_
+  bool step_whole(bool full_scan);
 
   // Shared empty-network shortcut used by both the sequential and the
   // parallel run loops: when nothing is in flight, skip idle cycles
@@ -265,7 +308,7 @@ class FlitNetwork {
   bool try_empty_advance(std::uint64_t max_cycles);
 
   // --- Parallel scheduler (src/mesh/flit_parallel.cpp) ----------------
-  struct ParCtx;  // shards, edge rings, worker pool
+  struct ParCtx;  // bands, edges and the burst pipeline
   struct ParCtxDeleter {
     void operator()(ParCtx*) const;  // defined where ParCtx is complete
   };
@@ -299,14 +342,11 @@ class FlitNetwork {
   std::vector<std::int8_t> owner_;         // n * 5 output-port owner
   std::vector<std::int32_t> router_flits_; // n: visible flits per router
   std::vector<std::int16_t> staged_count_; // n * 5 staged this cycle
-  std::vector<Staged> staged_;             // reused arrival list
   std::vector<NodeId> nbr_;                // n * 4 neighbour table
   std::vector<std::int16_t> cx_, cy_;      // n coordinates
-  // Bitmaps, one bit per router, kept exact at cycle boundaries:
-  // active_: router holds >= 1 visible flit; inject_mask_: source has a
-  // non-empty pending-message queue.
-  std::vector<std::uint64_t> active_;
-  std::vector<std::uint64_t> inject_mask_;
+  // The band that spans every row: the sequential step's bitmaps and
+  // arrival list, and the running counter totals.
+  Band whole_;
 
   std::vector<FlitMessage> messages_;
   // Per-source queue of (message index) not yet fully injected and the
@@ -319,20 +359,12 @@ class FlitNetwork {
   std::vector<InjectState> inject_;
 
   std::uint64_t cycle_ = 0;
-  std::int64_t in_flight_flits_ = 0;
-  std::int64_t undelivered_ = 0;
-  std::uint64_t link_flits_ = 0;
-  std::uint64_t injected_flits_ = 0;
-  std::uint64_t ejected_flits_ = 0;
   std::uint64_t skipped_cycles_ = 0;
   std::uint64_t ffwd_flits_ = 0;
   std::uint64_t ffwd_messages_ = 0;
-  std::uint64_t router_visits_ = 0;
 
   int threads_ = 1;
   std::uint64_t window_cycles_ = 1024;
-  std::uint64_t boundary_flits_ = 0;
-  std::uint64_t barrier_waits_ = 0;
   std::uint64_t windows_ = 0;
   std::unique_ptr<ParCtx, ParCtxDeleter> par_;
 };

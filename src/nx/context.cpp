@@ -84,13 +84,8 @@ void NxContext::capture_intent(int dst, int tag, Bytes bytes,
 
 void NxContext::launch_message(int dst, int tag, Bytes bytes,
                                Payload payload, sim::Time depart) {
-  auto& eng = *engine_;
-  // Hand the message to the network; the model returns the arrival time
-  // of the last byte at the destination NIC.
   const sim::Time arrival =
-      machine_->network().transfer(rank_, dst, bytes, depart);
-  machine_->record_message(
-      MessageTraceRecord{depart, arrival, rank_, dst, tag, bytes});
+      machine_->transfer_message(rank_, dst, tag, bytes, depart);
   ++stats_.sends;
   stats_.bytes_sent += bytes;
 
@@ -111,21 +106,7 @@ void NxContext::launch_message(int dst, int tag, Bytes bytes,
   }
 
   Message msg{rank_, tag, bytes, std::move(payload)};
-  NxMachine* machine = machine_;
-  auto deliver = [machine, dst, m = std::move(msg)]() mutable {
-    // Down-node discard is decided at arrival time: a node that crashed
-    // while the message was in flight loses it at the NIC.
-    if (!machine->node_state().up(dst)) {
-      machine->note_dropped_message();
-      return;
-    }
-    machine->context(dst).mailbox().deliver(std::move(m));
-  };
-  // Hottest schedule_call site in the simulator: every message delivery.
-  // The capture must stay within the engine callback's inline buffer so
-  // deliveries never heap-allocate (docs/PERF.md, allocation behaviour).
-  static_assert(sim::Callback::fits_inline<decltype(deliver)>);
-  eng.schedule_call(arrival, std::move(deliver));
+  engine_->schedule_call(arrival, Delivery{machine_, dst, std::move(msg)});
 }
 
 sim::Task<> NxContext::send(int dst, int tag, Bytes bytes, Payload payload) {

@@ -111,9 +111,16 @@ class NxMachine {
   /// CSV dump of the trace (header + one row per message).
   std::string message_trace_csv() const;
 
-  /// Called by NxContext on every launch; internal.
-  void record_message(const MessageTraceRecord& rec) {
-    if (trace_enabled_) trace_.push_back(rec);
+  /// Hand a message to the network and record it in the message trace;
+  /// returns the arrival of its last byte at the destination NIC.
+  /// Internal: the one network handoff of NxContext sends and of the
+  /// sharded engine's replay.
+  sim::Time transfer_message(int src, int dst, int tag, Bytes bytes,
+                             sim::Time depart) {
+    const sim::Time arrival = net_->transfer(src, dst, bytes, depart);
+    if (trace_enabled_)
+      trace_.push_back({depart, arrival, src, dst, tag, bytes});
+    return arrival;
   }
 
   /// The machine's observability registry. Collective latency
@@ -178,5 +185,27 @@ class NxMachine {
   bool trace_enabled_ = false;
   std::vector<MessageTraceRecord> trace_;
 };
+
+/// The engine callback that lands a message in its destination mailbox
+/// at arrival, scheduled by both network handoffs. Down-node discard is
+/// decided then: a node that crashed while the message was in flight
+/// loses it at the NIC.
+struct Delivery {
+  NxMachine* machine;
+  int dst;
+  Message msg;
+
+  void operator()() {
+    if (!machine->node_state().up(dst)) {
+      machine->note_dropped_message();
+      return;
+    }
+    machine->context(dst).mailbox().deliver(std::move(msg));
+  }
+};
+// Hottest schedule_call site in the simulator: every message delivery.
+// It must fit the engine callback's inline buffer so deliveries never
+// heap-allocate (docs/PERF.md, allocation behaviour).
+static_assert(sim::Callback::fits_inline<Delivery>);
 
 }  // namespace hpccsim::nx

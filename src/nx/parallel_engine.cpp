@@ -1,12 +1,11 @@
 // Rank-band sharded engine (see parallel_engine.hpp and docs/MODEL.md
 // §15 for the model-level correctness argument).
 //
-// Thread architecture: one persistent process-wide worker pool (workers
-// are created on demand, parked on a BurstGate between commands, and
-// live until process exit). Band 0 always runs on the coordinating
-// thread, so a machine that only ever needs one band pays no
-// synchronization at all, and band 0's payload/frame pools are the
-// machine thread's own. A run is three command kinds:
+// Thread architecture: the bands run on the process-wide WorkerPool
+// (core/barrier.hpp) the flit network's sharded scheduler shares. Band
+// 0 always runs on the coordinating thread, so band 0's payload/frame
+// pools are the machine thread's own, and band i runs on worker i-1 for
+// the whole run. A run is three command kinds:
 //
 //   Start   create each band's Engine, rebind the band's contexts to
 //           it, spawn the band's node programs;
@@ -25,13 +24,10 @@
 #include "nx/parallel_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -66,7 +62,7 @@ struct alignas(64) Band {
   std::uint64_t pool_sized = 0;
 };
 
-/// The command the coordinator publishes before each BurstGate issue.
+/// The command the coordinator dispatches to every band.
 struct Job {
   enum Cmd { Start, Window, Finish };
   Cmd cmd = Start;
@@ -75,7 +71,6 @@ struct Job {
   NxMachine* machine = nullptr;
   const NxMachine::Program* spmd = nullptr;
   const std::vector<NxMachine::Program>* per_node = nullptr;
-  std::vector<Band>* bands = nullptr;
 };
 
 /// Executes one command for one band on the current thread. Never
@@ -132,71 +127,6 @@ void run_band_command(const Job& job, Band& b) {
   }
 }
 
-/// Persistent worker pool. Workers park on the BurstGate between
-/// commands; worker i drives band i+1 (band 0 is the coordinator's).
-/// The mutex serializes whole runs, so concurrent machines (or
-/// util/parallel.hpp sweeps that run parallel machines) queue up rather
-/// than interleave commands.
-class WorkerPool {
- public:
-  static WorkerPool& instance() {
-    static WorkerPool pool;
-    return pool;
-  }
-
-  std::mutex& run_mutex() { return mu_; }
-
-  /// Grow the pool to at least `workers` threads (run_mutex held). A
-  /// new worker's `seen` generation starts at the current issue count
-  /// so it can never execute a command issued before it existed.
-  void ensure(int workers) {
-    while (static_cast<int>(threads_.size()) < workers) {
-      const int index = static_cast<int>(threads_.size());
-      const std::uint64_t seen = issued_;
-      threads_.emplace_back(
-          [this, index, seen] { worker_main(index, seen); });
-    }
-  }
-
-  /// Publish `job` to every worker, run band 0's share on this thread,
-  /// and block until all workers check in (workers whose band index is
-  /// beyond this run's band count check in without touching anything).
-  void dispatch(const Job& job) {
-    job_ = &job;
-    gate_.issue();
-    ++issued_;
-    run_band_command(job, (*job.bands)[0]);
-    gate_.join(static_cast<int>(threads_.size()));
-  }
-
- private:
-  WorkerPool() = default;
-  ~WorkerPool() {
-    exit_.store(true, std::memory_order_release);
-    gate_.issue();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  void worker_main(int index, std::uint64_t seen) {
-    for (;;) {
-      seen = gate_.await_command(seen);
-      if (exit_.load(std::memory_order_acquire)) return;
-      const Job* job = job_;
-      if (index + 1 < static_cast<int>(job->bands->size()))
-        run_band_command(*job, (*job->bands)[static_cast<std::size_t>(
-                                   index + 1)]);
-      gate_.complete();
-    }
-  }
-
-  BurstGate gate_;
-  std::mutex mu_;
-  std::vector<std::thread> threads_;
-  const Job* job_ = nullptr;
-  std::uint64_t issued_ = 0;  ///< commands issued (mirrors gate gen)
-  std::atomic<bool> exit_{false};
-};
-
 }  // namespace
 
 ParRunTotals run_sharded(NxMachine& machine, int threads,
@@ -232,28 +162,30 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
   };
 
   WorkerPool& pool = WorkerPool::instance();
-  std::lock_guard<std::mutex> run_lock(pool.run_mutex());
-  pool.ensure(band_count - 1);
+  const auto hold = pool.acquire(band_count);
 
   Job job;
   job.start_ps = start_ps;
   job.machine = &machine;
   job.spmd = spmd;
   job.per_node = per_node;
-  job.bands = &bands;
+  const auto dispatch = [&](Job::Cmd cmd) {
+    job.cmd = cmd;
+    pool.dispatch(band_count, [&](int i) {
+      run_band_command(job, bands[static_cast<std::size_t>(i)]);
+    });
+  };
 
   ParRunTotals totals;
   totals.runs = 1;
   totals.bands = band_count;
 
-  mesh::NetworkModel& net = machine.network();
   // Captured intents not yet replayed, sorted by (depart, call_ps, src,
   // seq).
   std::vector<LaunchIntent> pending;
   std::exception_ptr coord_error;
   try {
-    job.cmd = Job::Start;
-    pool.dispatch(job);
+    dispatch(Job::Start);
 
     std::int64_t prev_end_ps = 0;
     bool first_window = true;
@@ -280,36 +212,23 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
             static_cast<std::int64_t>(in.depart.picoseconds()) >=
                 t0 + lookahead_ps)
           break;
-        const sim::Time arrival =
-            net.transfer(in.src, in.dst, in.bytes, in.depart);
-        machine.record_message(MessageTraceRecord{in.depart, arrival,
-                                                  in.src, in.dst, in.tag,
-                                                  in.bytes});
-        Message msg{in.src, in.tag, in.bytes, std::move(in.payload)};
-        NxMachine* m = &machine;
-        const int dst = in.dst;
-        auto deliver = [m, dst, mm = std::move(msg)]() mutable {
-          if (!m->node_state().up(dst)) {
-            m->note_dropped_message();
-            return;
-          }
-          m->context(dst).mailbox().deliver(std::move(mm));
-        };
-        static_assert(sim::Callback::fits_inline<decltype(deliver)>);
-        Band& db = bands[static_cast<std::size_t>(band_of(dst))];
+        const sim::Time arrival = machine.transfer_message(
+            in.src, in.dst, in.tag, in.bytes, in.depart);
+        Band& db = bands[static_cast<std::size_t>(band_of(in.dst))];
         // Every band's clock sits at the last window edge, at or before
         // the departure. The sequential engine schedules the delivery
         // during the departure instant, so it goes into the queue there:
         // after events the band still runs up to that instant, ahead of
         // events scheduled later for the same arrival picosecond.
-        db.engine->schedule_call_deferred(in.depart, arrival,
-                                          std::move(deliver));
+        Message msg{in.src, in.tag, in.bytes, std::move(in.payload)};
+        db.engine->schedule_call_deferred(
+            in.depart, arrival, Delivery{&machine, in.dst, std::move(msg)});
         const auto arrival_ps =
             static_cast<std::int64_t>(arrival.picoseconds());
         db.next_ps = std::min(db.next_ps, arrival_ps);
         t0 = std::min(t0, arrival_ps);
         ++totals.intents;
-        if (band_of(in.src) != band_of(dst)) ++totals.handoffs;
+        if (band_of(in.src) != band_of(in.dst)) ++totals.handoffs;
       }
       pending.erase(pending.begin(),
                     pending.begin() + static_cast<std::ptrdiff_t>(replayed));
@@ -319,9 +238,8 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
       if (!first_window && t0 > prev_end_ps) ++totals.window_skips;
       first_window = false;
       const std::int64_t end_ps = t0 + lookahead_ps;
-      job.cmd = Job::Window;
       job.window_end_ps = end_ps;
-      pool.dispatch(job);
+      dispatch(Job::Window);
       prev_end_ps = end_ps;
       ++totals.windows;
 
@@ -379,8 +297,7 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
     for (const Band& b : bands) machine.counters().merge(b.coll_registry);
   }
 
-  job.cmd = Job::Finish;
-  pool.dispatch(job);
+  dispatch(Job::Finish);
   for (std::size_t i = 1; i < bands.size(); ++i) {
     totals.pool_values += bands[i].pool_values;
     totals.pool_sized += bands[i].pool_sized;

@@ -52,6 +52,18 @@ TEST(Time, RejectsDoublesWithNoPicosecondCount) {
                ContractError);
 }
 
+TEST(Time, ArithmeticThrowsInsteadOfWrappingAtTheCeiling) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ((Time::ps(kMax - 1) + Time::ps(1)).picoseconds(), kMax);
+  EXPECT_THROW(Time::ps(kMax) + Time::ps(1), ContractError);
+  Time t = Time::ps(kMax);
+  EXPECT_THROW(t += Time::ps(1), ContractError);
+  EXPECT_EQ(t.picoseconds(), kMax);  // a failed += leaves t unchanged
+  EXPECT_EQ((Time::ps((1ull << 63) - 1) * 2).picoseconds(), kMax - 1);
+  EXPECT_THROW(Time::ps(1ull << 63) * 2, ContractError);
+  EXPECT_THROW(2 * Time::ps(1ull << 63), ContractError);
+}
+
 TEST(Time, FormatsHumanReadable) {
   EXPECT_EQ(Time::sec(1.5).str(), "1.5 s");
   EXPECT_EQ(Time::us(75).str(), "75 us");

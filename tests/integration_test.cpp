@@ -5,14 +5,20 @@
 // sizes.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "linalg/cg.hpp"
 #include "linalg/distlu.hpp"
 #include "linalg/fft.hpp"
 #include "linalg/summa.hpp"
+#include "mesh/flit.hpp"
 #include "nx/collectives.hpp"
 #include "nx/machine_runtime.hpp"
 #include "proc/machine.hpp"
 #include "sched/batch.hpp"
+#include "util/rng.hpp"
 #include "wan/consortium.hpp"
 #include "wan/flows.hpp"
 
@@ -172,6 +178,91 @@ TEST(Integration, CollectivesComposeWithSolvers) {
     counts[static_cast<std::size_t>(ctx.rank())] = m.values().at(0);
   });
   for (const double c : counts) EXPECT_EQ(c, 4.0 * r.iterations);
+}
+
+// Both sharded engines run their bands on the one process-wide
+// WorkerPool (core/barrier.hpp). One process interleaves them: the
+// flit network reuses workers an nx run created, a wider nx run grows
+// the pool mid-process, and a narrower flit run leaves workers idle.
+// Every run must equal its one-thread run exactly.
+struct LuOutcome {
+  Time elapsed;
+  std::string dump;
+  std::int64_t shard_runs = 0;
+};
+
+LuOutcome modeled_lu(int threads) {
+  nx::NxMachine m(proc::touchstone_delta().with_nodes(128));
+  m.set_threads(threads);
+  const linalg::LuResult r =
+      linalg::run_distributed_lu(m, linalg::lu_config_for(m, 512, 32));
+  LuOutcome out{r.elapsed, "", 0};
+  obs::Registry& reg = m.snapshot_counters();
+  out.shard_runs = reg.value("engine.shard.runs");
+  // Band partition diagnostics legitimately differ across thread counts.
+  std::istringstream in(reg.ascii());
+  for (std::string line; std::getline(in, line);)
+    if (line.find("engine.shard.") == std::string::npos &&
+        line.find("core.engine.peak_queue_depth") == std::string::npos &&
+        line.find("core.engine.call_slot_high_water") == std::string::npos)
+      out.dump += line + '\n';
+  return out;
+}
+
+struct FlitOutcome {
+  std::vector<std::uint64_t> delivered;
+  std::uint64_t link = 0, injected = 0, ejected = 0, cycle = 0;
+  std::uint64_t windows = 0;
+};
+
+FlitOutcome saturated_flit(int threads) {
+  mesh::FlitNetwork net(mesh::Mesh2D(16, 16), mesh::FlitParams{});
+  net.set_threads(threads);
+  net.set_window(64);  // many bursts, so many pool commands
+  Rng rng(14);
+  for (int i = 0; i < 1024; ++i) {
+    const auto src = static_cast<mesh::NodeId>(i % 256);
+    auto dst = static_cast<mesh::NodeId>(rng.below(256));
+    if (dst == src) dst = (dst + 1) % 256;
+    net.inject(src, dst, 256, 0);
+  }
+  net.run();
+  FlitOutcome out;
+  for (const mesh::FlitMessage& m : net.messages())
+    out.delivered.push_back(m.delivered_cycle);
+  out.link = net.link_flits();
+  out.injected = net.injected_flits();
+  out.ejected = net.ejected_flits();
+  out.cycle = net.cycle();
+  out.windows = net.parallel_windows();
+  return out;
+}
+
+void expect_same_flit(const FlitOutcome& got, const FlitOutcome& want) {
+  EXPECT_GT(got.windows, 0u);  // the sharded scheduler really ran
+  EXPECT_EQ(got.delivered, want.delivered);
+  EXPECT_EQ(got.link, want.link);
+  EXPECT_EQ(got.injected, want.injected);
+  EXPECT_EQ(got.ejected, want.ejected);
+  EXPECT_EQ(got.cycle, want.cycle);
+}
+
+void expect_same_lu(const LuOutcome& got, const LuOutcome& want) {
+  EXPECT_EQ(got.shard_runs, 1);  // the sharded engine really ran
+  EXPECT_EQ(got.elapsed, want.elapsed);
+  EXPECT_EQ(got.dump, want.dump);
+}
+
+TEST(Integration, ShardedEnginesShareOneWorkerPool) {
+  const LuOutcome lu_oracle = modeled_lu(1);
+  const FlitOutcome flit_oracle = saturated_flit(1);
+  ASSERT_EQ(lu_oracle.shard_runs, 0);
+  ASSERT_EQ(flit_oracle.windows, 0u);
+
+  expect_same_lu(modeled_lu(4), lu_oracle);
+  expect_same_flit(saturated_flit(4), flit_oracle);
+  expect_same_lu(modeled_lu(8), lu_oracle);         // grows the pool
+  expect_same_flit(saturated_flit(2), flit_oracle);  // idle workers
 }
 
 }  // namespace
