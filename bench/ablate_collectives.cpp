@@ -8,13 +8,11 @@
 #include <cstdio>
 #include <vector>
 
+#include "harness.hpp"
 #include "nx/collectives.hpp"
 #include "nx/machine_runtime.hpp"
-#include "obs/metrics.hpp"
 #include "proc/machine.hpp"
-#include "util/cli.hpp"
 #include "util/parallel.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -44,26 +42,7 @@ double time_allreduce(const proc::MachineConfig& mc, Bytes bytes,
       .as_us();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ArgParser args("ablate_collectives",
-                 "collective algorithms on the 528-node Delta");
-  args.add_option("nodes", "node count (0 = full machine)", "0");
-  args.add_jobs_option();
-  args.add_json_option();
-  args.add_flag("csv", "emit CSV");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
-
+int exhibit(const ArgParser& args, bench::Harness& h) {
   proc::MachineConfig mc = proc::touchstone_delta();
   if (args.integer("nodes") > 0)
     mc = mc.with_nodes(static_cast<std::int32_t>(args.integer("nodes")));
@@ -101,26 +80,35 @@ int main(int argc, char** argv) {
     tb.add_row({Table::integer(static_cast<std::int64_t>(sizes[s])),
                 at(s, 0), at(s, 1), at(s, 2)});
   }
-  std::printf("%s\n", args.flag("csv") ? tb.csv().c_str() : tb.ascii().c_str());
+  h.print(tb);
 
   Table ta({"bytes", "allreduce binomial (us)", "allreduce ring (us)"});
   for (std::size_t s = 0; s < sizes.size(); ++s) {
     ta.add_row({Table::integer(static_cast<std::int64_t>(sizes[s])),
                 at(s, 3), at(s, 4)});
   }
-  std::printf("%s\n", args.flag("csv") ? ta.csv().c_str() : ta.ascii().c_str());
+  h.print(ta);
   std::printf("expected: binomial wins across the board at P=528 (log2(P) "
               "steps); ring pays P-1 serial software overheads so it is "
               "worst for small payloads; flat fan-out is root-bound "
               "(527 serial sends) and catches ring only at large "
               "payloads\n");
 
-  obs::BenchMetrics bm("ablate_collectives");
+  obs::BenchMetrics& bm = h.metrics;
   bm.config("nodes", static_cast<std::int64_t>(mc.node_count()));
   for (const double cell_us : us) bm.add_sim_time(sim::Time::us(cell_us));
   const std::size_t last = sizes.size() - 1;
   bm.metric("bcast_binomial_1mb_us", us[last * kinds.size() + 0]);
   bm.metric("allreduce_binomial_1mb_us", us[last * kinds.size() + 3]);
-  bm.write_file(args.json_path());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bench::Harness h("ablate_collectives",
+                   "collective algorithms on the 528-node Delta");
+  h.args.add_option("nodes", "node count (0 = full machine)", "0");
+  h.args.add_jobs_option();
+  return h.run(argc, argv, exhibit);
 }

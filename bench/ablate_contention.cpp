@@ -9,41 +9,17 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "harness.hpp"
 #include "mesh/analytical.hpp"
 #include "mesh/flit.hpp"
 #include "mesh/traffic.hpp"
-#include "obs/metrics.hpp"
-#include "util/cli.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
-#include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace hpccsim;
-  using namespace hpccsim::mesh;
-  ArgParser args("ablate_contention",
-                 "analytical vs flit-level mesh model agreement");
-  args.add_option("width", "mesh width", "8");
-  args.add_option("height", "mesh height", "8");
-  args.add_option("messages", "messages per node", "60");
-  args.add_option("bytes", "message size", "512");
-  args.add_option("delta-messages",
-                  "messages per node for the full-Delta (16x36) validation "
-                  "point (0 disables)", "20");
-  args.add_jobs_option();
-  args.add_json_option();
-  args.add_flag("csv", "emit CSV");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
+using namespace hpccsim;
+using namespace hpccsim::mesh;
 
+int exhibit(const ArgParser& args, bench::Harness& h) {
   const Mesh2D mesh(static_cast<std::int32_t>(args.integer("width")),
                     static_cast<std::int32_t>(args.integer("height")));
   AnalyticalParams ap;           // Delta-like link speed
@@ -112,7 +88,7 @@ int main(int argc, char** argv) {
     flits[idx] = fnet.link_flits();
   });
   for (auto& row : rows) t.add_row(std::move(row));
-  std::printf("%s\n", args.flag("csv") ? t.csv().c_str() : t.ascii().c_str());
+  h.print(t);
   std::printf("expected: agreement within ~1.5x at low load and ~2x deep in "
               "saturation; right at the saturation knee the analytical "
               "model is pessimistic for uniform traffic (it has no router "
@@ -162,7 +138,7 @@ int main(int argc, char** argv) {
                 f_lat.mean(), delta_ratio);
   }
 
-  obs::BenchMetrics bm("ablate_contention");
+  obs::BenchMetrics& bm = h.metrics;
   bm.config("width", args.integer("width"));
   bm.config("height", args.integer("height"));
   bm.config("messages", args.integer("messages"));
@@ -181,6 +157,19 @@ int main(int argc, char** argv) {
     bm.add_sim_time(delta_span);
     bm.metric("delta_ratio", delta_ratio);
   }
-  bm.write_file(args.json_path());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  bench::Harness h("ablate_contention",
+                   "analytical vs flit-level mesh model agreement");
+  h.args.add_option("width", "mesh width", "8");
+  h.args.add_option("height", "mesh height", "8");
+  h.args.add_option("messages", "messages per node", "60");
+  h.args.add_option("bytes", "message size", "512");
+  h.args.add_option("delta-messages",
+                    "messages per node for the full-Delta (16x36) validation "
+                    "point (0 disables)", "20");
+  h.args.add_jobs_option();
+  return h.run(argc, argv, exhibit);
 }

@@ -9,12 +9,10 @@
 // raw link bandwidth).
 #include <cstdio>
 
+#include "harness.hpp"
 #include "linalg/distlu.hpp"
-#include "obs/metrics.hpp"
 #include "proc/machine.hpp"
-#include "util/cli.hpp"
 #include "util/parallel.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -33,25 +31,7 @@ CellResult run_cell(const proc::MachineConfig& mc, nx::NetKind net,
   return {r.gflops, r.elapsed};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ArgParser args("ablate_network", "interconnect ablation for the LU run");
-  args.add_option("n", "problem orders", "5000,15000,25000");
-  args.add_jobs_option();
-  args.add_json_option();
-  args.add_flag("csv", "emit CSV");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
-
+int exhibit(const ArgParser& args, bench::Harness& h) {
   const proc::MachineConfig base = proc::touchstone_delta();
   struct Variant {
     const char* name;
@@ -94,18 +74,26 @@ int main(int argc, char** argv) {
       row.push_back(Table::num(cells[vi * orders.size() + oi].gflops, 2));
     t.add_row(std::move(row));
   }
-  std::printf("%s\n", args.flag("csv") ? t.csv().c_str() : t.ascii().c_str());
+  h.print(t);
   std::printf("expected: removing the messaging-software overhead helps "
               "most at small n (latency-bound panels); channel bandwidth "
               "matters more as n grows (panel/U broadcasts); the ideal "
               "crossbar bounds the total network contribution\n");
 
-  obs::BenchMetrics bm("ablate_network");
+  obs::BenchMetrics& bm = h.metrics;
   bm.config("n", args.str("n"));
   for (const CellResult& c : cells) bm.add_sim_time(c.elapsed);
   // Headline: baseline vs ideal-crossbar GFLOPS at the largest n.
   bm.metric("baseline_gflops", cells[orders.size() - 1].gflops);
   bm.metric("crossbar_gflops", cells[2 * orders.size() - 1].gflops);
-  bm.write_file(args.json_path());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bench::Harness h("ablate_network", "interconnect ablation for the LU run");
+  h.args.add_option("n", "problem orders", "5000,15000,25000");
+  h.args.add_jobs_option();
+  return h.run(argc, argv, exhibit);
 }

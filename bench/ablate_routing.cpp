@@ -7,12 +7,10 @@
 // costs nothing on benign patterns.
 #include <cstdio>
 
+#include "harness.hpp"
 #include "mesh/flit.hpp"
 #include "mesh/traffic.hpp"
-#include "obs/metrics.hpp"
-#include "util/cli.hpp"
 #include "util/stats.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -42,25 +40,7 @@ double mean_latency_us(const Mesh2D& mesh, RouteAlgo algo, Pattern pattern,
   return lat.mean();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ArgParser args("ablate_routing", "XY vs west-first adaptive routing");
-  args.add_option("width", "mesh width", "8");
-  args.add_option("height", "mesh height", "8");
-  args.add_json_option();
-  args.add_flag("csv", "emit CSV");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
-
+int exhibit(const ArgParser& args, bench::Harness& h) {
   const Mesh2D mesh(static_cast<std::int32_t>(args.integer("width")),
                     static_cast<std::int32_t>(args.integer("height")));
   std::printf("== A8: routing ablation on a %s ==\n",
@@ -80,7 +60,7 @@ int main(int argc, char** argv) {
                  Table::num(wf, 1), Table::percent(xy / wf - 1.0, 1)});
     }
   }
-  std::printf("%s\n", args.flag("csv") ? t.csv().c_str() : t.ascii().c_str());
+  h.print(t);
   std::printf("expected (and classic in the literature): near-zero "
               "difference at low load; large adaptive gains on transpose "
               "(it spreads the bisection hotspots XY creates); no gain on "
@@ -88,7 +68,7 @@ int main(int argc, char** argv) {
               "route avoids it); and a LOSS on deeply saturated uniform "
               "traffic, where adaptive misrouting spreads congestion\n");
 
-  obs::BenchMetrics bm("ablate_routing");
+  obs::BenchMetrics& bm = h.metrics;
   bm.config("width", args.integer("width"));
   bm.config("height", args.integer("height"));
   // Sum of per-point mean latencies: a deterministic simulated quantity
@@ -96,6 +76,14 @@ int main(int argc, char** argv) {
   bm.add_sim_time(sim::Time::us(xy_total_us + wf_total_us));
   bm.metric("xy_mean_us_total", xy_total_us);
   bm.metric("west_first_mean_us_total", wf_total_us);
-  bm.write_file(args.json_path());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bench::Harness h("ablate_routing", "XY vs west-first adaptive routing");
+  h.args.add_option("width", "mesh width", "8");
+  h.args.add_option("height", "mesh height", "8");
+  return h.run(argc, argv, exhibit);
 }

@@ -8,33 +8,14 @@
 #include <cmath>
 #include <cstdio>
 
+#include "harness.hpp"
 #include "linalg/cg.hpp"
-#include "obs/metrics.hpp"
 #include "proc/machine.hpp"
-#include "util/cli.hpp"
 #include "util/parallel.hpp"
-#include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace hpccsim;
-  ArgParser args("asta_cg_scaling", "distributed CG scaling on the Delta");
-  args.add_option("grid", "unknowns per side at 16 nodes (weak-scaled up)",
-                  "512");
-  args.add_option("iters", "modeled iterations per point", "100");
-  args.add_jobs_option();
-  args.add_json_option();
-  args.add_flag("csv", "emit CSV");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
+using namespace hpccsim;
 
+int exhibit(const ArgParser& args, bench::Harness& h) {
   std::printf("== A4: CG on the 5-point Laplacian, Touchstone Delta ==\n");
   Table t({"nodes", "grid", "us/iteration", "halo bytes/iter/node",
            "msgs/iter"});
@@ -68,12 +49,12 @@ int main(int argc, char** argv) {
     results[i] = r;
   });
   for (auto& row : rows) t.add_row(std::move(row));
-  std::printf("%s\n", args.flag("csv") ? t.csv().c_str() : t.ascii().c_str());
+  h.print(t);
   std::printf("expected: per-iteration time grows slowly with node count "
               "under weak scaling — the log(P) allreduce critical path, "
               "not the constant-size halos, is what grows\n");
 
-  obs::BenchMetrics bm("asta_cg_scaling");
+  obs::BenchMetrics& bm = h.metrics;
   bm.config("grid", base_grid);
   bm.config("iters", static_cast<std::int64_t>(iters));
   std::int64_t messages = 0;
@@ -83,6 +64,14 @@ int main(int argc, char** argv) {
   }
   bm.metric("messages", messages);
   bm.metric("us_per_iter_528", results.back().per_iteration().as_us());
-  bm.write_file(args.json_path());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  bench::Harness h("asta_cg_scaling", "distributed CG scaling on the Delta");
+  h.args.add_option("grid", "unknowns per side at 16 nodes (weak-scaled up)",
+                    "512");
+  h.args.add_option("iters", "modeled iterations per point", "100");
+  h.args.add_jobs_option();
+  return h.run(argc, argv, exhibit);
 }

@@ -7,38 +7,21 @@
 // here on the full simulated Delta.
 #include <cstdio>
 
+#include "harness.hpp"
 #include "linalg/distlu.hpp"
 #include "linalg/distqr.hpp"
-#include "obs/metrics.hpp"
 #include "proc/machine.hpp"
-#include "util/cli.hpp"
-#include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace hpccsim;
-  ArgParser args("asta_factorizations", "LU vs QR on the simulated Delta");
-  args.add_option("n", "problem orders", "1000,2000,4000,8000");
-  args.add_option("nodes", "node count (0 = full 528)", "64");
-  args.add_json_option();
-  args.add_flag("csv", "emit CSV");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
+using namespace hpccsim;
 
+int exhibit(const ArgParser& args, bench::Harness& h) {
   proc::MachineConfig mc = proc::touchstone_delta();
   if (args.integer("nodes") > 0)
     mc = mc.with_nodes(static_cast<std::int32_t>(args.integer("nodes")));
   std::printf("== A10: LU vs QR on %s (%d nodes) ==\n", mc.name.c_str(),
               mc.node_count());
 
-  obs::BenchMetrics bm("asta_factorizations");
+  obs::BenchMetrics& bm = h.metrics;
   bm.config("n", args.str("n"));
   bm.config("nodes", static_cast<std::int64_t>(mc.node_count()));
   double lu_gflops_last = 0.0, qr_gflops_last = 0.0;
@@ -67,7 +50,7 @@ int main(int argc, char** argv) {
                Table::num(qr.gflops, 2),
                Table::num(qr.elapsed.as_sec() / lu.elapsed.as_sec(), 2)});
   }
-  std::printf("%s\n", args.flag("csv") ? t.csv().c_str() : t.ascii().c_str());
+  h.print(t);
   std::printf("expected: at small orders both are latency-bound and tie "
               "(QR's per-column collectives mirror LU's pivot search); as "
               "n grows QR's 2x flops and reduction-bound panel push its "
@@ -76,6 +59,12 @@ int main(int argc, char** argv) {
 
   bm.metric("lu_gflops_last", lu_gflops_last);
   bm.metric("qr_gflops_last", qr_gflops_last);
-  bm.write_file(args.json_path());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  bench::Harness h("asta_factorizations", "LU vs QR on the simulated Delta");
+  h.args.add_option("n", "problem orders", "1000,2000,4000,8000");
+  h.args.add_option("nodes", "node count (0 = full 528)", "64");
+  return h.run(argc, argv, exhibit);
 }

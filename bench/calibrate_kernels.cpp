@@ -16,32 +16,16 @@
 #include <cstdio>
 #include <fstream>
 
+#include "harness.hpp"
 #include "linalg/distlu.hpp"
 #include "nx/machine_runtime.hpp"
 #include "proc/machine.hpp"
-#include "util/cli.hpp"
 
-int main(int argc, char** argv) {
-  using namespace hpccsim;
-  ArgParser args("calibrate_kernels",
-                 "fit gemm_efficiency to the paper's 13 GFLOPS point");
-  args.add_option("machine", "machine preset", "delta");
-  args.add_option("n", "problem order of the target point", "25000");
-  args.add_option("nb", "block size", "64");
-  args.add_option("target", "target GFLOPS at the point", "13.0");
-  args.add_option("tolerance", "fit tolerance in GFLOPS", "0.005");
-  args.add_option("out", "output JSON path", "bench/calibration.json");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
+namespace {
 
+using namespace hpccsim;
+
+int calibrate(const ArgParser& args) {
   const proc::MachineConfig base = proc::machine_by_name(args.str("machine"));
   const std::int64_t n = args.integer("n");
   const double target = args.real("target");
@@ -117,4 +101,18 @@ int main(int argc, char** argv) {
   out << buf;
   std::printf("wrote %s\n", args.str("out").c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  ArgParser args("calibrate_kernels",
+                 "fit gemm_efficiency to the paper's 13 GFLOPS point");
+  args.add_option("machine", "machine preset", "delta");
+  args.add_option("n", "problem order of the target point", "25000");
+  args.add_option("nb", "block size", "64");
+  args.add_option("target", "target GFLOPS at the point", "13.0");
+  args.add_option("tolerance", "fit tolerance in GFLOPS", "0.005");
+  args.add_option("out", "output JSON path", "bench/calibration.json");
+  return bench::run_cli(args, argc, argv, [&] { return calibrate(args); });
 }

@@ -7,30 +7,14 @@
 // costs, on the simulated Delta.
 #include <cstdio>
 
+#include "harness.hpp"
 #include "linalg/fft.hpp"
-#include "obs/metrics.hpp"
 #include "proc/machine.hpp"
-#include "util/cli.hpp"
 #include "util/parallel.hpp"
-#include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace hpccsim;
-  ArgParser args("cas_fft", "distributed four-step FFT on the Delta");
-  args.add_jobs_option();
-  args.add_json_option();
-  args.add_flag("csv", "emit CSV");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
+using namespace hpccsim;
 
+int exhibit(const ArgParser& args, bench::Harness& h) {
   std::printf("== A5: four-step FFT (modeled) on the Touchstone Delta ==\n");
   Table t({"nodes", "N (points)", "time (ms)", "MFLOPS", "% of peak",
            "GB transposed"});
@@ -68,13 +52,13 @@ int main(int argc, char** argv) {
     results[i] = r;
   });
   for (auto& row : rows) t.add_row(std::move(row));
-  std::printf("%s\n", args.flag("csv") ? t.csv().c_str() : t.ascii().c_str());
+  h.print(t);
   std::printf("expected: FFT sustains a far lower fraction of peak than LU "
               "— it is bisection-bandwidth bound, the reason spectral "
               "codes pushed for the gigabit NREN interconnects the paper "
               "funds\n");
 
-  obs::BenchMetrics bm("cas_fft");
+  obs::BenchMetrics& bm = h.metrics;
   std::int64_t bytes_moved = 0;
   for (const linalg::FftResult& r : results) {
     bm.add_sim_time(r.elapsed);
@@ -82,6 +66,11 @@ int main(int argc, char** argv) {
   }
   bm.metric("bytes_moved", bytes_moved);
   bm.metric("mflops_last", results.back().mflops);
-  bm.write_file(args.json_path());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  bench::Harness h("cas_fft", "distributed four-step FFT on the Delta");
+  h.args.add_jobs_option();
+  return h.run(argc, argv, exhibit);
 }

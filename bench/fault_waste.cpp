@@ -18,13 +18,10 @@
 #include "fault/checkpoint.hpp"
 #include "fault/injector.hpp"
 #include "fault/stats.hpp"
+#include "harness.hpp"
 #include "io/cfs.hpp"
-#include "obs/counters.hpp"
-#include "obs/metrics.hpp"
 #include "proc/machine.hpp"
-#include "util/cli.hpp"
 #include "util/parallel.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -87,30 +84,7 @@ fault::WasteReport run_point(const Scenario& s, Time interval,
   return run.report();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ArgParser args("fault_waste",
-                 "waste vs checkpoint interval under fault injection");
-  args.add_option("nodes", "machine size (mesh nodes)", "16");
-  args.add_option("mtbf-hours", "per-node MTBF in hours", "12");
-  args.add_option("work-hours", "application work per node, hours", "48");
-  args.add_option("seed", "fault trace seed", "1");
-  args.add_flag("weibull", "Weibull(0.7) lifetimes instead of exponential");
-  args.add_flag("csv", "emit CSV");
-  args.add_jobs_option();
-  args.add_json_option();
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
-
+int exhibit(const ArgParser& args, bench::Harness& h) {
   Scenario s = build_scenario(args.integer("nodes"), args.real("mtbf-hours"),
                               args.real("work-hours"),
                               static_cast<std::uint64_t>(args.integer("seed")),
@@ -172,7 +146,7 @@ int main(int argc, char** argv) {
                                 s.machine_mtbf, s.est_checkpoint),
                     1)});
   }
-  std::printf("%s\n", args.flag("csv") ? t.csv().c_str() : t.ascii().c_str());
+  h.print(t);
 
   const Time best_i = points[best].interval;
   const double rel =
@@ -191,12 +165,12 @@ int main(int argc, char** argv) {
               u_shape && rel <= 0.20 ? "PASS" : "CHECK",
               u_shape ? "yes" : "no", rel * 100.0);
 
-  obs::BenchMetrics bm("fault_waste");
+  obs::BenchMetrics& bm = h.metrics;
   bm.config("nodes", args.integer("nodes"));
   bm.config("mtbf_hours", args.real("mtbf-hours"));
   bm.config("work_hours", args.real("work-hours"));
   bm.config("seed", args.integer("seed"));
-  obs::Registry totals;
+  obs::Registry& totals = h.counters;
   for (const SweepPoint& p : points) {
     bm.add_sim_time(p.report.elapsed);
     totals.merge(p.counters);
@@ -204,7 +178,19 @@ int main(int argc, char** argv) {
   bm.metric("best_interval_s", best_i.as_sec());
   bm.metric("waste_min_pct", 100.0 * points[best].report.waste_fraction());
   bm.metric("crashes", totals.value("fault.crashes"));
-  bm.attach_counters(totals);
-  bm.write_file(args.json_path());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bench::Harness h("fault_waste",
+                   "waste vs checkpoint interval under fault injection");
+  h.args.add_option("nodes", "machine size (mesh nodes)", "16");
+  h.args.add_option("mtbf-hours", "per-node MTBF in hours", "12");
+  h.args.add_option("work-hours", "application work per node, hours", "48");
+  h.args.add_option("seed", "fault trace seed", "1");
+  h.args.add_flag("weibull", "Weibull(0.7) lifetimes instead of exponential");
+  h.args.add_jobs_option();
+  return h.run(argc, argv, exhibit);
 }

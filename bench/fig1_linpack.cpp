@@ -18,29 +18,25 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
+#include "harness.hpp"
 #include "linalg/distlu.hpp"
 #include "nx/machine_runtime.hpp"
-#include "obs/counters.hpp"
-#include "obs/metrics.hpp"
 #include "proc/machine.hpp"
-#include "util/cli.hpp"
 #include "util/parallel.hpp"
-#include "util/table.hpp"
 
 namespace {
 
 // Kernel efficiencies fitted by bench/calibrate_kernels (a flat JSON
 // object; parsed with string search so the bench stays dependency-free).
-bool apply_calibration(hpccsim::proc::NodeModel& node,
+void apply_calibration(hpccsim::proc::NodeModel& node,
                        const std::string& path) {
   std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "fig1_linpack: cannot read calibration %s\n",
-                 path.c_str());
-    return false;
-  }
+  if (!in)
+    throw std::invalid_argument("fig1_linpack: cannot read calibration " +
+                                path);
   std::ostringstream ss;
   ss << in.rdbuf();
   const std::string text = ss.str();
@@ -56,7 +52,6 @@ bool apply_calibration(hpccsim::proc::NodeModel& node,
   load("trsm_efficiency", node.trsm_efficiency);
   load("panel_efficiency", node.panel_efficiency);
   load("vector_efficiency", node.vector_efficiency);
-  return true;
 }
 
 // The curated comparison set for the --skeleton self-check: every
@@ -72,39 +67,12 @@ constexpr const char* kReplayCheckedCounters[] = {
     "mesh.stalls",         "mesh.reroutes",
 };
 
-}  // namespace
+using namespace hpccsim;
 
-int main(int argc, char** argv) {
-  using namespace hpccsim;
-  ArgParser args("fig1_linpack", "Delta LINPACK sweep (GFLOPS vs order n)");
-  args.add_option("machine", "machine preset (delta, gamma)", "delta");
-  args.add_option("n", "comma-separated problem orders",
-                  "1000,2500,5000,10000,15000,20000,25000");
-  args.add_option("nb", "block size", "64");
-  args.add_jobs_option();
-  args.add_json_option();
-  args.add_flag("csv", "emit CSV");
-  args.add_flag("nb-sweep", "also sweep the block size at n=25000");
-  args.add_flag("skeleton",
-                "derive + replay each point; fail if the replay diverges");
-  args.add_option("calibration",
-                  "kernel-efficiency JSON (bench/calibration.json); enables "
-                  "the 13 GFLOPS gate at n=25000", "");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
-
+int exhibit(const ArgParser& args, bench::Harness& h) {
   proc::MachineConfig mc = proc::machine_by_name(args.str("machine"));
   const std::string calibration = args.str("calibration");
-  if (!calibration.empty() && !apply_calibration(mc.node, calibration))
-    return 2;
+  if (!calibration.empty()) apply_calibration(mc.node, calibration);
   const double peak = mc.machine_peak().gflops();
   std::printf("== F1: LINPACK on %s (%d nodes, peak %.1f GFLOPS) ==\n",
               mc.name.c_str(), mc.node_count(), peak);
@@ -115,7 +83,7 @@ int main(int argc, char** argv) {
   // byte-identical at any --jobs value.
   const int jobs = args.jobs();
   const std::vector<std::int64_t> orders = args.int_list("n");
-  obs::BenchMetrics bm("fig1_linpack");
+  obs::BenchMetrics& bm = h.metrics;
   bm.config("machine", args.str("machine"));
   bm.config("n", args.str("n"));
   bm.config("nb", args.integer("nb"));
@@ -194,12 +162,12 @@ int main(int argc, char** argv) {
                  static_cast<double>(replay_ops.load()) * 1e3 /
                      static_cast<double>(replay_ns.load()));
   for (auto& row : rows) t.add_row(std::move(row));
-  std::printf("%s\n", args.flag("csv") ? t.csv().c_str() : t.ascii().c_str());
+  h.print(t);
   std::printf("paper's operating point: n=25000 -> ~13 GFLOPS "
               "(~40%% of the 32 GFLOPS peak)\n\n");
 
   // Aggregate in sweep-index order: byte-identical at any --jobs.
-  obs::Registry totals;
+  obs::Registry& totals = h.counters;
   double gflops_max = 0.0;
   std::int64_t messages = 0, bytes_moved = 0;
   for (std::size_t i = 0; i < orders.size(); ++i) {
@@ -225,8 +193,6 @@ int main(int argc, char** argv) {
       failed = true;
     }
   }
-  bm.attach_counters(totals);
-  bm.write_file(args.json_path());
   if (failed) return 1;
 
   if (args.flag("nb-sweep")) {
@@ -242,8 +208,25 @@ int main(int argc, char** argv) {
                     Table::num(r.gflops / peak * 100.0, 1)};
     });
     for (auto& row : nb_rows) s.add_row(std::move(row));
-    std::printf("%s\n",
-                args.flag("csv") ? s.csv().c_str() : s.ascii().c_str());
+    h.print(s);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bench::Harness h("fig1_linpack", "Delta LINPACK sweep (GFLOPS vs order n)");
+  h.args.add_option("machine", "machine preset (delta, gamma)", "delta");
+  h.args.add_option("n", "comma-separated problem orders",
+                    "1000,2500,5000,10000,15000,20000,25000");
+  h.args.add_option("nb", "block size", "64");
+  h.args.add_jobs_option();
+  h.args.add_flag("nb-sweep", "also sweep the block size at n=25000");
+  h.args.add_flag("skeleton",
+                  "derive + replay each point; fail if the replay diverges");
+  h.args.add_option("calibration",
+                    "kernel-efficiency JSON (bench/calibration.json); enables "
+                    "the 13 GFLOPS gate at n=25000", "");
+  return h.run(argc, argv, exhibit);
 }

@@ -10,12 +10,10 @@
 #include <cmath>
 #include <cstdio>
 
+#include "harness.hpp"
 #include "linalg/distlu.hpp"
-#include "obs/metrics.hpp"
 #include "proc/machine.hpp"
-#include "util/cli.hpp"
 #include "util/parallel.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -36,27 +34,7 @@ struct PointResult {
   sim::Time elapsed;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ArgParser args("fig2_scaling",
-                 "LINPACK scaling across the Touchstone series");
-  args.add_option("n", "base problem order (at 16 nodes for weak scaling)",
-                  "4000");
-  args.add_jobs_option();
-  args.add_json_option();
-  args.add_flag("csv", "emit CSV");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
-
+int exhibit(const ArgParser& args, bench::Harness& h) {
   const std::int64_t n_base = args.integer("n");
   std::printf("== F2: scaling of the DARPA Touchstone series ==\n");
 
@@ -106,13 +84,13 @@ int main(int argc, char** argv) {
                  Table::num(per_node / per_node_at_16 * 100.0, 1)});
     }
   }
-  std::printf("%s\n", args.flag("csv") ? t.csv().c_str() : t.ascii().c_str());
+  h.print(t);
   std::printf("expected shape: weak scaling holds efficiency high to 528 "
               "nodes on the Delta; strong scaling at fixed n decays; the "
               "iPSC/860-class network decays sooner (slower links, higher "
               "software overhead)\n");
 
-  obs::BenchMetrics bm("fig2_scaling");
+  obs::BenchMetrics& bm = h.metrics;
   bm.config("n", n_base);
   for (const PointResult& r : results) bm.add_sim_time(r.elapsed);
   // Headline: the full-machine Delta weak-scaling point (sweep 0, last
@@ -122,6 +100,16 @@ int main(int argc, char** argv) {
   bm.metric("delta_weak_gflops_528", full.gflops);
   bm.metric("delta_weak_eff_528",
             full.gflops / kNodeCounts[kPointsPerSweep - 1] / per_node_16);
-  bm.write_file(args.json_path());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bench::Harness h("fig2_scaling",
+                   "LINPACK scaling across the Touchstone series");
+  h.args.add_option("n", "base problem order (at 16 nodes for weak scaling)",
+                    "4000");
+  h.args.add_jobs_option();
+  return h.run(argc, argv, exhibit);
 }

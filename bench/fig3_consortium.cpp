@@ -7,35 +7,14 @@
 // Delta at Caltech — which is what consortium membership was for.
 #include <cstdio>
 
-#include "obs/metrics.hpp"
-#include "util/cli.hpp"
-#include "util/table.hpp"
+#include "harness.hpp"
 #include "util/units.hpp"
 #include "wan/consortium.hpp"
 
-int main(int argc, char** argv) {
-  using namespace hpccsim;
-  ArgParser args("fig3_consortium",
-                 "Delta Consortium connectivity and transfer times");
-  args.add_option("mb", "dataset sizes to transfer (MB, comma-separated)",
-                  "1,100");
-  args.add_json_option();
-  args.add_flag("csv", "emit CSV");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
+using namespace hpccsim;
 
+int exhibit(const ArgParser& args, bench::Harness& h) {
   const wan::Wan net = wan::consortium_network();
-  auto emit = [&](const Table& t) {
-    std::printf("%s\n", args.flag("csv") ? t.csv().c_str() : t.ascii().c_str());
-  };
 
   std::printf("== F3: CSC network connections ==\n");
   Table links({"site A", "site B", "service", "bandwidth"});
@@ -44,9 +23,9 @@ int main(int argc, char** argv) {
                    wan::link_type_name(l.type),
                    format_rate(wan::link_bandwidth(l.type))});
   }
-  emit(links);
+  h.print(links);
 
-  obs::BenchMetrics bm("fig3_consortium");
+  obs::BenchMetrics& bm = h.metrics;
   bm.config("mb", args.str("mb"));
   std::int64_t transfers = 0;
 
@@ -68,7 +47,7 @@ int main(int argc, char** argv) {
                  format_rate(r->bottleneck), r->duration.str(),
                  Table::num(r->effective_mbps(), 2)});
     }
-    emit(t);
+    h.print(t);
   }
   std::printf("expected shape: CASA HIPPI partners (JPL, Los Alamos, SDSC) "
               "are ~500x faster than T1 tails; the 56 kbps site is the "
@@ -76,6 +55,13 @@ int main(int argc, char** argv) {
 
   bm.metric("transfers", transfers);
   bm.metric("links", static_cast<std::int64_t>(net.links().size()));
-  bm.write_file(args.json_path());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  bench::Harness h("fig3_consortium",
+                   "Delta Consortium connectivity and transfer times");
+  h.args.add_option("mb", "dataset sizes to transfer (MB, comma-separated)",
+                    "1,100");
+  return h.run(argc, argv, exhibit);
 }

@@ -7,42 +7,18 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "harness.hpp"
 #include "mesh/analytical.hpp"
 #include "mesh/flit.hpp"
 #include "mesh/traffic.hpp"
-#include "obs/metrics.hpp"
 #include "proc/machine.hpp"
-#include "util/cli.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
-#include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace hpccsim;
-  using namespace hpccsim::mesh;
-  ArgParser args("fig4_mesh_traffic", "Delta mesh latency under load");
-  args.add_option("messages", "messages per node per point", "200");
-  args.add_option("bytes", "message size in bytes", "1024");
-  args.add_option("flit-messages",
-                  "messages per node for the flit-fidelity section "
-                  "(0 disables)", "20");
-  args.add_flag("flit-reference",
-                "also run the full-scan reference flit schedule, verify "
-                "byte-identical delivery, and report wall-clock speedup");
-  args.add_jobs_option();
-  args.add_json_option();
-  args.add_flag("csv", "emit CSV");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
+using namespace hpccsim;
+using namespace hpccsim::mesh;
 
+int exhibit(const ArgParser& args, bench::Harness& h) {
   const proc::MachineConfig mc = proc::touchstone_delta();
   const Mesh2D mesh = mc.mesh();
   std::printf("== F4: %s wormhole mesh, %llu-byte messages ==\n",
@@ -96,12 +72,12 @@ int main(int argc, char** argv) {
                Table::num(net.contention_mean_us(), 2)};
   });
   for (auto& row : rows) t.add_row(std::move(row));
-  std::printf("%s\n", args.flag("csv") ? t.csv().c_str() : t.ascii().c_str());
+  h.print(t);
   std::printf("expected shape: latency flat at low load, knee near channel "
               "saturation; hotspot saturates first, nearest-neighbour "
               "last; transpose/bit-reversal stress the bisection\n");
 
-  obs::BenchMetrics bm("fig4_mesh_traffic");
+  obs::BenchMetrics& bm = h.metrics;
   bm.config("messages", args.integer("messages"));
   bm.config("bytes", args.integer("bytes"));
   double mean_max = 0.0;
@@ -206,7 +182,7 @@ int main(int argc, char** argv) {
 
     Table ft({"pattern", "gap (us)", "flit mean (us)", "flit p95 (us)",
               "analytical mean (us)", "flit/analytical"});
-    obs::Registry totals;
+    obs::Registry& totals = h.counters;
     double ratio_max = 0.0, wall_fast = 0.0, wall_ref = 0.0;
     std::int64_t flit_hops = 0;
     for (auto& pt : fpts) {
@@ -225,8 +201,7 @@ int main(int argc, char** argv) {
     }
     std::printf("-- flit fidelity: cycle-accurate wormhole cross-check, "
                 "%d msgs/node --\n", flit_msgs);
-    std::printf("%s\n",
-                args.flag("csv") ? ft.csv().c_str() : ft.ascii().c_str());
+    h.print(ft);
     std::printf("expected: flit/analytical within ~2x at these loads; the "
                 "analytical model is optimistic in the sparse regime (it "
                 "charges pure serialization + per-hop latency, with no "
@@ -235,13 +210,25 @@ int main(int argc, char** argv) {
     bm.metric("flit_points", static_cast<std::int64_t>(fpts.size()));
     bm.metric("flit_link_flits", flit_hops);
     bm.metric("flit_ratio_max", ratio_max);
-    bm.attach_counters(totals);
     if (with_ref) {
       bm.metric("flit_wall_fast_s", wall_fast);
       bm.metric("flit_wall_reference_s", wall_ref);
       bm.metric("flit_speedup", wall_ref / wall_fast);
     }
   }
-  bm.write_file(args.json_path());
   return rc;
+}
+
+int main(int argc, char** argv) {
+  bench::Harness h("fig4_mesh_traffic", "Delta mesh latency under load");
+  h.args.add_option("messages", "messages per node per point", "200");
+  h.args.add_option("bytes", "message size in bytes", "1024");
+  h.args.add_option("flit-messages",
+                    "messages per node for the flit-fidelity section "
+                    "(0 disables)", "20");
+  h.args.add_flag("flit-reference",
+                  "also run the full-scan reference flit schedule, verify "
+                  "byte-identical delivery, and report wall-clock speedup");
+  h.args.add_jobs_option();
+  return h.run(argc, argv, exhibit);
 }

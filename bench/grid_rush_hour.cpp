@@ -16,10 +16,8 @@
 #include <vector>
 
 #include "grid/grid_sim.hpp"
-#include "obs/metrics.hpp"
-#include "util/cli.hpp"
+#include "harness.hpp"
 #include "util/parallel.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -34,33 +32,7 @@ struct PolicyRun {
   obs::Registry registry;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ArgParser args("grid_rush_hour",
-                 "grid data federation under a diurnal rush hour");
-  args.add_option("regions", "federation regions", "4");
-  args.add_option("leaves", "leaves per region", "6");
-  args.add_option("days", "simulated days", "1.25");
-  args.add_option("requests-per-day", "mean requests per day", "600000");
-  args.add_option("datasets", "dataset universe size", "60000");
-  args.add_option("median-mb", "median dataset size (MB)", "3.5");
-  args.add_option("amplitude", "rush-hour rate amplitude", "1.2");
-  args.add_option("seed", "workload seed", "1992");
-  args.add_jobs_option();
-  args.add_json_option();
-  args.add_flag("csv", "emit CSV");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
-
+int exhibit(const ArgParser& args, bench::Harness& h) {
   FederationConfig fc;
   fc.regions = static_cast<std::int32_t>(args.integer("regions"));
   fc.leaves_per_region = static_cast<std::int32_t>(args.integer("leaves"));
@@ -73,8 +45,7 @@ int main(int argc, char** argv) {
   wc.median_bytes = args.real("median-mb") * 1e6;
   wc.rush_amplitude = args.real("amplitude");
 
-  // Constructed before the sweep: wall_time_s runs construction->write.
-  obs::BenchMetrics bm("grid_rush_hour");
+  obs::BenchMetrics& bm = h.metrics;
   bm.config("regions", args.integer("regions"));
   bm.config("leaves", args.integer("leaves"));
   bm.config("days", args.str("days"));
@@ -107,7 +78,7 @@ int main(int argc, char** argv) {
   Table t({"policy", "requests", "hits", "coalesced", "flows", "GB moved",
            "mean slowdown", "active peak", "recomputes/flow"});
   std::int64_t flows_total = 0, requests_total = 0;
-  obs::Registry merged;
+  obs::Registry& merged = h.counters;
   for (const PolicyRun& r : runs) {
     const auto& s = r.stats;
     flows_total += s.flows_completed;
@@ -124,7 +95,7 @@ int main(int argc, char** argv) {
                           2)});
     merged.merge(r.registry);
   }
-  std::printf("%s\n", args.flag("csv") ? t.csv().c_str() : t.ascii().c_str());
+  h.print(t);
   std::printf("expected: least-loaded drains archives evenly but rides "
               "narrower pipes, so its slowdown sits above widest-path; "
               "caching pushes both policies' hit rates up as the day "
@@ -134,7 +105,22 @@ int main(int argc, char** argv) {
   bm.metric("requests_total", requests_total);
   bm.metric("widest_mean_slowdown", runs[0].stats.mean_slowdown());
   bm.metric("least_loaded_mean_slowdown", runs[1].stats.mean_slowdown());
-  bm.attach_counters(merged);
-  bm.write_file(args.json_path());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bench::Harness h("grid_rush_hour",
+                   "grid data federation under a diurnal rush hour");
+  h.args.add_option("regions", "federation regions", "4");
+  h.args.add_option("leaves", "leaves per region", "6");
+  h.args.add_option("days", "simulated days", "1.25");
+  h.args.add_option("requests-per-day", "mean requests per day", "600000");
+  h.args.add_option("datasets", "dataset universe size", "60000");
+  h.args.add_option("median-mb", "median dataset size (MB)", "3.5");
+  h.args.add_option("amplitude", "rush-hour rate amplitude", "1.2");
+  h.args.add_option("seed", "workload seed", "1992");
+  h.args.add_jobs_option();
+  return h.run(argc, argv, exhibit);
 }

@@ -9,12 +9,9 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "harness.hpp"
 #include "io/cfs.hpp"
-#include "obs/counters.hpp"
-#include "obs/metrics.hpp"
 #include "proc/machine.hpp"
-#include "util/cli.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -48,32 +45,15 @@ Time checkpoint_time(int disks, std::int64_t n, obs::Registry& reg) {
   return makespan;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ArgParser args("io_checkpoint", "CFS checkpoint of the LINPACK matrix");
-  args.add_option("n", "matrix order to checkpoint", "25000");
-  args.add_json_option();
-  args.add_flag("csv", "emit CSV");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
-
+int exhibit(const ArgParser& args, bench::Harness& h) {
   const std::int64_t n = args.integer("n");
   const double gb =
       static_cast<double>(n) * static_cast<double>(n) * 8.0 / 1e9;
   std::printf("== A9: checkpointing the n=%lld matrix (%.1f GB) via CFS ==\n",
               static_cast<long long>(n), gb);
-  obs::BenchMetrics bm("io_checkpoint");
+  obs::BenchMetrics& bm = h.metrics;
   bm.config("n", n);
-  obs::Registry totals;
+  obs::Registry& totals = h.counters;
   double best_mbs = 0.0;
 
   Table t({"disks", "checkpoint time", "aggregate MB/s",
@@ -88,7 +68,7 @@ int main(int argc, char** argv) {
                Table::num(gb * 1000.0 / tchk.as_sec(), 1),
                Table::num(tchk.as_sec() / 813.0 * 100.0, 0) + "%"});
   }
-  std::printf("%s\n", args.flag("csv") ? t.csv().c_str() : t.ascii().c_str());
+  h.print(t);
   std::printf("expected: even at 64 disks the checkpoint costs a large "
               "fraction of the factorization it protects — the I/O wall "
               "that drove the parallel-I/O research the ASTA component "
@@ -96,7 +76,13 @@ int main(int argc, char** argv) {
 
   bm.metric("bytes_written", totals.value("cfs.bytes_written"));
   bm.metric("aggregate_mbs_best", best_mbs);
-  bm.attach_counters(totals);
-  bm.write_file(args.json_path());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bench::Harness h("io_checkpoint", "CFS checkpoint of the LINPACK matrix");
+  h.args.add_option("n", "matrix order to checkpoint", "25000");
+  return h.run(argc, argv, exhibit);
 }

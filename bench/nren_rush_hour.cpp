@@ -10,10 +10,8 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "obs/metrics.hpp"
-#include "util/cli.hpp"
+#include "harness.hpp"
 #include "util/stats.hpp"
-#include "util/table.hpp"
 #include "wan/consortium.hpp"
 #include "wan/flows.hpp"
 
@@ -66,30 +64,12 @@ RushResult rush_hour(const Wan& net, Bytes bytes) {
   return r;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ArgParser args("nren_rush_hour",
-                 "simultaneous consortium pulls, 1992 vs NREN network");
-  args.add_option("mb", "file sizes in MB", "1,10,100");
-  args.add_json_option();
-  args.add_flag("csv", "emit CSV");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
-
+int exhibit(const ArgParser& args, bench::Harness& h) {
   const Wan now = consortium_network();
   const Wan nren = upgraded_consortium();
 
   std::printf("== A7: every partner pulls from the Delta at once ==\n");
-  obs::BenchMetrics bm("nren_rush_hour");
+  obs::BenchMetrics& bm = h.metrics;
   bm.config("mb", args.str("mb"));
   double worst_1992 = 0.0, worst_nren = 0.0;
 
@@ -108,7 +88,7 @@ int main(int argc, char** argv) {
                  Table::num(r.worst_s, 1), Table::num(r.mean_slowdown, 2)});
     }
   }
-  std::printf("%s\n", args.flag("csv") ? t.csv().c_str() : t.ascii().c_str());
+  h.print(t);
   std::printf("expected: the 1992 worst case (56 kbps tail) is hours for "
               "100 MB; the NREN upgrade collapses the spread by ~2 orders "
               "of magnitude — the quantitative case for the program's "
@@ -116,6 +96,14 @@ int main(int argc, char** argv) {
 
   bm.metric("worst_1992_s", worst_1992);
   bm.metric("worst_nren_s", worst_nren);
-  bm.write_file(args.json_path());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bench::Harness h("nren_rush_hour",
+                   "simultaneous consortium pulls, 1992 vs NREN network");
+  h.args.add_option("mb", "file sizes in MB", "1,10,100");
+  return h.run(argc, argv, exhibit);
 }

@@ -8,10 +8,9 @@
 // field or a thread-invariant counter at a later entry exits non-zero
 // — so the CI metrics run doubles as the parallel determinism check at
 // bench scale. Wall times and speedups are host-dependent and
-// therefore reported, never gated (the container CI host has a single
-// core; see docs/PERF.md for multi-core numbers). Pass
-// --require-speedup X to turn the max-thread speedup into a hard gate
-// on hosts where the parallelism is real.
+// therefore reported, never gated (see docs/PERF.md for multi-core
+// numbers); --require-speedup X turns the max-thread speedup into a
+// hard gate on hosts where the parallelism is real (bench/harness.hpp).
 //
 // Machines: any preset (delta, paragon, ...); the headline is
 // "columbia" — the 0.8-Teraflops-class 128 x 128 mesh (16,384 ranks)
@@ -20,18 +19,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 #include <string>
-#include <thread>
-#include <vector>
 
+#include "harness.hpp"
 #include "linalg/cg.hpp"
 #include "linalg/distlu.hpp"
 #include "nx/machine_runtime.hpp"
-#include "obs/counters.hpp"
-#include "obs/metrics.hpp"
 #include "proc/machine.hpp"
-#include "util/cli.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -48,55 +43,17 @@ constexpr const char* kInvariantCounters[] = {
     "nx.recv_wait.ns",     "mesh.messages",
 };
 
-}  // namespace
+using namespace hpccsim;
 
-int main(int argc, char** argv) {
-  using namespace hpccsim;
-  ArgParser args("parallel_engine",
-                 "rank-band sharded nx engine scaling (modeled LU + CG)");
-  args.add_option("machine", "machine preset (columbia, delta, paragon)",
-                  "columbia");
-  args.add_option("nodes", "shrink to this many nodes (0 = full machine)",
-                  "0");
-  args.add_option("threads", "comma list of worker-thread counts", "1,2,4,8");
-  args.add_option("n", "LU order (0 = one block row per process column)",
-                  "0");
-  args.add_option("nb", "LU block size", "64");
-  args.add_option("cg-grid-n", "CG unknowns per side (0 = 8 per process row)",
-                  "0");
-  args.add_option("cg-iters", "modeled CG iterations", "20");
-  args.add_option("workload", "comma list: lu, cg", "lu,cg");
-  args.add_option("require-speedup",
-                  "fail unless max-thread speedup reaches this (0 = off)",
-                  "0");
-  args.add_json_option();
-  args.add_flag("csv", "emit CSV");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
-
+int exhibit(const ArgParser& args, bench::Harness& h) {
   proc::MachineConfig mc = proc::machine_by_name(args.str("machine"));
   if (const std::int64_t nodes = args.integer("nodes"); nodes > 0)
     mc = mc.with_nodes(static_cast<std::int32_t>(nodes));
-  const auto thread_list = args.int_list("threads");
-  if (thread_list.empty()) {
-    std::fprintf(stderr, "--threads must name at least one count\n");
-    return 2;
-  }
   const std::string workload = args.str("workload");
   const bool run_lu = workload.find("lu") != std::string::npos;
   const bool run_cg = workload.find("cg") != std::string::npos;
-  if (!run_lu && !run_cg) {
-    std::fprintf(stderr, "--workload must name lu and/or cg\n");
-    return 2;
-  }
+  if (!run_lu && !run_cg)
+    throw std::invalid_argument("--workload must name lu and/or cg");
   const std::int64_t nb = args.integer("nb");
   const std::int64_t wide =
       std::max<std::int64_t>(mc.mesh_width, mc.mesh_height);
@@ -113,7 +70,7 @@ int main(int argc, char** argv) {
 
   Table t({"threads", "bands", "windows", "intents", "handoffs", "wall (s)",
            "speedup"});
-  obs::BenchMetrics bm("parallel_engine");
+  obs::BenchMetrics& bm = h.metrics;
   bm.config("machine", mc.name);
   bm.config("n", n);
   bm.config("nb", nb);
@@ -121,16 +78,13 @@ int main(int argc, char** argv) {
   bm.config("cg_iters", static_cast<std::int64_t>(cg_iters));
   bm.config("workload", workload);
 
-  int rc = 0;
-  double wall_base = 0.0, wall_best = 0.0;
-  std::int64_t max_threads = 1;
+  // The first --threads entry is the oracle.
+  double wall_base = 0.0;
   linalg::LuResult lu_oracle;
   linalg::CgResult cg_oracle;
   obs::Registry oracle_reg;
-  obs::Registry counters;
 
-  for (std::size_t ti = 0; ti < thread_list.size(); ++ti) {
-    const int threads = static_cast<int>(thread_list[ti]);
+  const int rc = h.thread_sweep([&](int threads) {
     nx::NxMachine machine(mc);
     machine.set_threads(threads);
 
@@ -152,58 +106,48 @@ int main(int argc, char** argv) {
     const double wall_s = tw.elapsed_s();
     obs::Registry& reg = machine.snapshot_counters();
 
-    if (ti == 0) {
+    if (oracle_reg.empty()) {
       lu_oracle = lu;
       cg_oracle = cg;
       oracle_reg = reg;
       wall_base = wall_s;
       if (run_lu) bm.add_sim_time(lu.elapsed);
       if (run_cg) bm.add_sim_time(cg.elapsed);
-    } else {
-      // Byte-identity cross-check against the first thread count: every
-      // simulated-time result and every thread-invariant counter must
-      // match exactly — "same machine, same program, same answer".
-      std::ostringstream bad;
-      if (run_lu) {
-        if (lu.elapsed != lu_oracle.elapsed)
-          bad << " lu.elapsed " << lu.elapsed.str()
-              << "!=" << lu_oracle.elapsed.str();
-        if (lu.gflops != lu_oracle.gflops) bad << " lu.gflops";
-        if (lu.messages != lu_oracle.messages) bad << " lu.messages";
-        if (lu.bytes_moved != lu_oracle.bytes_moved) bad << " lu.bytes_moved";
-        if (lu.flops_charged != lu_oracle.flops_charged)
-          bad << " lu.flops_charged";
-        if (lu.compute_time != lu_oracle.compute_time)
-          bad << " lu.compute_time";
-      }
-      if (run_cg) {
-        if (cg.elapsed != cg_oracle.elapsed)
-          bad << " cg.elapsed " << cg.elapsed.str()
-              << "!=" << cg_oracle.elapsed.str();
-        if (cg.iterations != cg_oracle.iterations) bad << " cg.iterations";
-        if (cg.messages != cg_oracle.messages) bad << " cg.messages";
-        if (cg.bytes_moved != cg_oracle.bytes_moved) bad << " cg.bytes_moved";
-      }
-      for (const char* name : kInvariantCounters)
-        if (reg.value(name) != oracle_reg.value(name))
-          bad << ' ' << name << ' ' << reg.value(name)
-              << "!=" << oracle_reg.value(name);
-      if (const std::string s = bad.str(); !s.empty()) {
-        std::fprintf(stderr,
-                     "FATAL: threads=%d diverged from threads=%lld:%s\n",
-                     threads, static_cast<long long>(thread_list[0]),
-                     s.c_str());
-        rc = 1;
-      }
     }
-    wall_best = wall_s;
-    if (thread_list[ti] > max_threads) max_threads = thread_list[ti];
+    // Byte-identity cross-check against the oracle: every simulated-time
+    // result and every thread-invariant counter must match exactly —
+    // "same machine, same program, same answer".
+    std::ostringstream bad;
+    if (run_lu) {
+      if (lu.elapsed != lu_oracle.elapsed)
+        bad << " lu.elapsed " << lu.elapsed.str()
+            << "!=" << lu_oracle.elapsed.str();
+      if (lu.gflops != lu_oracle.gflops) bad << " lu.gflops";
+      if (lu.messages != lu_oracle.messages) bad << " lu.messages";
+      if (lu.bytes_moved != lu_oracle.bytes_moved) bad << " lu.bytes_moved";
+      if (lu.flops_charged != lu_oracle.flops_charged)
+        bad << " lu.flops_charged";
+      if (lu.compute_time != lu_oracle.compute_time)
+        bad << " lu.compute_time";
+    }
+    if (run_cg) {
+      if (cg.elapsed != cg_oracle.elapsed)
+        bad << " cg.elapsed " << cg.elapsed.str()
+            << "!=" << cg_oracle.elapsed.str();
+      if (cg.iterations != cg_oracle.iterations) bad << " cg.iterations";
+      if (cg.messages != cg_oracle.messages) bad << " cg.messages";
+      if (cg.bytes_moved != cg_oracle.bytes_moved) bad << " cg.bytes_moved";
+    }
+    for (const char* name : kInvariantCounters)
+      if (reg.value(name) != oracle_reg.value(name))
+        bad << ' ' << name << ' ' << reg.value(name)
+            << "!=" << oracle_reg.value(name);
     // Counters land in the JSON from the last sweep entry, so the
     // engine.shard.* counters reflect the widest configuration.
     // Partition-dependent counters are deterministic per thread count
     // only — the determinism harness normalizes them
     // (tests/compare_jobs.cmake).
-    if (ti + 1 == thread_list.size()) counters = reg;
+    h.counters = reg;
 
     t.add_row({Table::num(static_cast<double>(threads), 0),
                Table::integer(reg.value("engine.shard.bands")),
@@ -211,10 +155,9 @@ int main(int argc, char** argv) {
                Table::integer(reg.value("engine.shard.intents")),
                Table::integer(reg.value("engine.shard.handoffs")),
                Table::num(wall_s, 2), Table::num(wall_base / wall_s, 2)});
-    bm.metric("wall_t" + std::to_string(threads) + "_s", wall_s);
-    bm.metric("speedup_t" + std::to_string(threads), wall_base / wall_s);
-  }
-  std::printf("%s\n", args.flag("csv") ? t.csv().c_str() : t.ascii().c_str());
+    return bench::SweepRun{wall_s, bad.str()};
+  });
+  h.print(t);
   std::printf("expected: identical simulated results and thread-invariant "
               "counters at every thread count; speedup scales with cores "
               "(single-core hosts pipeline the bands with no gain)\n");
@@ -230,29 +173,25 @@ int main(int argc, char** argv) {
     bm.metric("cg_messages",
               static_cast<std::int64_t>(cg_oracle.messages));
   }
-  bm.set_threads(static_cast<int>(max_threads));
-  bm.attach_counters(counters);
-  bm.write_file(args.json_path());
-
-  const double require = args.real("require-speedup");
-  if (require > 0.0 && thread_list.size() > 1) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    const double speedup = wall_base / wall_best;
-    if (hw < static_cast<unsigned>(max_threads)) {
-      // The sweep oversubscribes this host, so the speedup gate would
-      // only measure scheduling overhead; report the overhead floor
-      // instead of failing (docs/PERF.md).
-      std::fprintf(stderr,
-                   "require-speedup: skipped (host has %u hardware threads, "
-                   "sweep max is %lld); single-core overhead floor %.2fx\n",
-                   hw, static_cast<long long>(max_threads), speedup);
-    } else if (speedup < require) {
-      std::fprintf(stderr,
-                   "FAIL: speedup %.2fx at max threads below required "
-                   "%.2fx\n",
-                   speedup, require);
-      rc = 1;
-    }
-  }
   return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bench::Harness h("parallel_engine",
+                   "rank-band sharded nx engine scaling (modeled LU + CG)");
+  h.args.add_option("machine", "machine preset (columbia, delta, paragon)",
+                    "columbia");
+  h.args.add_option("nodes", "shrink to this many nodes (0 = full machine)",
+                    "0");
+  h.add_thread_sweep_options("1,2,4,8");
+  h.args.add_option("n", "LU order (0 = one block row per process column)",
+                    "0");
+  h.args.add_option("nb", "LU block size", "64");
+  h.args.add_option("cg-grid-n", "CG unknowns per side (0 = 8 per process row)",
+                    "0");
+  h.args.add_option("cg-iters", "modeled CG iterations", "20");
+  h.args.add_option("workload", "comma list: lu, cg", "lu,cg");
+  return h.run(argc, argv, exhibit);
 }

@@ -14,14 +14,14 @@
 // parallel_for's static partition; registries merge in strategy order,
 // so stdout and --json are byte-identical at any --jobs value.
 #include <cstdio>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "harness.hpp"
 #include "sched/platform.hpp"
 #include "sched/workload.hpp"
-#include "util/cli.hpp"
 #include "util/parallel.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -34,45 +34,23 @@ struct StrategyRun {
   obs::Registry registry;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ArgParser args("shared_platform",
-                 "a month of space-shared production with interfering "
-                 "checkpoints");
-  args.add_option("width", "mesh columns", "33");
-  args.add_option("height", "mesh rows", "16");
-  args.add_option("njobs", "jobs in the month's trace", "1000");
-  args.add_option("days", "target span of the arrival process", "30");
-  args.add_option("node-mtbf-days", "per-node MTBF in days", "50");
-  // Four disks puts the aggregate at ~4.4 MB/s — the sustained (not
-  // peak) CFS rate of the era, and the saturated regime where
-  // checkpoint ordering is worth having.
-  args.add_option("io-disks", "CFS disk count (sets aggregate bandwidth)",
-                  "4");
-  args.add_option("seed", "workload seed", "1992");
-  args.add_option("failure-seed", "fault-trace seed", "1");
-  args.add_jobs_option();
-  args.add_json_option();
-  args.add_flag("csv", "emit CSV");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
-
+int exhibit(const ArgParser& args, bench::Harness& h) {
   const mesh::Mesh2D mesh(static_cast<std::int32_t>(args.integer("width")),
                           static_cast<std::int32_t>(args.integer("height")));
 
+  // platform_workload() requires a positive job count and span; name
+  // the option at fault instead of its precondition.
+  const std::int64_t njobs = args.integer("njobs");
+  if (njobs <= 0 || njobs > std::numeric_limits<std::int32_t>::max())
+    throw std::invalid_argument("--njobs must be in [1, 2^31), got " +
+                                args.str("njobs"));
   PlatformWorkloadConfig wc;
   wc.seed = static_cast<std::uint64_t>(args.integer("seed"));
-  wc.jobs = static_cast<std::int32_t>(args.integer("njobs"));
+  wc.jobs = static_cast<std::int32_t>(njobs);
   wc.days = args.real("days");
+  if (!(wc.days > 0.0))
+    throw std::invalid_argument("--days must be > 0, got " +
+                                args.str("days"));
   const std::vector<PlatformJob> trace = platform_workload(wc, mesh);
 
   PlatformConfig base;
@@ -80,8 +58,7 @@ int main(int argc, char** argv) {
   base.failure_seed = static_cast<std::uint64_t>(args.integer("failure-seed"));
   base.io_disks = static_cast<std::int32_t>(args.integer("io-disks"));
 
-  // Constructed before the sweep: wall_time_s runs construction->write.
-  obs::BenchMetrics bm("shared_platform");
+  obs::BenchMetrics& bm = h.metrics;
   bm.config("width", args.integer("width"));
   bm.config("height", args.integer("height"));
   bm.config("njobs", args.integer("njobs"));
@@ -120,7 +97,7 @@ int main(int argc, char** argv) {
   Table t({"strategy", "waste %", "util %", "useful nh", "ckpt nh", "lost nh",
            "restore nh", "rollbk", "ckpts", "aborted", "wait min",
            "b-slowdown", "io-wait s"});
-  obs::Registry merged;
+  obs::Registry& merged = h.counters;
   for (const StrategyRun& r : runs) {
     const PlatformResult& p = r.result;
     bm.add_sim_time(p.makespan);
@@ -137,7 +114,7 @@ int main(int argc, char** argv) {
                Table::num(p.ckpt_queue_wait_s.mean(), 1)});
     merged.merge(r.registry);
   }
-  std::printf("%s\n", args.flag("csv") ? t.csv().c_str() : t.ascii().c_str());
+  h.print(t);
   std::printf("expected: serializing checkpoint writes keeps every write "
               "short (no mutual stretching), and waiting jobs keep "
               "computing, so both cooperative strategies waste less of "
@@ -155,8 +132,6 @@ int main(int argc, char** argv) {
   bm.metric("bounded_slowdown_ordered",
             runs[2].result.bounded_slowdown.mean());
   bm.metric("jobs_total", static_cast<std::int64_t>(wc.jobs) * 3);
-  bm.attach_counters(merged);
-  bm.write_file(args.json_path());
 
   const bool coop_wins =
       waste_fifo < waste_unc || waste_ord < waste_unc;
@@ -165,4 +140,26 @@ int main(int argc, char** argv) {
               coop_wins ? "PASS" : "CHECK", waste_unc * 100.0,
               waste_fifo * 100.0, waste_ord * 100.0);
   return coop_wins ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bench::Harness h("shared_platform",
+                   "a month of space-shared production with interfering "
+                   "checkpoints");
+  h.args.add_option("width", "mesh columns", "33");
+  h.args.add_option("height", "mesh rows", "16");
+  h.args.add_option("njobs", "jobs in the month's trace", "1000");
+  h.args.add_option("days", "target span of the arrival process", "30");
+  h.args.add_option("node-mtbf-days", "per-node MTBF in days", "50");
+  // Four disks puts the aggregate at ~4.4 MB/s — the sustained (not
+  // peak) CFS rate of the era, and the saturated regime where
+  // checkpoint ordering is worth having.
+  h.args.add_option("io-disks", "CFS disk count (sets aggregate bandwidth)",
+                    "4");
+  h.args.add_option("seed", "workload seed", "1992");
+  h.args.add_option("failure-seed", "fault-trace seed", "1");
+  h.args.add_jobs_option();
+  return h.run(argc, argv, exhibit);
 }

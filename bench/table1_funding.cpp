@@ -4,32 +4,17 @@
 // and the responsibilities matrix from the adjacent slides.
 #include <cstdio>
 
+#include "harness.hpp"
 #include "hpcc/program.hpp"
-#include "obs/metrics.hpp"
-#include "util/cli.hpp"
 
-int main(int argc, char** argv) {
-  using namespace hpccsim;
-  ArgParser args("table1_funding",
-                 "Reproduces the paper's FY92-93 HPCC funding table");
-  args.add_json_option();
-  args.add_flag("csv", "emit CSV instead of aligned text");
-  args.add_flag("markdown", "emit Markdown tables");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
+using namespace hpccsim;
 
+int exhibit(const ArgParser& args, bench::Harness& h) {
   auto emit = [&](const Table& t) {
-    if (args.flag("csv")) std::printf("%s\n", t.csv().c_str());
-    else if (args.flag("markdown")) std::printf("%s\n", t.markdown().c_str());
-    else std::printf("%s\n", t.ascii().c_str());
+    if (!args.flag("csv") && args.flag("markdown"))
+      std::printf("%s\n", t.markdown().c_str());
+    else
+      h.print(t);
   };
 
   std::printf("== T1: FEDERAL HPCC PROGRAM FUNDING FY 92-93 "
@@ -49,9 +34,15 @@ int main(int argc, char** argv) {
               "FY93 total $%.1fM (paper: 802.9)\n",
               hpcc::total_fy1992(), hpcc::total_fy1993());
 
-  obs::BenchMetrics bm("table1_funding");
+  obs::BenchMetrics& bm = h.metrics;
   bm.metric("fy92_total_musd", hpcc::total_fy1992());
   bm.metric("fy93_total_musd", hpcc::total_fy1993());
-  bm.write_file(args.json_path());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  bench::Harness h("table1_funding",
+                   "Reproduces the paper's FY92-93 HPCC funding table");
+  h.args.add_flag("markdown", "emit Markdown tables");
+  return h.run(argc, argv, exhibit);
 }

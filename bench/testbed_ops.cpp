@@ -9,40 +9,22 @@
 // testbed operator lived by.
 #include <cstdio>
 
-#include "obs/counters.hpp"
-#include "obs/metrics.hpp"
+#include "harness.hpp"
 #include "sched/batch.hpp"
-#include "util/cli.hpp"
-#include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace hpccsim;
-  using namespace hpccsim::sched;
-  ArgParser args("testbed_ops", "batch scheduling on the space-shared Delta");
-  args.add_option("jobs", "jobs in the day's workload", "150");
-  args.add_option("seeds", "workload seeds to average over", "3,17,29");
-  args.add_json_option();
-  args.add_flag("csv", "emit CSV");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (args.flag("help")) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
+using namespace hpccsim;
+using namespace hpccsim::sched;
 
+int exhibit(const ArgParser& args, bench::Harness& h) {
   const mesh::Mesh2D delta(33, 16);
   const auto njobs = static_cast<std::int32_t>(args.integer("jobs"));
   std::printf("== A6: %d-job consortium day on the %s ==\n", njobs,
               delta.describe().c_str());
 
-  obs::BenchMetrics bm("testbed_ops");
+  obs::BenchMetrics& bm = h.metrics;
   bm.config("jobs", static_cast<std::int64_t>(njobs));
   bm.config("seeds", args.str("seeds"));
-  obs::Registry totals;
+  obs::Registry& totals = h.counters;
   double bf_wait_sum = 0.0;
   int bf_runs = 0;
 
@@ -73,14 +55,19 @@ int main(int argc, char** argv) {
                  Table::num(r.frag_samples.mean(), 3)});
     }
   }
-  std::printf("%s\n", args.flag("csv") ? t.csv().c_str() : t.ascii().c_str());
+  h.print(t);
   std::printf("expected: EASY backfill cuts mean queue wait sharply at "
               "equal-or-better utilization — the operational argument "
               "that made backfill universal on space-shared machines\n");
 
   bm.metric("backfilled", totals.value("sched.backfilled"));
   bm.metric("easy_mean_wait_min", bf_runs ? bf_wait_sum / bf_runs : 0.0);
-  bm.attach_counters(totals);
-  bm.write_file(args.json_path());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  bench::Harness h("testbed_ops", "batch scheduling on the space-shared Delta");
+  h.args.add_option("jobs", "jobs in the day's workload", "150");
+  h.args.add_option("seeds", "workload seeds to average over", "3,17,29");
+  return h.run(argc, argv, exhibit);
 }

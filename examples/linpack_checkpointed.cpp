@@ -9,9 +9,9 @@
 // interval, and reports what the machine's 13-GFLOPS headline turns
 // into once failures and checkpoint overhead take their cut.
 //
-//   $ ./linpack_checkpointed --runs 10 --mtbf-days 15 \
-//       --trace trace.json   # Chrome trace: open in ui.perfetto.dev
-//       --json metrics.json  # machine-readable metrics
+//   $ ./linpack_checkpointed --runs 10 --mtbf-days 15
+//       [--trace trace.json]  # Chrome trace: open in ui.perfetto.dev
+//       [--json metrics.json] # machine-readable metrics
 #include <cmath>
 #include <cstdio>
 

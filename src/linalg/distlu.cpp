@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <map>
-#include <mutex>
 #include <stdexcept>
-#include <tuple>
 #include <vector>
 
 #include "linalg/blas.hpp"
@@ -798,22 +795,6 @@ LuResult run_lu_program(nx::NxMachine& machine, const LuConfig& cfg,
   return res;
 }
 
-// SkeletonMode::Auto cache: schedule depends only on these five
-// parameters (never on the NodeModel — timing does not steer the
-// program's control flow), so the key omits the machine config.
-using SkelKey =
-    std::tuple<std::int64_t, std::int64_t, std::int32_t, std::int32_t, bool>;
-
-SkelKey skel_key(const LuConfig& cfg) {
-  return {cfg.n, cfg.nb, cfg.grid.rows, cfg.grid.cols, cfg.include_solve};
-}
-
-std::mutex g_skel_cache_mu;
-std::map<SkelKey, std::shared_ptr<const LuSkeleton>>& skel_cache() {
-  static std::map<SkelKey, std::shared_ptr<const LuSkeleton>> cache;
-  return cache;
-}
-
 }  // namespace
 
 LuConfig lu_config_for(const nx::NxMachine& machine, std::int64_t n,
@@ -831,21 +812,6 @@ LuResult run_distributed_lu(nx::NxMachine& machine, const LuConfig& cfg) {
   HPCCSIM_EXPECTS(cfg.grid.size() == machine.nodes());
   HPCCSIM_EXPECTS(cfg.n >= 1 && cfg.nb >= 1);
 
-  if (cfg.skeleton == SkeletonMode::Auto && cfg.mode == ExecMode::Modeled) {
-    std::shared_ptr<const LuSkeleton> cached;
-    {
-      std::lock_guard<std::mutex> lock(g_skel_cache_mu);
-      auto it = skel_cache().find(skel_key(cfg));
-      if (it != skel_cache().end()) cached = it->second;
-    }
-    if (cached) return replay_lu_skeleton(machine, cfg, *cached);
-    LuResult res;
-    if (auto skel = derive_lu_skeleton(machine, cfg, &res)) {
-      std::lock_guard<std::mutex> lock(g_skel_cache_mu);
-      skel_cache().emplace(skel_key(cfg), std::move(skel));
-    }
-    return res;
-  }
   return run_lu_program(machine, cfg, nullptr);
 }
 
@@ -904,16 +870,6 @@ LuResult replay_lu_skeleton(nx::NxMachine& machine, const LuConfig& cfg,
                      << " ops=" << skel.total_ops() << " t="
                      << res.elapsed.str() << " gflops=" << res.gflops;
   return res;
-}
-
-void clear_lu_skeleton_cache() {
-  std::lock_guard<std::mutex> lock(g_skel_cache_mu);
-  skel_cache().clear();
-}
-
-std::size_t lu_skeleton_cache_size() {
-  std::lock_guard<std::mutex> lock(g_skel_cache_mu);
-  return skel_cache().size();
 }
 
 }  // namespace hpccsim::linalg

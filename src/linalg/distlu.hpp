@@ -38,12 +38,6 @@ namespace hpccsim::linalg {
 
 enum class ExecMode { Numeric, Modeled };
 
-/// Modeled-mode skeleton policy (docs/MODEL.md §13).
-enum class SkeletonMode {
-  Off,   ///< always derive the schedule by running the coroutine program
-  Auto,  ///< replay a cached schedule when one exists; derive + cache otherwise
-};
-
 struct LuConfig {
   std::int64_t n = 1000;
   std::int64_t nb = 64;
@@ -55,11 +49,6 @@ struct LuConfig {
   /// Include the (modeled) triangular-solve phase in the timing, as
   /// LINPACK does.
   bool include_solve = true;
-  /// The modeled schedule is input-independent for fixed (n, nb, grid,
-  /// include_solve), so Auto records it once and replays the compact op
-  /// stream on later runs — identical counters and timings, no
-  /// coroutine re-derivation. Ignored in numeric mode.
-  SkeletonMode skeleton = SkeletonMode::Off;
 };
 
 struct LuResult {
@@ -115,9 +104,5 @@ std::shared_ptr<const LuSkeleton> derive_lu_skeleton(nx::NxMachine& machine,
 /// yields that model's timings for the same schedule.
 LuResult replay_lu_skeleton(nx::NxMachine& machine, const LuConfig& cfg,
                             const LuSkeleton& skel);
-
-/// The SkeletonMode::Auto cache (process-wide, mutex-protected).
-void clear_lu_skeleton_cache();
-std::size_t lu_skeleton_cache_size();
 
 }  // namespace hpccsim::linalg

@@ -93,12 +93,39 @@ std::string ArgParser::str(const std::string& name) const {
   return get(name).value;
 }
 
+namespace {
+
+// `convert` (std::stoll or std::stod) must consume all of `text`; a
+// non-numeric, out-of-range or trailing-garbage value names the option.
+template <class Convert>
+auto parse_number(const std::string& name, const std::string& text,
+                  const char* kind, Convert convert) {
+  std::size_t used = 0;
+  try {
+    const auto value = convert(text, &used);
+    if (used == text.size()) return value;
+  } catch (const std::logic_error&) {
+  }
+  throw std::invalid_argument("option --" + name + ": '" + text +
+                              "' is not " + kind);
+}
+
+std::int64_t to_integer(const std::string& s, std::size_t* used) {
+  return std::stoll(s, used);
+}
+
+double to_real(const std::string& s, std::size_t* used) {
+  return std::stod(s, used);
+}
+
+}  // namespace
+
 std::int64_t ArgParser::integer(const std::string& name) const {
-  return std::stoll(get(name).value);
+  return parse_number(name, get(name).value, "an integer", to_integer);
 }
 
 double ArgParser::real(const std::string& name) const {
-  return std::stod(get(name).value);
+  return parse_number(name, get(name).value, "a number", to_real);
 }
 
 std::vector<std::int64_t> ArgParser::int_list(const std::string& name) const {
@@ -106,7 +133,8 @@ std::vector<std::int64_t> ArgParser::int_list(const std::string& name) const {
   std::stringstream ss(get(name).value);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) out.push_back(std::stoll(tok));
+    if (!tok.empty())
+      out.push_back(parse_number(name, tok, "an integer", to_integer));
   }
   return out;
 }

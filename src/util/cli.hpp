@@ -46,6 +46,8 @@ class ArgParser {
 
   bool flag(const std::string& name) const;
   std::string str(const std::string& name) const;
+  /// integer(), real() and int_list() throw std::invalid_argument naming
+  /// the option when a value is not a number or has trailing characters.
   std::int64_t integer(const std::string& name) const;
   double real(const std::string& name) const;
 

@@ -401,6 +401,29 @@ TEST(FlitGolden, PinnedCountersAndRegistryDump) {
             static_cast<std::int64_t>(net.fastforwarded_flits()));
 }
 
+// The saturated Delta-mesh point of the flit_throughput thread sweep
+// (--shape 33x16 --messages 6 --gap-us 20), pinned exactly.
+TEST(FlitGolden, DeltaMeshSaturatedPoint) {
+  const Mesh2D mesh(33, 16);
+  TrafficConfig cfg;
+  cfg.messages_per_node = 6;
+  cfg.message_bytes = 1024;
+  cfg.mean_gap = sim::Time::us(20);
+  cfg.seed = 1992;
+  FlitNetwork net(mesh, FlitParams{});
+  const double cyc_us = net.cycle_time().as_us();
+  for (const auto& t : generate_traffic(mesh, cfg))
+    net.inject(t.src, t.dst, t.bytes,
+               static_cast<std::uint64_t>(t.depart.as_us() / cyc_us));
+  net.run();
+
+  EXPECT_EQ(net.cycle(), 5203u);
+  EXPECT_EQ(net.link_flits(), 3285888u);
+  EXPECT_EQ(net.injected_flits(), 202752u);  // 3168 messages x 64 flits
+  EXPECT_EQ(net.ejected_flits(), 202752u);
+  EXPECT_DOUBLE_EQ((net.cycle_time() * net.cycle()).as_sec(), 0.00332992);
+}
+
 // --------------------------------------- diagnostics and latencies ----
 
 TEST(FlitDiagnostics, MaxCyclesThrowReportsState)

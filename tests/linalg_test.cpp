@@ -451,28 +451,6 @@ TEST(LuSkeleton, ReplayMatchesDerivedExactly) {
             static_cast<std::int64_t>(skel->total_ops()));
 }
 
-TEST(LuSkeleton, AutoModeDerivesOnceThenReplays) {
-  clear_lu_skeleton_cache();
-  LuConfig cfg = skel_lu_config();
-  cfg.skeleton = SkeletonMode::Auto;
-
-  nx::NxMachine first(skel_machine_config());
-  const LuResult a = run_distributed_lu(first, cfg);
-  EXPECT_EQ(lu_skeleton_cache_size(), 1u);
-  EXPECT_EQ(first.counters().value("lu.skeleton.replays"), 0);
-
-  nx::NxMachine second(skel_machine_config());
-  const LuResult b = run_distributed_lu(second, cfg);
-  EXPECT_EQ(lu_skeleton_cache_size(), 1u);
-  EXPECT_EQ(second.counters().value("lu.skeleton.replays"), 1);
-
-  EXPECT_EQ(a.elapsed.picoseconds(), b.elapsed.picoseconds());
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.bytes_moved, b.bytes_moved);
-  clear_lu_skeleton_cache();
-  EXPECT_EQ(lu_skeleton_cache_size(), 0u);
-}
-
 TEST(LuSkeleton, ReplayUnderDifferentNodeModelRetimesSchedule) {
   // The schedule never reads the clock, so one skeleton replays validly
   // under any NodeModel — the basis of kernel-efficiency calibration.

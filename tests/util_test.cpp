@@ -211,6 +211,51 @@ TEST(Cli, RejectsMissingValue) {
   EXPECT_THROW(p.parse(2, argv), std::invalid_argument);
 }
 
+// What reading `--opt=<value>` through `read` throws ("" if nothing).
+// The message must name the option and the value: std::stoll alone
+// throws an anonymous "stoll", and accepts "1000x" as 1000.
+template <class Read>
+std::string numeric_error(const std::string& value, Read read) {
+  ArgParser p("prog", "test");
+  p.add_option("opt", "x", "0");
+  const std::string arg = "--opt=" + value;
+  const char* argv[] = {"prog", arg.c_str()};
+  p.parse(2, argv);
+  try {
+    read(p);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+const auto read_integer = [](const ArgParser& p) { p.integer("opt"); };
+const auto read_real = [](const ArgParser& p) { p.real("opt"); };
+const auto read_list = [](const ArgParser& p) { p.int_list("opt"); };
+
+TEST(Cli, RejectsMalformedNumbersNamingTheOption) {
+  EXPECT_EQ(numeric_error("abc", read_integer),
+            "option --opt: 'abc' is not an integer");
+  EXPECT_EQ(numeric_error("1000x", read_integer),
+            "option --opt: '1000x' is not an integer");
+  EXPECT_EQ(numeric_error("", read_integer),
+            "option --opt: '' is not an integer");
+  EXPECT_EQ(numeric_error("99999999999999999999", read_integer),
+            "option --opt: '99999999999999999999' is not an integer");
+  EXPECT_EQ(numeric_error("2.5s", read_real),
+            "option --opt: '2.5s' is not a number");
+  EXPECT_EQ(numeric_error("fast", read_real),
+            "option --opt: 'fast' is not a number");
+  EXPECT_EQ(numeric_error("1000,2k,4000", read_list),
+            "option --opt: '2k' is not an integer");
+}
+
+TEST(Cli, WellFormedNumbersStillParse) {
+  EXPECT_EQ(numeric_error("-5", read_integer), "");
+  EXPECT_EQ(numeric_error("1e-3", read_real), "");
+  EXPECT_EQ(numeric_error("1,,2,", read_list), "");
+}
+
 // --------------------------------------------------------------- Stats --
 
 TEST(RunningStat, BasicMoments) {

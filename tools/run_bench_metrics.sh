@@ -34,7 +34,13 @@ run fig4_mesh_traffic --messages 50
 run table1_funding
 run ablate_contention --messages 30
 run flit_throughput --messages 8 --threads 2
-run parallel_core --messages 6 --threads 1,2,4
+# The Delta-mesh thread sweep: exits non-zero if any thread count
+# diverges from the sequential reference. Its JSON would collide with
+# the line above, and its counters (5,203 cycles, 3,285,888 link flits)
+# are pinned exactly by FlitGolden in tests/flit_test.cpp.
+echo "== flit_throughput --shape 33x16 --messages 6 --gap-us 20 --threads 1,2,4"
+"$BUILD_DIR/bench/flit_throughput" --shape 33x16 --messages 6 --gap-us 20 \
+  --threads 1,2,4 > /dev/null
 # Rank-band sharded nx engine at CI scale: a 64-node modeled LU + CG
 # sweep that exits non-zero if any thread count diverges from
 # --threads 1 (the full 16,384-rank Columbia exhibit runs the same
