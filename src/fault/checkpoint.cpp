@@ -20,12 +20,6 @@ int key(int attempt, int epoch, int phase) {
   return (attempt * (kRendezvousEpoch + 1) + epoch) * 4 + phase;
 }
 
-std::vector<int> all_ranks(int n) {
-  std::vector<int> out(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) out[static_cast<std::size_t>(r)] = r;
-  return out;
-}
-
 }  // namespace
 
 CheckpointedRun::CheckpointedRun(nx::NxMachine& machine,
@@ -35,7 +29,7 @@ CheckpointedRun::CheckpointedRun(nx::NxMachine& machine,
       injector_(&injector),
       cfs_(cfs),
       cfg_(cfg),
-      world_(all_ranks(machine.nodes()), /*tag_space=*/0) {
+      world_(/*first=*/0, /*stride=*/1, machine.nodes(), /*tag_space=*/0) {
   HPCCSIM_EXPECTS(cfg_.total_work > sim::Time::zero());
   HPCCSIM_EXPECTS(cfg_.interval > sim::Time::zero());
   HPCCSIM_EXPECTS(!cfg_.use_cfs || cfs_ != nullptr);

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "nx/collectives.hpp"
+
 namespace hpccsim::linalg {
 
 ProcessGrid ProcessGrid::near_square(std::int32_t nodes) {
@@ -9,6 +11,16 @@ ProcessGrid ProcessGrid::near_square(std::int32_t nodes) {
   std::int32_t p = static_cast<std::int32_t>(std::sqrt(nodes));
   while (p > 1 && nodes % p != 0) --p;
   return ProcessGrid{p, nodes / p};
+}
+
+nx::Group process_row_group(const ProcessGrid& grid, std::int32_t prow) {
+  return nx::Group(grid.rank_of(prow, 0), /*stride=*/1, grid.cols,
+                   /*tag_space=*/1 + prow);
+}
+
+nx::Group process_col_group(const ProcessGrid& grid, std::int32_t pcol) {
+  return nx::Group(grid.rank_of(0, pcol), /*stride=*/grid.cols, grid.rows,
+                   /*tag_space=*/1 + grid.rows + pcol);
 }
 
 std::int64_t BlockCyclic::numroc(std::int64_t n, std::int64_t nb,

@@ -10,6 +10,10 @@
 
 #include "util/assert.hpp"
 
+namespace hpccsim::nx {
+class Group;
+}  // namespace hpccsim::nx
+
 namespace hpccsim::linalg {
 
 struct ProcessGrid {
@@ -28,6 +32,13 @@ struct ProcessGrid {
   /// Near-square grid for a node count (P <= Q, P*Q == nodes).
   static ProcessGrid near_square(std::int32_t nodes);
 };
+
+/// The communicator of process row `prow` (ranks prow * Q, ..., prow * Q
+/// + Q - 1; tag space 1 + prow) and of process column `pcol` (ranks pcol,
+/// pcol + Q, ..., pcol + (P - 1) * Q; tag space 1 + P + pcol). The tag
+/// spaces keep every row, every column and the world (0) apart.
+nx::Group process_row_group(const ProcessGrid& grid, std::int32_t prow);
+nx::Group process_col_group(const ProcessGrid& grid, std::int32_t pcol);
 
 class BlockCyclic {
  public:

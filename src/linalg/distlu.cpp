@@ -63,22 +63,6 @@ struct LuState {
         numeric(c.mode == ExecMode::Numeric) {}
 };
 
-Group row_group(const LuConfig& cfg, std::int32_t prow) {
-  std::vector<int> ranks;
-  ranks.reserve(static_cast<std::size_t>(cfg.grid.cols));
-  for (std::int32_t q = 0; q < cfg.grid.cols; ++q)
-    ranks.push_back(cfg.grid.rank_of(prow, q));
-  return Group(std::move(ranks), /*tag_space=*/1 + prow);
-}
-
-Group col_group(const LuConfig& cfg, std::int32_t pcol) {
-  std::vector<int> ranks;
-  ranks.reserve(static_cast<std::size_t>(cfg.grid.rows));
-  for (std::int32_t p = 0; p < cfg.grid.rows; ++p)
-    ranks.push_back(cfg.grid.rank_of(p, pcol));
-  return Group(std::move(ranks), /*tag_space=*/1 + cfg.grid.rows + pcol);
-}
-
 /// Pack a row segment (given local columns) of a local matrix.
 std::vector<double> pack_row(const Matrix& m, std::int64_t lrow,
                              const std::vector<std::int64_t>& lcols) {
@@ -108,8 +92,8 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
   const std::int64_t lrows = dist.local_rows(prow);
   const std::int64_t lcols = dist.local_cols(pcol);
 
-  Group rowg = row_group(cfg, prow);
-  Group colg = col_group(cfg, pcol);
+  Group rowg = process_row_group(cfg.grid, prow);
+  Group colg = process_col_group(cfg.grid, pcol);
   Group world = Group::world(ctx);
 
   Matrix& A = st.local[static_cast<std::size_t>(rank)];

@@ -44,20 +44,6 @@ struct QrState {
         numeric(c.mode == ExecMode::Numeric) {}
 };
 
-Group qr_row_group(const QrConfig& cfg, std::int32_t prow) {
-  std::vector<int> ranks;
-  for (std::int32_t q = 0; q < cfg.grid.cols; ++q)
-    ranks.push_back(cfg.grid.rank_of(prow, q));
-  return Group(std::move(ranks), 1 + prow);
-}
-
-Group qr_col_group(const QrConfig& cfg, std::int32_t pcol) {
-  std::vector<int> ranks;
-  for (std::int32_t p = 0; p < cfg.grid.rows; ++p)
-    ranks.push_back(cfg.grid.rank_of(p, pcol));
-  return Group(std::move(ranks), 1 + cfg.grid.rows + pcol);
-}
-
 Task<> qr_node_program(NxContext& ctx, QrState& st) {
   const QrConfig& cfg = st.cfg;
   const BlockCyclic& dist = st.dist;
@@ -69,8 +55,8 @@ Task<> qr_node_program(NxContext& ctx, QrState& st) {
   const std::int64_t lrows = dist.local_rows(prow);
   const std::int64_t lcols = dist.local_cols(pcol);
 
-  Group rowg = qr_row_group(cfg, prow);
-  Group colg = qr_col_group(cfg, pcol);
+  Group rowg = process_row_group(cfg.grid, prow);
+  Group colg = process_col_group(cfg.grid, pcol);
   Group world = Group::world(ctx);
 
   Matrix& A = st.local[static_cast<std::size_t>(rank)];

@@ -53,11 +53,8 @@ Task<> summa_node_program(NxContext& ctx, SummaState& st) {
   const Band rows = band(cfg.n, prow, P);
   const Band cols = band(cfg.n, pcol, Q);
 
-  std::vector<int> row_ranks, col_ranks;
-  for (std::int32_t q = 0; q < Q; ++q) row_ranks.push_back(cfg.grid.rank_of(prow, q));
-  for (std::int32_t p = 0; p < P; ++p) col_ranks.push_back(cfg.grid.rank_of(p, pcol));
-  Group rowg(row_ranks, 1 + prow);
-  Group colg(col_ranks, 1 + P + pcol);
+  Group rowg = process_row_group(cfg.grid, prow);
+  Group colg = process_col_group(cfg.grid, pcol);
   Group world = Group::world(ctx);
 
   Matrix Aloc, Bloc, Cloc(rows.size(), cols.size());

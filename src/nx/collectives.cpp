@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <type_traits>
 
 #include "nx/fault_hooks.hpp"
 #include "nx/machine_runtime.hpp"
@@ -85,28 +87,21 @@ const char* collective_name(CollectiveKind k) {
   return "?";
 }
 
-Group::Group(std::vector<int> ranks, int tag_space)
-    : ranks_(std::move(ranks)), tag_space_(tag_space) {
-  HPCCSIM_EXPECTS(!ranks_.empty());
+Group::Group(int first, int stride, int size, int tag_space)
+    : first_(first), stride_(stride), size_(size), tag_space_(tag_space) {
+  HPCCSIM_EXPECTS(first >= 0);
+  HPCCSIM_EXPECTS(stride >= 1);
+  HPCCSIM_EXPECTS(size >= 1);
   HPCCSIM_EXPECTS(tag_space >= 0);
+  // The last member must be an int, so rank_at never overflows.
+  HPCCSIM_EXPECTS(first + std::int64_t{stride} * (size - 1) <=
+                  std::numeric_limits<int>::max());
 }
+
+static_assert(std::is_trivially_copyable_v<Group> && sizeof(Group) == 16);
 
 Group Group::world(const NxContext& ctx) {
-  std::vector<int> ranks(static_cast<std::size_t>(ctx.nodes()));
-  for (int i = 0; i < ctx.nodes(); ++i) ranks[static_cast<std::size_t>(i)] = i;
-  return Group(std::move(ranks), /*tag_space=*/0);
-}
-
-int Group::index_of_or(int global_rank) const {
-  for (std::size_t i = 0; i < ranks_.size(); ++i)
-    if (ranks_[i] == global_rank) return static_cast<int>(i);
-  return -1;
-}
-
-int Group::index_of(int global_rank) const {
-  const int i = index_of_or(global_rank);
-  HPCCSIM_EXPECTS(i >= 0);
-  return i;
+  return Group(/*first=*/0, /*stride=*/1, ctx.nodes(), /*tag_space=*/0);
 }
 
 const char* algo_name(CollectiveAlgo a) {

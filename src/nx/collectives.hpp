@@ -17,33 +17,49 @@
 //     differ in the last ulp between nodes (documented MPI reality).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "core/task.hpp"
 #include "nx/context.hpp"
 #include "nx/message.hpp"
+#include "util/assert.hpp"
 
 namespace hpccsim::nx {
 
-/// A communication group: an ordered list of global ranks. All members
-/// construct the group with the identical rank order and tag_space.
+/// A communication group: the ranks first, first + stride, ...,
+/// first + (size - 1) * stride, in that order, plus a tag space. Every
+/// group here is such a progression: the world (0, 1, P), a process-grid
+/// row (prow * Q, 1, Q) and a process-grid column (pcol, Q, P). All
+/// members construct the group with the identical progression and
+/// tag_space. Trivially copyable, 16 bytes; every lookup is O(1).
 class Group {
  public:
-  Group(std::vector<int> ranks, int tag_space);
+  Group(int first, int stride, int size, int tag_space);
 
   /// The whole machine, tag space 0.
   static Group world(const NxContext& ctx);
 
-  int size() const { return static_cast<int>(ranks_.size()); }
-  int rank_at(int index) const { return ranks_.at(index); }
-  int index_of(int global_rank) const;
-  bool contains(int global_rank) const { return index_of_or(global_rank) >= 0; }
+  int size() const { return size_; }
+  int rank_at(int index) const {
+    HPCCSIM_EXPECTS(index >= 0 && index < size_);
+    return first_ + stride_ * index;
+  }
+  int index_of(int global_rank) const {
+    HPCCSIM_EXPECTS(contains(global_rank));
+    return (global_rank - first_) / stride_;
+  }
+  bool contains(int global_rank) const {
+    const std::int64_t off = std::int64_t{global_rank} - first_;
+    return off >= 0 && off % stride_ == 0 && off / stride_ < size_;
+  }
   int tag_space() const { return tag_space_; }
 
  private:
-  int index_of_or(int global_rank) const;
-  std::vector<int> ranks_;
+  int first_;
+  int stride_;
+  int size_;
   int tag_space_;
 };
 

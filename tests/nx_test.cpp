@@ -3,7 +3,10 @@
 // and group shapes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <numeric>
+#include <random>
 
 #include "nx/collectives.hpp"
 #include "nx/machine_runtime.hpp"
@@ -344,8 +347,8 @@ TEST(CollectiveGroups, RowAndColumnGroupsOperateIndependently) {
   std::vector<double> row_sum(6), col_sum(6);
   m.run([&](NxContext& ctx) -> Task<> {
     const int r = ctx.rank() / 3, c = ctx.rank() % 3;
-    Group rowg({r * 3 + 0, r * 3 + 1, r * 3 + 2}, 1 + r);
-    Group colg({c, c + 3}, 3 + c);
+    Group rowg(/*first=*/r * 3, /*stride=*/1, /*size=*/3, 1 + r);
+    Group colg(/*first=*/c, /*stride=*/3, /*size=*/2, 3 + c);
     Message rm = co_await allreduce(ctx, rowg, ReduceOp::Sum, 8,
                                     payload_of(double(ctx.rank())));
     Message cm = co_await allreduce(ctx, colg, ReduceOp::Sum, 8,
@@ -357,6 +360,55 @@ TEST(CollectiveGroups, RowAndColumnGroupsOperateIndependently) {
   EXPECT_EQ(row_sum[4], 12.0);  // 3+4+5
   EXPECT_EQ(col_sum[1], 5.0);   // 1+4
   EXPECT_EQ(col_sum[5], 7.0);   // 2+5
+}
+
+TEST(CollectiveGroups, ProgressionLookupsMatchMembership) {
+  // Seeded random progressions against a brute-force member list: every
+  // member round-trips through index_of/rank_at, and contains() agrees
+  // with the list on every rank up to one stride past the last member,
+  // off-stride ranks included.
+  std::mt19937 rng(1992);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int first = std::uniform_int_distribution<int>(0, 300)(rng);
+    const int stride = std::uniform_int_distribution<int>(1, 40)(rng);
+    const int size = std::uniform_int_distribution<int>(1, 64)(rng);
+    const Group g(first, stride, size, /*tag_space=*/trial);
+    ASSERT_EQ(g.size(), size);
+    EXPECT_EQ(g.tag_space(), trial);
+    std::vector<int> members;
+    for (int r = first; static_cast<int>(members.size()) < size; r += stride)
+      members.push_back(r);
+    for (int i = 0; i < size; ++i) {
+      const int r = members[static_cast<std::size_t>(i)];
+      EXPECT_EQ(g.rank_at(i), r);
+      EXPECT_EQ(g.index_of(r), i);
+    }
+    for (int r = 0; r <= members.back() + stride; ++r) {
+      const bool member =
+          std::find(members.begin(), members.end(), r) != members.end();
+      ASSERT_EQ(g.contains(r), member)
+          << "rank " << r << " of (" << first << ", " << stride << ", "
+          << size << ")";
+    }
+    EXPECT_THROW(g.index_of(members.back() + stride), ContractError);
+    if (stride > 1) {
+      EXPECT_THROW(g.index_of(first + 1), ContractError);
+    }
+    EXPECT_FALSE(g.contains(-1));
+    EXPECT_FALSE(g.contains(std::numeric_limits<int>::min()));
+    EXPECT_FALSE(g.contains(std::numeric_limits<int>::max()));
+    EXPECT_THROW(g.rank_at(-1), ContractError);
+    EXPECT_THROW(g.rank_at(size), ContractError);
+  }
+  EXPECT_THROW(Group(0, 1, /*size=*/0, 0), ContractError);
+  EXPECT_THROW(Group(0, /*stride=*/0, 4, 0), ContractError);
+  EXPECT_THROW(Group(/*first=*/-1, 1, 4, 0), ContractError);
+  EXPECT_THROW(Group(0, 1, 4, /*tag_space=*/-1), ContractError);
+  // The last member must be an int: rank_at never overflows.
+  const int max = std::numeric_limits<int>::max();
+  EXPECT_NO_THROW(Group(max - 2, 1, 3, 0));
+  EXPECT_THROW(Group(max - 1, 1, 3, 0), ContractError);
+  EXPECT_THROW(Group(0, max, 3, 0), ContractError);
 }
 
 TEST(CollectiveOps, CombineHelpers) {
@@ -846,8 +898,8 @@ TEST(NxAllocation, ModeledLuIterationCommIsAllocationFree) {
     // 2x3 grid communicators, mirroring the LU row/column groups.
     const int prow = ctx.rank() / 3;
     const int pcol = ctx.rank() % 3;
-    Group rowg({prow * 3, prow * 3 + 1, prow * 3 + 2}, 1 + prow);
-    Group colg({pcol, pcol + 3}, 3 + pcol);
+    Group rowg(/*first=*/prow * 3, /*stride=*/1, /*size=*/3, 1 + prow);
+    Group colg(/*first=*/pcol, /*stride=*/3, /*size=*/2, 3 + pcol);
     for (int it = 0; it < kIters; ++it) {
       co_await barrier(ctx, world);
       if (ctx.rank() == 0)
@@ -880,6 +932,26 @@ TEST(NxAllocation, ModeledLuIterationCommIsAllocationFree) {
       << "allocations in iteration " << kIters - 3;
   EXPECT_EQ(samples[kIters - 1] - samples[kIters - 2], 0u)
       << "allocations in iteration " << kIters - 2;
+}
+
+TEST(NxAllocation, WorldGroupAllocatesNothing) {
+  // A group is a rank progression, not a rank list: the world of the
+  // 16,384-rank Columbia machine and one row and one column of its
+  // 128 x 128 process grid are built without touching the heap.
+  NxMachine m(proc::columbia());
+  ASSERT_EQ(m.nodes(), 16384);
+  const NxContext& ctx = m.context(m.nodes() - 1);
+  const int q = m.config().mesh_width;
+  const int prow = ctx.rank() / q, pcol = ctx.rank() % q;
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  const Group world = Group::world(ctx);
+  const Group rowg(/*first=*/prow * q, /*stride=*/1, /*size=*/q, 1 + prow);
+  const Group colg(/*first=*/pcol, /*stride=*/q, /*size=*/q, 1 + q + pcol);
+  EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(world.size(), 16384);
+  EXPECT_EQ(world.index_of(ctx.rank()), ctx.rank());
+  EXPECT_EQ(rowg.index_of(ctx.rank()), pcol);
+  EXPECT_EQ(colg.index_of(ctx.rank()), prow);
 }
 
 }  // namespace
@@ -1239,7 +1311,7 @@ TEST(NxAllocation, ParallelSteadyStateIsAllocationFreeAcrossBands) {
   std::array<std::uint64_t, kIters> samples{};
   m.run([&samples](NxContext& ctx) -> Task<> {
     const int n = ctx.nodes();
-    Group world = Group::world(ctx);  // hoisted: Group owns a rank vector
+    Group world = Group::world(ctx);
     for (int it = 0; it < kIters; ++it) {
       co_await barrier(ctx, world);
       if (ctx.rank() == 0)
