@@ -126,6 +126,45 @@ void BM_queue_push_pop(benchmark::State& state) {
 }
 BENCHMARK(BM_queue_push_pop)->Arg(1000)->Arg(100000);
 
+// One self-rescheduling event of the hold model: when it fires it
+// schedules itself uniform in [0, span) ahead, so the queue depth stays
+// where the fill put it.
+struct HoldEvent {
+  sim::Engine* e;
+  Rng* rng;
+  std::uint64_t span_ps;
+  void operator()() const {
+    e->schedule_call(e->now() + sim::Time::ps(rng->below(span_ps)), *this);
+  }
+};
+
+void BM_queue_hold(benchmark::State& state) {
+  // The classic hold model: `depth` events pending, each pop pushes one
+  // event uniform in [0, 2 * depth * gap), so events fire one `gap` apart
+  // on average. Sparse rows (microsecond gaps) put nearly every pending
+  // event beyond the ~67 us ring window, where each far-window slide
+  // costs what it files; the dense-deep row slides tens of thousands of
+  // events at once. One iteration is ~1,000 events.
+  const auto depth = static_cast<std::uint64_t>(state.range(0));
+  const auto gap_ps = static_cast<std::uint64_t>(state.range(1)) * 1000;
+  sim::Engine e;
+  Rng rng(1992);
+  const HoldEvent ev{&e, &rng, 2 * depth * gap_ps};
+  for (std::uint64_t i = 0; i < depth; ++i)
+    e.schedule_call(sim::Time::ps(rng.below(ev.span_ps)), ev);
+  const sim::Time step = sim::Time::ps(1000 * gap_ps);
+  e.run_until(e.now() + step);  // warm the buckets
+  const std::uint64_t before = e.events_processed();
+  for (auto _ : state) benchmark::DoNotOptimize(e.run_until(e.now() + step));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(e.events_processed() - before));
+}
+BENCHMARK(BM_queue_hold)
+    ->ArgNames({"depth", "gap_ns"})
+    ->Args({1000, 10000})
+    ->Args({10000, 10000})
+    ->Args({100000, 1});
+
 void BM_schedule_call_small_capture(benchmark::State& state) {
   // The flit-router shape: a lambda capturing a couple of pointers
   // (<= 48 bytes). This path must not heap-allocate.

@@ -16,8 +16,11 @@
 //   - a ring of kBuckets unsorted near-future buckets of kBucketWidth
 //     picoseconds each (~67 us window total), appended to in O(1) and
 //     heapified only when they become active;
-//   - a far-future binary min-heap for everything beyond the window,
-//     bulk-redistributed into the ring when the window advances.
+//   - a far-future binary min-heap for everything beyond the window.
+//     When the earliest event lies there, the window jumps to it and
+//     pops only the far events that now fit, earliest first, or files
+//     them in one linear pass when they number more than
+//     F / (4 bit_width(F)) of the F far events (see slide_to_far).
 //
 // Ordering is exactly (time, sequence) — identical to the old
 // priority_queue tie-break — because buckets partition time and both
@@ -63,7 +66,7 @@ struct EventAfter {
 /// buckets; the WAN flow engine (src/wan/flow_engine.hpp), whose
 /// completion events are milliseconds-to-hours apart, instantiates
 /// 2^36 ps (~69 ms) buckets so completions still land in the O(1)
-/// ring instead of degenerating into the far heap.
+/// ring, not the O(log F) far heap.
 template <unsigned BucketBits = 16>
 class BasicEventQueue {
  public:
@@ -190,10 +193,21 @@ class BasicEventQueue {
   }
 
   // The earliest pending event lives in the far heap: jump the window to
-  // its bucket and redistribute every far event that now fits. Existing
-  // ring buckets all fit the new window too (they lie in
-  // (far_bucket, old_active + kBuckets) ⊆ [far_bucket, far_bucket +
-  // kBuckets)), so slots never collide across different buckets.
+  // its bucket and file every far event that now fits into the active
+  // heap or its ring slot. Existing ring buckets all fit the new window
+  // too (they lie in (far_bucket, old_active + kBuckets) ⊆ [far_bucket,
+  // far_bucket + kBuckets)), so slots never collide across different
+  // buckets.
+  //
+  // Cost: a bounded walk of the far heap first counts the k of F far
+  // events that enter the window, stopping past the pop budget
+  // B = ceil(F / (4 bit_width(F))). If k <= B they are popped earliest
+  // first, O(k log F), so a sparse stretch (one event per window) costs
+  // one pop, not a pass over the whole far heap. Otherwise one linear
+  // pass files them and re-heapifies the rest, O(F): a deep queue whose
+  // slide moves a large share of F pays the linear cost plus an O(B)
+  // walk, never the pops. The budget follows F alone; there is no
+  // setting.
   void slide_to_far(std::uint64_t far_bucket) {
     HPCCSIM_ASSERT(far_bucket != kNoBucket);
     active_bucket_ = far_bucket;
@@ -205,24 +219,63 @@ class BasicEventQueue {
       clear_bit(aslot);
     }
     const std::uint64_t window_end = far_bucket + kBuckets;
+    const std::size_t f = far_.size();
+    const auto per_pop = 4 * static_cast<std::size_t>(std::bit_width(f));
+    const std::size_t budget = (f + per_pop - 1) / per_pop;
+    if (count_far_below(0, window_end, budget + 1) > budget) {
+      file_fitting_far(window_end);
+    } else {
+      while (!far_.empty() &&
+             (far_.front().when >> kBucketBits) < window_end) {
+        std::pop_heap(far_.begin(), far_.end(), EventAfter{});
+        file_in_window(far_.back());
+        far_.pop_back();
+      }
+    }
+    std::make_heap(active_.begin(), active_.end(), EventAfter{});
+    HPCCSIM_ASSERT(!active_.empty());
+  }
+
+  // Far events below window_end in the heap subtree rooted at index i,
+  // counted up to `limit`. Heap order confines the walk to those events
+  // and their children: O(min(k, limit)) however deep the far heap.
+  std::size_t count_far_below(std::size_t i, std::uint64_t window_end,
+                              std::size_t limit) const {
+    if (limit == 0 || i >= far_.size() ||
+        (far_[i].when >> kBucketBits) >= window_end)
+      return 0;
+    std::size_t n = 1;
+    n += count_far_below(2 * i + 1, window_end, limit - n);
+    n += count_far_below(2 * i + 2, window_end, limit - n);
+    return n;
+  }
+
+  // The linear pass: file every far event below window_end, keep the
+  // rest and rebuild the far heap over them.
+  void file_fitting_far(std::uint64_t window_end) {
     std::size_t kept = 0;
     for (std::size_t i = 0; i < far_.size(); ++i) {
       const QEvent ev = far_[i];
-      const std::uint64_t b = ev.when >> kBucketBits;
-      if (b == far_bucket) {
-        active_.push_back(ev);
-      } else if (b < window_end) {
-        const std::size_t slot = static_cast<std::size_t>(b) & kSlotMask;
-        ring_[slot].push_back(ev);
-        occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-      } else {
+      if ((ev.when >> kBucketBits) < window_end)
+        file_in_window(ev);
+      else
         far_[kept++] = ev;
-      }
     }
     far_.resize(kept);
     std::make_heap(far_.begin(), far_.end(), EventAfter{});
-    std::make_heap(active_.begin(), active_.end(), EventAfter{});
-    HPCCSIM_ASSERT(!active_.empty());
+  }
+
+  // Files an event of a bucket in [active_bucket_, window end) into the
+  // active heap's storage (heapified by the caller) or its ring slot.
+  void file_in_window(const QEvent& ev) {
+    const std::uint64_t b = ev.when >> kBucketBits;
+    if (b == active_bucket_) {
+      active_.push_back(ev);
+    } else {
+      const std::size_t slot = static_cast<std::size_t>(b) & kSlotMask;
+      ring_[slot].push_back(ev);
+      occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    }
   }
 
   void clear_bit(std::size_t slot) {

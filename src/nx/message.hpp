@@ -51,6 +51,16 @@ struct PayloadRec {
 PayloadRec* payload_acquire(bool sized);
 void payload_release(PayloadRec* rec);
 
+/// Band-command boundary on the calling thread; the sharded engine
+/// calls it at the start of every band command, `command` counting the
+/// run's dispatches, and once more on the coordinating thread after
+/// Finish. Folds into the free list the records other threads returned
+/// during the previous command, and files this thread's foreign
+/// releases under `command` until the next boundary. Nothing else folds
+/// returns, so which acquires allocate depends only on the simulated
+/// schedule, not on thread timing.
+void payload_command_boundary(std::uint64_t command);
+
 /// Pool telemetry. `acquires`/`sized_acquires` count payload
 /// constructions and are simulation-deterministic; `heap_allocs` and
 /// `peak_live` depend on the thread's allocation history (free-list

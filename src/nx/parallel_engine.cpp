@@ -66,6 +66,7 @@ struct alignas(64) Band {
 struct Job {
   enum Cmd { Start, Window, Finish };
   Cmd cmd = Start;
+  std::uint64_t command = 0;       ///< dispatches so far in this run
   std::int64_t start_ps = 0;       ///< machine clock at run start
   std::int64_t window_end_ps = 0;  ///< exclusive edge for Window
   NxMachine* machine = nullptr;
@@ -77,6 +78,9 @@ struct Job {
 /// throws: a failure parks the band (sentinel next_ps) and records the
 /// exception for the coordinator to rethrow in band order.
 void run_band_command(const Job& job, Band& b) {
+  // Payloads other bands returned during the previous command come
+  // home here, never mid-command (see nx/payload.cpp).
+  detail::payload_command_boundary(job.command);
   try {
     switch (job.cmd) {
       case Job::Start: {
@@ -171,6 +175,7 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
   job.per_node = per_node;
   const auto dispatch = [&](Job::Cmd cmd) {
     job.cmd = cmd;
+    ++job.command;
     pool.dispatch(band_count, [&](int i) {
       run_band_command(job, bands[static_cast<std::size_t>(i)]);
     });
@@ -298,6 +303,9 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
   }
 
   dispatch(Job::Finish);
+  // Workers are parked: band 0's thread takes back what they returned
+  // during Finish before it goes on with sequential work.
+  detail::payload_command_boundary(job.command + 1);
   for (std::size_t i = 1; i < bands.size(); ++i) {
     totals.pool_values += bands[i].pool_values;
     totals.pool_sized += bands[i].pool_sized;

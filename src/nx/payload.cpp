@@ -4,12 +4,20 @@
 // one machine is reusable by the next machine on the same thread — the
 // pool outlives any single simulation. The parallel engine hands
 // payloads across rank-band threads, so a release may happen on a
-// thread that does not own the record: those go onto the owning pool's
-// lock-free MPSC return stack and are folded back into its free list
-// the next time the owner allocates (or when the owning thread exits).
-// Records are therefore only ever *reused* by their allocating thread,
-// which keeps the fast path (same-thread acquire/release) free of
-// atomics beyond the refcount itself.
+// thread that does not own the record: those go onto one of the owning
+// pool's two lock-free MPSC return stacks, picked by the parity of the
+// releasing thread's band command. Records are therefore only ever
+// *reused* by their allocating thread, which keeps the fast path
+// (same-thread acquire/release) free of atomics beyond the refcount.
+//
+// Returns are folded back only at a band-command boundary
+// (payload_command_boundary), and only those of the previous command:
+// every thread has finished that command, and no thread pushes onto its
+// stack during this one. A band's free list at every acquire, and so
+// its heap-allocation count, then depends on the simulated schedule
+// alone. Folding whenever the free list runs dry would pick up whatever
+// other bands had returned so far in the same window, which varies with
+// thread timing.
 //
 // Determinism note: the acquire counters depend only on program
 // behaviour and are safe to export per machine
@@ -17,20 +25,24 @@
 // depends on what ran earlier on the thread and stays debug-only.
 #include "nx/message.hpp"
 
+#include <array>
+
 namespace hpccsim::nx::detail {
 
 namespace {
 
 struct Pool {
   std::vector<PayloadRec*> free;
-  /// Head of the MPSC stack of records released on foreign threads.
-  std::atomic<PayloadRec*> foreign{nullptr};
+  /// Heads of the MPSC stacks of records released on foreign threads,
+  /// indexed by the parity of the releasing thread's band command.
+  std::array<std::atomic<PayloadRec*>, 2> returns{};
+  std::uint64_t command = 0;  ///< this thread's current band command
   PayloadPoolStats stats;
 
-  /// Folds foreign-released records into the local free list
-  /// (owner-thread only).
-  void drain_foreign() {
-    PayloadRec* head = foreign.exchange(nullptr, std::memory_order_acquire);
+  /// Folds one return stack into the local free list (owner-thread
+  /// only).
+  void drain(std::atomic<PayloadRec*>& stack) {
+    PayloadRec* head = stack.exchange(nullptr, std::memory_order_acquire);
     while (head) {
       PayloadRec* next = head->next_free;
       head->next_free = nullptr;
@@ -41,7 +53,7 @@ struct Pool {
   }
 
   ~Pool() {
-    drain_foreign();
+    for (auto& stack : returns) drain(stack);
     for (PayloadRec* r : free) delete r;
   }
 };
@@ -61,7 +73,6 @@ PayloadRec* payload_acquire(bool sized) {
     ++p.stats.acquires;
   ++p.stats.live;
   PayloadRec* rec;
-  if (p.free.empty()) p.drain_foreign();
   if (!p.free.empty()) {
     rec = p.free.back();
     p.free.pop_back();
@@ -88,13 +99,21 @@ void payload_release(PayloadRec* rec) {
     --mine.stats.live;
     return;
   }
-  // Released on a foreign thread: push onto the owner's return stack.
-  // The owner decrements its live count when it drains.
-  PayloadRec* head = owner->foreign.load(std::memory_order_relaxed);
+  // Released on a foreign thread: push onto the owner's return stack
+  // for this command. The owner decrements its live count when it
+  // drains.
+  std::atomic<PayloadRec*>& stack = owner->returns[mine.command & 1];
+  PayloadRec* head = stack.load(std::memory_order_relaxed);
   do {
     rec->next_free = head;
-  } while (!owner->foreign.compare_exchange_weak(
-      head, rec, std::memory_order_release, std::memory_order_relaxed));
+  } while (!stack.compare_exchange_weak(head, rec, std::memory_order_release,
+                                        std::memory_order_relaxed));
+}
+
+void payload_command_boundary(std::uint64_t command) {
+  Pool& p = pool();
+  p.command = command;
+  p.drain(p.returns[(command + 1) & 1]);
 }
 
 const PayloadPoolStats& payload_pool_stats() { return pool().stats; }

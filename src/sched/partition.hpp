@@ -51,7 +51,7 @@ class PartitionAllocator {
   std::size_t active_partitions() const;
 
   /// Largest free rectangle currently allocatable (by node count).
-  std::int32_t largest_free_rectangle() const;
+  std::int32_t largest_free_rectangle() const { return largest_free_; }
 
   /// External fragmentation: free nodes not part of the largest free
   /// rectangle, as a fraction of all free nodes (0 = unfragmented).
@@ -64,11 +64,17 @@ class PartitionAllocator {
                std::int32_t h) const;
   std::optional<Rect> find_first_fit(std::int32_t w, std::int32_t h) const;
   void mark(const Rect& r, bool value);
+  void recount();
 
   mesh::Mesh2D mesh_;
-  std::vector<bool> occupied_;  // node-id indexed
+  std::vector<bool> occupied_;  // row-major: y * width + x, the node id
+  // Summed-area table of busy nodes, (W+1) x (H+1) row-major: entry
+  // (x, y) counts the busy nodes in columns [0, x) of rows [0, y), so a
+  // rectangle's busy count is four loads. Rebuilt by mark().
+  std::vector<std::int32_t> busy_below_;
   std::vector<std::optional<Rect>> partitions_;
   std::int32_t busy_ = 0;
+  std::int32_t largest_free_ = 0;  // recomputed by mark()
 };
 
 /// Shapes to try for an n-node near-square request, widest-first.

@@ -962,3 +962,148 @@ TEST(EngineAllocation, OversizedCaptureStillWorks) {
 
 }  // namespace
 }  // namespace hpccsim::sim
+
+// ---------------------------------------------------------- event queue --
+//
+// BasicEventQueue against a std::priority_queue on (when, seq), driven by
+// seeded, interleaved pushes and pops. Delays land on the same instant,
+// under 4 buckets, inside the 1,024-bucket ring and up to 10^5 buckets
+// out. Sparse stretches (one or two events pending, so a pop slides the
+// window onto one far event) alternate with clusters of a few far events
+// and of hundreds to thousands inside one window span (a slide that
+// outruns its pop budget and finishes with the linear pass). A
+// peek-then-push step replays run_until: the active heap takes an event
+// from a bucket before the active one.
+
+#include <memory>
+#include <queue>
+
+#include "core/event_queue.hpp"
+#include "util/rng.hpp"
+
+namespace hpccsim::sim {
+namespace {
+
+template <unsigned Bits>
+void drive_queue_against_reference(std::uint64_t seed, int ops) {
+  using Queue = detail::BasicEventQueue<Bits>;
+  using detail::QEvent;
+  constexpr std::uint64_t kWidth = Queue::kBucketWidth;
+  constexpr std::uint64_t kRing = Queue::kBuckets * kWidth;
+  constexpr std::uint64_t kFar = 100'000 * kWidth;
+  // Past this clock the pair restarts empty at 0, so 10^5 buckets of
+  // 2^36 ps never wrap the 64-bit clock.
+  constexpr std::uint64_t kClockCeiling = std::uint64_t{1} << 62;
+
+  Rng rng(seed);
+  auto q = std::make_unique<Queue>();
+  std::priority_queue<QEvent, std::vector<QEvent>, detail::EventAfter> ref;
+  std::uint64_t now = 0, seq = 0;
+  int done = 0;
+  bool ok = true;
+
+  const auto push_at = [&](std::uint64_t when) {
+    const QEvent ev{when, seq++, 0};
+    q->push(ev);
+    ref.push(ev);
+    ++done;
+  };
+  const auto delay = [&]() -> std::uint64_t {
+    switch (rng.below(4)) {
+      case 0:
+        return 0;
+      case 1:
+        return rng.below(4 * kWidth);
+      case 2:
+        return rng.below(kRing);
+      default:
+        return rng.below(kFar);
+    }
+  };
+  const auto pop_one = [&] {
+    const QEvent want = ref.top();
+    ref.pop();
+    const QEvent got = q->pop();
+    ++done;
+    if (got.when != want.when || got.seq != want.seq ||
+        q->size() != ref.size()) {
+      ADD_FAILURE() << "seed " << seed << " op " << done << ": popped ("
+                    << got.when << ", " << got.seq << "), expected ("
+                    << want.when << ", " << want.seq << ")";
+      ok = false;
+    }
+    now = got.when;
+  };
+  const auto pop_n = [&](std::size_t n) {
+    for (; n > 0 && ok && !ref.empty(); --n) pop_one();
+  };
+  // One cluster of n events inside a single window span starting up to
+  // 10^5 buckets out.
+  const auto cluster = [&](std::size_t n) {
+    const std::uint64_t base = now + kRing + rng.below(kFar);
+    for (std::size_t i = 0; i < n; ++i) push_at(base + rng.below(kRing));
+  };
+
+  while (ok && done < ops) {
+    if (now > kClockCeiling) {
+      pop_n(ref.size());
+      q = std::make_unique<Queue>();
+      now = 0;
+    }
+    switch (rng.below(6)) {
+      case 0: {  // sparse: every pop slides onto one far event
+        pop_n(ref.size() > 2 ? ref.size() - 2 : 0);
+        for (auto n = rng.below(200); n > 0 && ok; --n) {
+          push_at(now + rng.below(kFar));
+          pop_one();
+        }
+        break;
+      }
+      case 1: {  // hold at the current depth, mixed delays
+        for (auto n = rng.below(500); n > 0 && ok; --n) {
+          push_at(now + delay());
+          if (rng.below(2) == 0) pop_one();
+        }
+        break;
+      }
+      case 2:  // a few far events in one window span
+        cluster(2 + rng.below(7));
+        pop_n(rng.below(16));
+        break;
+      case 3:  // a burst that outruns the pop budget
+        cluster(300 + rng.below(2'700));
+        pop_n(rng.below(4'000));
+        break;
+      case 4: {  // run_until: peek, stop short of top, push behind it
+        if (ref.empty()) break;
+        const QEvent& top = q->top();
+        if (top.when != ref.top().when || top.seq != ref.top().seq) {
+          ADD_FAILURE() << "seed " << seed << " op " << done << ": top ("
+                        << top.when << ", " << top.seq << ")";
+          ok = false;
+          break;
+        }
+        now += rng.below(top.when - now + 1);
+        for (auto n = 1 + rng.below(4); n > 0; --n)
+          push_at(now + rng.below(4 * kWidth));
+        break;
+      }
+      default:
+        pop_n(rng.below(64));
+        break;
+    }
+  }
+  pop_n(ref.size());
+  EXPECT_TRUE(q->empty());
+}
+
+TEST(EventQueue, MatchesPriorityQueueOnRandomSchedules) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    drive_queue_against_reference<16>(seed, 40'000);
+    drive_queue_against_reference<36>(seed, 40'000);
+    drive_queue_against_reference<4>(seed, 40'000);
+  }
+}
+
+}  // namespace
+}  // namespace hpccsim::sim

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <utility>
 
 #include "sched/batch.hpp"
 #include "sched/partition.hpp"
@@ -214,6 +216,143 @@ TEST(Partition, AllocationOrderIsDeterministicAcrossJobs) {
     parallel_for(replica.size(), static_cast<int>(workers),
                  [&](std::size_t i) { replica[i] = script(); });
     for (const auto& r : replica) EXPECT_EQ(r, reference);
+  }
+}
+
+// Test-local oracle: the allocator as a plain occupancy grid, a
+// cell-by-cell first-fit scan at every row-major origin, and the
+// histogram-method largest free rectangle recomputed on every query.
+class ReferenceAllocator {
+ public:
+  ReferenceAllocator(std::int32_t w, std::int32_t h)
+      : W_(w), H_(h), busy_(static_cast<std::size_t>(w * h), false) {}
+
+  std::optional<PartitionId> allocate(std::int32_t w, std::int32_t h) {
+    std::optional<Rect> r = first_fit(w, h);
+    if (!r && w != h) r = first_fit(h, w);
+    if (!r) return std::nullopt;
+    mark(*r, true);
+    rects_.push_back(*r);
+    return static_cast<PartitionId>(rects_.size() - 1);
+  }
+  std::optional<PartitionId> allocate_nodes(std::int32_t nodes) {
+    for (const auto& [w, h] : candidate_shapes(nodes))
+      if (auto id = allocate(w, h)) return id;
+    return std::nullopt;
+  }
+  void release(PartitionId id) {
+    mark(rects_[static_cast<std::size_t>(id)], false);
+  }
+  const Rect& rect_of(PartitionId id) const {
+    return rects_[static_cast<std::size_t>(id)];
+  }
+  std::int32_t nodes_busy() const {
+    return static_cast<std::int32_t>(
+        std::count(busy_.begin(), busy_.end(), true));
+  }
+  std::int32_t largest_free_rectangle() const {
+    std::vector<std::int32_t> height(static_cast<std::size_t>(W_), 0);
+    std::int32_t best = 0;
+    for (std::int32_t y = 0; y < H_; ++y) {
+      for (std::int32_t x = 0; x < W_; ++x) {
+        auto& hx = height[static_cast<std::size_t>(x)];
+        hx = cell(x, y) ? 0 : hx + 1;
+      }
+      std::vector<std::int32_t> stack;
+      for (std::int32_t x = 0; x <= W_; ++x) {
+        const std::int32_t hcur =
+            x < W_ ? height[static_cast<std::size_t>(x)] : 0;
+        while (!stack.empty() &&
+               height[static_cast<std::size_t>(stack.back())] > hcur) {
+          const std::int32_t top = stack.back();
+          stack.pop_back();
+          const std::int32_t width = stack.empty() ? x : x - stack.back() - 1;
+          best = std::max(best, height[static_cast<std::size_t>(top)] * width);
+        }
+        if (x < W_) stack.push_back(x);
+      }
+    }
+    return best;
+  }
+  double fragmentation() const {
+    const std::int32_t free_nodes = W_ * H_ - nodes_busy();
+    if (free_nodes == 0) return 0.0;
+    return 1.0 - static_cast<double>(largest_free_rectangle()) / free_nodes;
+  }
+
+ private:
+  std::vector<bool>::reference cell(std::int32_t x, std::int32_t y) {
+    return busy_[static_cast<std::size_t>(y * W_ + x)];
+  }
+  bool cell(std::int32_t x, std::int32_t y) const {
+    return busy_[static_cast<std::size_t>(y * W_ + x)];
+  }
+  std::optional<Rect> first_fit(std::int32_t w, std::int32_t h) const {
+    for (std::int32_t y = 0; y + h <= H_; ++y)
+      for (std::int32_t x = 0; x + w <= W_; ++x) {
+        bool free = true;
+        for (std::int32_t j = y; j < y + h && free; ++j)
+          for (std::int32_t i = x; i < x + w && free; ++i)
+            free = !cell(i, j);
+        if (free) return Rect{x, y, w, h};
+      }
+    return std::nullopt;
+  }
+  void mark(const Rect& r, bool value) {
+    for (std::int32_t j = r.y; j < r.y + r.h; ++j)
+      for (std::int32_t i = r.x; i < r.x + r.w; ++i) cell(i, j) = value;
+  }
+
+  std::int32_t W_, H_;
+  std::vector<bool> busy_;
+  std::vector<Rect> rects_;
+};
+
+TEST(Partition, MatchesBruteForceReferenceOnRandomTraffic) {
+  // Seeded allocate / allocate_nodes / release traffic, shapes up to one
+  // past the mesh in each dimension; after every operation the allocator
+  // must agree exactly with the oracle on the placement, the id and
+  // every occupancy metric.
+  const std::pair<std::int32_t, std::int32_t> meshes[] = {
+      {33, 16}, {8, 1}, {1, 8}, {7, 5}};
+  for (const auto& [W, H] : meshes) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(testing::Message() << W << "x" << H << " seed " << seed);
+      PartitionAllocator a(Mesh2D(W, H));
+      ReferenceAllocator ref(W, H);
+      Rng rng(seed);
+      std::vector<PartitionId> live;
+      for (int step = 0; step < 600; ++step) {
+        const std::uint64_t kind = rng.below(10);
+        if (kind < 4 && !live.empty()) {
+          const std::size_t i = rng.below(live.size());
+          a.release(live[i]);
+          ref.release(live[i]);
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        } else {
+          std::optional<PartitionId> got, want;
+          if (kind < 7) {
+            const auto w = static_cast<std::int32_t>(rng.range(1, W + 1));
+            const auto h = static_cast<std::int32_t>(rng.range(1, H + 1));
+            got = a.allocate(w, h);
+            want = ref.allocate(w, h);
+          } else {
+            const auto n = static_cast<std::int32_t>(rng.range(1, W * H + 1));
+            got = a.allocate_nodes(n);
+            want = ref.allocate_nodes(n);
+          }
+          ASSERT_EQ(got, want) << "step " << step;
+          if (got) {
+            ASSERT_EQ(a.rect_of(*got), ref.rect_of(*want)) << "step " << step;
+            live.push_back(*got);
+          }
+        }
+        ASSERT_EQ(a.nodes_busy(), ref.nodes_busy()) << "step " << step;
+        ASSERT_EQ(a.largest_free_rectangle(), ref.largest_free_rectangle())
+            << "step " << step;
+        ASSERT_EQ(a.fragmentation(), ref.fragmentation()) << "step " << step;
+      }
+    }
   }
 }
 
