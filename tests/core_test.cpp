@@ -970,10 +970,10 @@ TEST(EngineAllocation, OversizedCaptureStillWorks) {
 // under 4 buckets, inside the 1,024-bucket ring and up to 10^5 buckets
 // out. Sparse stretches (one or two events pending, so a pop slides the
 // window onto one far event) alternate with clusters of a few far events
-// and of hundreds to thousands inside one window span (a slide that
-// outruns its pop budget and finishes with the linear pass). A
-// peek-then-push step replays run_until: the active heap takes an event
-// from a bucket before the active one.
+// and of hundreds to thousands inside one window span (a slide past its
+// pop budget, which takes the linear pass). A peek-then-push step
+// replays run_until: the active heap takes an event from a bucket
+// before the active one.
 
 #include <memory>
 #include <queue>
