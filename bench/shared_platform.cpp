@@ -53,10 +53,20 @@ int exhibit(const ArgParser& args, bench::Harness& h) {
                                 args.str("days"));
   const std::vector<PlatformJob> trace = platform_workload(wc, mesh);
 
+  // Likewise an MTBF outside [0, 2^64 ps ~ 213.5 days) has no
+  // picosecond count, and the CFS needs a disk.
+  const double mtbf_days = args.real("node-mtbf-days");
+  if (!(mtbf_days >= 0.0 && mtbf_days < 213.0))
+    throw std::invalid_argument("--node-mtbf-days must be in [0, 213), got " +
+                                args.str("node-mtbf-days"));
+  const std::int64_t disks = args.integer("io-disks");
+  if (disks <= 0 || disks > std::numeric_limits<std::int32_t>::max())
+    throw std::invalid_argument("--io-disks must be in [1, 2^31), got " +
+                                args.str("io-disks"));
   PlatformConfig base;
-  base.node_mtbf = sim::Time::sec(args.real("node-mtbf-days") * 86400.0);
+  base.node_mtbf = sim::Time::sec(mtbf_days * 86400.0);
   base.failure_seed = static_cast<std::uint64_t>(args.integer("failure-seed"));
-  base.io_disks = static_cast<std::int32_t>(args.integer("io-disks"));
+  base.io_disks = static_cast<std::int32_t>(disks);
 
   obs::BenchMetrics& bm = h.metrics;
   bm.config("width", args.integer("width"));

@@ -3,7 +3,7 @@
 // (src/mesh/flit_parallel.cpp) and the nx engine's rank bands
 // (src/nx/parallel_engine.cpp).
 //
-// The coroutine primitives in core/sync.hpp synchronize *simulated*
+// Coroutine awaitables (delay, Trigger) synchronize *simulated*
 // processes inside one single-threaded Engine; this header is the host
 // side: real threads pipelining shards of one simulation. Three pieces:
 //

@@ -3,8 +3,8 @@
 // Single-threaded and deterministic: events are ordered by (time, sequence
 // number), so two runs with the same seed produce identical traces. All
 // concurrency in the simulated machine is expressed as coroutine processes
-// (Task<void>) that suspend on awaitables (delay, Trigger, Channel) and
-// are resumed by the engine.
+// (Task<void>) that suspend on awaitables (delay, Trigger) and are
+// resumed by the engine.
 //
 // One Engine per host thread; engines are not thread-safe and never need
 // to be — determinism plus coroutines gives us hundreds of virtual

@@ -67,11 +67,6 @@ struct FaultConfig {
   /// Weibull shape (< 1 = decreasing hazard); scale is derived so the
   /// mean stays at the configured MTBF.
   double weibull_shape = 0.7;
-
-  bool enabled() const {
-    return node_mtbf > sim::Time::zero() ||
-           link_mtbf > sim::Time::zero() || drop_rate > 0.0;
-  }
 };
 
 struct FaultEvent {
@@ -134,7 +129,6 @@ class FaultInjector final : public nx::FaultHooks {
 
   std::uint64_t crashes() const { return crashes_; }
   std::uint64_t repairs() const { return repairs_; }
-  std::uint64_t link_failures() const { return link_failures_; }
   std::uint64_t drops() const { return drops_; }
   /// Messages discarded from crashed nodes' queues (subset of the
   /// machine's messages_dropped()).

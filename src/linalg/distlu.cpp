@@ -10,7 +10,6 @@
 #include "linalg/verify.hpp"
 #include "nx/collectives.hpp"
 #include "proc/kernel_model.hpp"
-#include "util/log.hpp"
 
 namespace hpccsim::linalg {
 
@@ -773,9 +772,6 @@ LuResult run_lu_program(nx::NxMachine& machine, const LuConfig& cfg,
   const auto after = machine.total_stats();
   LuResult res = make_lu_result(cfg, st.t_start, st.t_end, before, after);
   res.residual = st.residual;
-  HPCCSIM_LOG(Debug) << "distlu n=" << cfg.n << " nb=" << cfg.nb << " grid="
-                     << cfg.grid.rows << "x" << cfg.grid.cols << " t="
-                     << res.elapsed.str() << " gflops=" << res.gflops;
   return res;
 }
 
@@ -848,12 +844,7 @@ LuResult replay_lu_skeleton(nx::NxMachine& machine, const LuConfig& cfg,
       .counter("lu.skeleton.replayed_ops")
       .add(static_cast<std::int64_t>(skel.total_ops()));
 
-  LuResult res = make_lu_result(cfg, sh.marks[0], sh.marks[1], before, after);
-  HPCCSIM_LOG(Debug) << "distlu replay n=" << cfg.n << " nb=" << cfg.nb
-                     << " grid=" << cfg.grid.rows << "x" << cfg.grid.cols
-                     << " ops=" << skel.total_ops() << " t="
-                     << res.elapsed.str() << " gflops=" << res.gflops;
-  return res;
+  return make_lu_result(cfg, sh.marks[0], sh.marks[1], before, after);
 }
 
 }  // namespace hpccsim::linalg

@@ -82,9 +82,6 @@ class AnalyticalMeshNet final : public NetworkModel {
   /// YX route when it is clean, and otherwise stall for
   /// params.fault_stall before proceeding (modeling retry/backpressure).
   void set_link_failed(NodeId from, Dir d, bool failed);
-  bool link_failed(LinkId l) const {
-    return failed_links_[static_cast<std::size_t>(l)];
-  }
   std::int32_t failed_link_count() const { return failed_count_; }
   std::uint64_t reroutes() const { return reroutes_; }
   std::uint64_t stalls() const { return stalls_; }

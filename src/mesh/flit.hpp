@@ -147,7 +147,6 @@ class FlitNetwork {
   /// rebuild, counter roll-up, idle-skip checks). Larger windows
   /// amortize fork-join cost; results are identical for any value >= 1.
   void set_window(std::uint64_t cycles);
-  std::uint64_t window_cycles() const { return window_cycles_; }
 
   std::uint64_t cycle() const { return cycle_; }
   const std::vector<FlitMessage>& messages() const { return messages_; }

@@ -104,16 +104,6 @@ Group Group::world(const NxContext& ctx) {
   return Group(/*first=*/0, /*stride=*/1, ctx.nodes(), /*tag_space=*/0);
 }
 
-const char* algo_name(CollectiveAlgo a) {
-  switch (a) {
-    case CollectiveAlgo::Binomial: return "binomial";
-    case CollectiveAlgo::Ring: return "ring";
-    case CollectiveAlgo::RecursiveDoubling: return "recursive-doubling";
-    case CollectiveAlgo::Flat: return "flat";
-  }
-  return "?";
-}
-
 Payload combine(ReduceOp op, const Payload& a, const Payload& b) {
   if (!a || !b) {
     // Modeled mode: shapes only, no arithmetic. Keep a size-only

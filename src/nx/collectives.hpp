@@ -74,8 +74,6 @@ enum class ReduceOp {
 
 enum class CollectiveAlgo { Binomial, Ring, RecursiveDoubling, Flat };
 
-const char* algo_name(CollectiveAlgo a);
-
 /// All members wait until every member has entered.
 sim::Task<> barrier(NxContext& ctx, const Group& g);
 

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "nx/parallel_engine.hpp"
-#include "util/log.hpp"
 
 namespace hpccsim::nx {
 
@@ -55,11 +54,7 @@ sim::Time NxMachine::run(const Program& program) {
   for (int r = 0; r < nodes(); ++r)
     engine_.spawn(program(*contexts_[r]), "node" + std::to_string(r));
   engine_.run();
-  const sim::Time elapsed = engine_.now() - start;
-  HPCCSIM_LOG(Debug) << config_.name << ": " << nodes() << " nodes, "
-                     << engine_.events_processed() << " events, t="
-                     << elapsed.str();
-  return elapsed;
+  return engine_.now() - start;
 }
 
 sim::Time NxMachine::run_each(const std::vector<Program>& per_node) {
@@ -89,12 +84,7 @@ sim::Time NxMachine::run_parallel(const Program* spmd,
   par_.pool_sized += t.pool_sized;
   par_.runs += t.runs;
   par_.bands = t.bands;
-  const sim::Time elapsed = engine_.now() - start;
-  HPCCSIM_LOG(Debug) << config_.name << ": " << nodes() << " nodes, "
-                     << t.events << " events across " << t.bands
-                     << " bands (" << t.windows << " windows), t="
-                     << elapsed.str();
-  return elapsed;
+  return engine_.now() - start;
 }
 
 std::string NxMachine::message_trace_csv() const {

@@ -104,7 +104,6 @@ class NxMachine {
   /// Record every message (depart/arrive/src/dst/tag/bytes). Off by
   /// default; tracing a 25,000-order LU would record ~3.4M rows.
   void enable_message_trace(bool on = true) { trace_enabled_ = on; }
-  bool message_trace_enabled() const { return trace_enabled_; }
   const std::vector<MessageTraceRecord>& message_trace() const {
     return trace_;
   }

@@ -111,7 +111,6 @@ class Mailbox {
   std::size_t drop_queued();
 
   std::size_t queued() const { return msgs_.size(); }
-  std::size_t waiting_receivers() const { return recvs_.size(); }
 
  private:
   static constexpr std::uint32_t kNoGuard = 0xffffffffu;

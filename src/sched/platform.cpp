@@ -11,6 +11,29 @@
 
 namespace hpccsim::sched {
 
+namespace {
+
+/// Per-job checkpoint intervals clamp here (tiny debug jobs would
+/// otherwise checkpoint absurdly often).
+constexpr sim::Time kMinCkptInterval = sim::Time::sec(120.0);
+/// Bounded-slowdown threshold (the classic 10-minute bound).
+constexpr sim::Time kSlowdownBound = sim::Time::sec(600.0);
+
+bool fits_empty(const mesh::Mesh2D& mesh, std::int32_t w, std::int32_t h) {
+  return (w <= mesh.width() && h <= mesh.height()) ||
+         (h <= mesh.width() && w <= mesh.height());
+}
+
+}  // namespace
+
+const char* policy_name(SchedulePolicy p) {
+  switch (p) {
+    case SchedulePolicy::FCFS: return "fcfs";
+    case SchedulePolicy::EasyBackfill: return "easy-backfill";
+  }
+  return "?";
+}
+
 const char* strategy_name(CheckpointStrategy s) {
   switch (s) {
     case CheckpointStrategy::Uncoordinated: return "uncoordinated";
@@ -28,32 +51,25 @@ bool PlatformResult::balanced(double tol) const {
   return std::abs(busy_node_seconds - sum) <= tol * scale;
 }
 
-namespace {
-
-BytesPerSecond resolve_bw(const PlatformConfig& cfg) {
-  return cfg.io_bandwidth.bytes_per_sec() > 0.0
-             ? cfg.io_bandwidth
-             : io::effective_cfs_bandwidth(io::CfsConfig{}, cfg.io_disks);
-}
-
-}  // namespace
-
 PlatformSimulator::PlatformSimulator(mesh::Mesh2D mesh, PlatformConfig cfg)
     : mesh_(mesh),
       cfg_(cfg),
       alloc_(mesh),
-      io_(engine_, resolve_bw(cfg)) {
-  cfg_.io_bandwidth = resolve_bw(cfg);
-}
+      io_bw_(io::effective_cfs_bandwidth(io::CfsConfig{}, cfg.io_disks)),
+      io_(engine_, io_bw_) {}
 
 void PlatformSimulator::submit(std::vector<PlatformJob> jobs) {
   HPCCSIM_EXPECTS(!ran_);
-  const double bw = cfg_.io_bandwidth.bytes_per_sec();
+  const double bw = io_bw_.bytes_per_sec();
   for (PlatformJob& spec : jobs) {
     HPCCSIM_EXPECTS(spec.width >= 1 && spec.height >= 1);
-    const bool fits =
-        (spec.width <= mesh_.width() && spec.height <= mesh_.height()) ||
-        (spec.height <= mesh_.width() && spec.width <= mesh_.height());
+    // A rectangle must fit the empty mesh in one orientation, and a
+    // node-count request needs one factorization that does, or the job
+    // could never start (517 = 11 x 47 nodes never fits a 33 x 16 mesh).
+    bool fits = fits_empty(mesh_, spec.width, spec.height);
+    if (spec.any_shape)
+      for (const auto& [w, h] : candidate_shapes(spec.nodes()))
+        fits = fits || fits_empty(mesh_, w, h);
     HPCCSIM_EXPECTS(fits);
     HPCCSIM_EXPECTS(spec.work > sim::Time::zero());
     HPCCSIM_EXPECTS(spec.ckpt_bytes_per_node > 0);
@@ -69,7 +85,7 @@ void PlatformSimulator::submit(std::vector<PlatformJob> jobs) {
       const sim::Time mtbf =
           sim::Time::sec(cfg_.node_mtbf.as_sec() / st.spec.nodes());
       st.interval =
-          std::max(fault::daly_interval(cost, mtbf), cfg_.min_ckpt_interval);
+          std::max(fault::daly_interval(cost, mtbf), kMinCkptInterval);
     }
     jobs_.push_back(std::move(st));
   }
@@ -77,10 +93,11 @@ void PlatformSimulator::submit(std::vector<PlatformJob> jobs) {
 
 bool PlatformSimulator::try_start(std::size_t idx) {
   JobState& j = jobs_[idx];
-  const auto pid = alloc_.allocate(j.spec.width, j.spec.height);
+  const auto pid = j.spec.any_shape
+                       ? alloc_.allocate_nodes(j.spec.nodes())
+                       : alloc_.allocate(j.spec.width, j.spec.height);
   if (!pid) return false;
   j.pid = *pid;
-  j.started = true;
   j.start = engine_.now();
   res_.wait_minutes.add((j.start - j.spec.submit).as_sec() / 60.0);
   begin_segment(idx);
@@ -200,8 +217,7 @@ void PlatformSimulator::complete(std::size_t idx) {
       (now - j.start).as_sec() * static_cast<double>(j.spec.nodes());
   const double wait_s = (j.start - j.spec.submit).as_sec();
   const double span_s = (now - j.start).as_sec();
-  const double bound =
-      std::max(cfg_.slowdown_bound.as_sec(), j.spec.work.as_sec());
+  const double bound = std::max(kSlowdownBound.as_sec(), j.spec.work.as_sec());
   res_.bounded_slowdown.add((wait_s + span_s) / bound);
   ++res_.jobs;
   schedule_pass();
@@ -286,11 +302,13 @@ void PlatformSimulator::schedule_pass() {
   while (!queue_.empty() && try_start(queue_.front())) queue_.pop_front();
 
   if (!queue_.empty() && cfg_.policy == SchedulePolicy::EasyBackfill) {
-    // EASY semantics as in sched/batch.cpp: reserve for the blocked
-    // head on node counts, backfill later jobs that fit under the
-    // shadow time. Estimates don't include checkpoint overhead, so a
-    // job can run past its estimated finish; an overdue reservation
-    // collapses to "could free any moment now".
+    // EASY: give the blocked head a reservation on node counts, then
+    // let later jobs jump ahead only if they finish (by their own
+    // estimate) before the head's reserved start. The actual start
+    // still requires a free rectangle (the documented approximation
+    // for a mesh-partitioned machine). Estimates don't include
+    // checkpoint overhead, so a job can run past its estimated finish;
+    // an overdue reservation collapses to "could free any moment now".
     const JobState& head = jobs_[queue_.front()];
     std::vector<std::pair<sim::Time, std::int32_t>> running;
     for (const JobState& j : jobs_)
@@ -368,38 +386,33 @@ PlatformResult PlatformSimulator::run() {
 }
 
 void PlatformSimulator::export_counters(obs::Registry& registry) const {
-  sched::export_counters(res_, cfg_.strategy, registry);
-}
-
-void export_counters(const PlatformResult& result, CheckpointStrategy s,
-                     obs::Registry& registry) {
-  const std::string p = std::string("platform.") + strategy_name(s) + ".";
-  registry.counter(p + "jobs").set(result.jobs);
-  registry.counter(p + "backfilled").set(result.backfilled);
-  registry.counter(p + "crashes_hit").set(result.crashes_hit);
-  registry.counter(p + "rollbacks").set(result.rollbacks);
-  registry.counter(p + "ckpts_committed").set(result.ckpts_committed);
-  registry.counter(p + "ckpts_aborted").set(result.ckpts_aborted);
+  const std::string p =
+      std::string("platform.") + strategy_name(cfg_.strategy) + ".";
+  registry.counter(p + "jobs").set(res_.jobs);
+  registry.counter(p + "backfilled").set(res_.backfilled);
+  registry.counter(p + "crashes_hit").set(res_.crashes_hit);
+  registry.counter(p + "rollbacks").set(res_.rollbacks);
+  registry.counter(p + "ckpts_committed").set(res_.ckpts_committed);
+  registry.counter(p + "ckpts_aborted").set(res_.ckpts_aborted);
   registry.counter(p + "makespan.ns")
-      .set(static_cast<std::int64_t>(result.makespan.as_ns()));
+      .set(static_cast<std::int64_t>(res_.makespan.as_ns()));
   registry.counter(p + "io.peak_active")
-      .set(static_cast<std::int64_t>(result.io.peak_active));
+      .set(static_cast<std::int64_t>(res_.io.peak_active));
   registry.counter(p + "io.bytes_completed")
-      .set(static_cast<std::int64_t>(result.io.bytes_completed));
-  registry.set_gauge(p + "utilization", result.utilization);
-  registry.set_gauge(p + "waste", result.waste());
+      .set(static_cast<std::int64_t>(res_.io.bytes_completed));
+  registry.set_gauge(p + "utilization", res_.utilization);
+  registry.set_gauge(p + "waste", res_.waste());
   registry.set_gauge(p + "useful_node_hours",
-                     result.useful_node_seconds / 3600.0);
-  registry.set_gauge(p + "ckpt_node_hours", result.ckpt_node_seconds / 3600.0);
-  registry.set_gauge(p + "lost_node_hours", result.lost_node_seconds / 3600.0);
+                     res_.useful_node_seconds / 3600.0);
+  registry.set_gauge(p + "ckpt_node_hours", res_.ckpt_node_seconds / 3600.0);
+  registry.set_gauge(p + "lost_node_hours", res_.lost_node_seconds / 3600.0);
   registry.set_gauge(p + "restore_node_hours",
-                     result.restore_node_seconds / 3600.0);
-  registry.set_gauge(p + "wait_minutes.mean", result.wait_minutes.mean());
-  registry.set_gauge(p + "bounded_slowdown.mean",
-                     result.bounded_slowdown.mean());
-  registry.set_gauge(p + "bounded_slowdown.max", result.bounded_slowdown.max());
+                     res_.restore_node_seconds / 3600.0);
+  registry.set_gauge(p + "wait_minutes.mean", res_.wait_minutes.mean());
+  registry.set_gauge(p + "bounded_slowdown.mean", res_.bounded_slowdown.mean());
+  registry.set_gauge(p + "bounded_slowdown.max", res_.bounded_slowdown.max());
   registry.set_gauge(p + "ckpt_queue_wait_s.mean",
-                     result.ckpt_queue_wait_s.mean());
+                     res_.ckpt_queue_wait_s.mean());
 }
 
 }  // namespace hpccsim::sched

@@ -1,8 +1,10 @@
-// Shared-platform production scheduling with interfering checkpoints.
+// Space-shared production scheduling with interfering checkpoints.
 //
-// The batch simulator (sched/batch.hpp) answers "when do jobs start";
-// this module answers the question behind ROADMAP item 3: what does a
-// month of production on a teraflop-class machine *cost* when thousands
+// The testbed's one job scheduler: jobs arrive over time, take a
+// rectangle of the mesh FCFS or with EASY backfill, run, and free it.
+// It serves the consortium day (bench/testbed_ops: no failures, no
+// checkpoints) and the month of production (bench/shared_platform):
+// what does a month on a teraflop-class machine *cost* when thousands
 // of space-shared jobs all checkpoint through one parallel file system?
 // Following Herault/Robert et al. ("Optimal Cooperative Checkpointing
 // for Shared HPC Platforms", INRIA RR-9109), concurrent checkpoints
@@ -12,12 +14,13 @@
 // Job lifecycle on the engine (plain callbacks, incarnation-guarded):
 //   queued -> running { computing | waiting-io | writing | restoring }
 //          -> done.
-// Jobs space-share the mesh through the rectangle allocator with FCFS
-// or EASY backfill (sched/batch.hpp semantics). Each job checkpoints
-// every Daly interval of its own footprint/MTBF; node crashes (a pure
-// fault trace from src/fault) roll the victim back to its last
-// committed checkpoint. Checkpoint and restore traffic is costed
-// through io::SharedBandwidth, where the strategies differ:
+// A job asks for a fixed rectangle, or for a node count whose shape
+// PartitionAllocator::allocate_nodes picks at dispatch (the testbed's
+// near-square rule). Each job checkpoints every Daly interval of its
+// own footprint/MTBF; node crashes (a pure fault trace from src/fault)
+// roll the victim back to its last committed checkpoint. Checkpoint
+// and restore traffic is costed through io::SharedBandwidth, where the
+// strategies differ:
 //
 //   Uncoordinated  — the Young/Daly baseline: a due checkpoint starts
 //                    writing immediately; concurrent writes share the
@@ -45,12 +48,19 @@
 #include "core/engine.hpp"
 #include "io/bandwidth.hpp"
 #include "obs/counters.hpp"
-#include "sched/batch.hpp"
 #include "sched/partition.hpp"
 #include "sched/workload.hpp"
 #include "util/stats.hpp"
 
 namespace hpccsim::sched {
+
+enum class SchedulePolicy {
+  FCFS,          ///< strict queue order; head-of-line blocking
+  EasyBackfill,  ///< later jobs may jump ahead if they cannot delay the
+                 ///< reserved start of the queue head
+};
+
+const char* policy_name(SchedulePolicy p);
 
 enum class CheckpointStrategy {
   Uncoordinated,       ///< per-job Young/Daly timers, bandwidth-shared
@@ -65,24 +75,16 @@ struct PlatformConfig {
   CheckpointStrategy strategy = CheckpointStrategy::Uncoordinated;
 
   /// Per-node MTBF driving the platform fault trace and the per-job
-  /// Daly intervals (zero disables failures).
+  /// Daly intervals (zero disables failures and checkpoints).
   sim::Time node_mtbf = sim::Time::sec(50.0 * 86400.0);
   std::uint64_t failure_seed = 1;  ///< common across strategy sweep points
   /// Fault-trace horizon as a multiple of the workload's span (crashes
   /// past the last completion are harmless no-ops).
   double failure_horizon_days = 90.0;
 
-  /// Aggregate CFS bandwidth shared by all checkpoint/restore traffic.
-  /// Default: effective_cfs_bandwidth of the era CfsConfig with one
-  /// disk per mesh row-edge node (set explicitly to override).
-  BytesPerSecond io_bandwidth{0.0};
+  /// CFS disks: all checkpoint/restore traffic shares their aggregate
+  /// effective_cfs_bandwidth (era CfsConfig).
   std::int32_t io_disks = 16;
-
-  /// Per-job checkpoint intervals clamp here (tiny debug jobs would
-  /// otherwise checkpoint absurdly often).
-  sim::Time min_ckpt_interval = sim::Time::sec(120.0);
-  /// Bounded-slowdown threshold (the classic 10-minute bound).
-  sim::Time slowdown_bound = sim::Time::sec(600.0);
 };
 
 /// Where the platform's node-seconds went. useful + checkpoint +
@@ -123,8 +125,8 @@ struct PlatformResult {
   bool balanced(double tol = 0.01) const;
 };
 
-/// One month (or any horizon) of shared-platform operation: construct,
-/// submit the trace, run, read the result.
+/// Space-shared operation over any horizon (a consortium day, a
+/// production month): construct, submit the trace, run, read the result.
 class PlatformSimulator {
  public:
   PlatformSimulator(mesh::Mesh2D mesh, PlatformConfig cfg);
@@ -135,9 +137,8 @@ class PlatformSimulator {
   /// Run to completion of all jobs; returns the accounting.
   PlatformResult run();
 
-  const PlatformConfig& config() const { return cfg_; }
-
-  /// Set the "platform.*" counters in `registry` from a finished run.
+  /// Set the "platform.<strategy>.*" counters in `registry` from a
+  /// finished run.
   void export_counters(obs::Registry& registry) const;
 
  private:
@@ -164,7 +165,6 @@ class PlatformSimulator {
     sim::Time start;               ///< first dispatch
     sim::Time finish;
     io::SharedBandwidth::TransferId transfer = -1;
-    bool started = false;
   };
 
   Bytes ckpt_bytes(const JobState& j) const {
@@ -172,7 +172,7 @@ class PlatformSimulator {
            static_cast<Bytes>(j.spec.nodes());
   }
 
-  // -- scheduling (batch.hpp semantics over the platform job state) --
+  // -- scheduling --
   void schedule_pass();
   bool try_start(std::size_t idx);
   void begin_segment(std::size_t idx);
@@ -195,6 +195,7 @@ class PlatformSimulator {
   mesh::Mesh2D mesh_;
   PlatformConfig cfg_;
   PartitionAllocator alloc_;
+  BytesPerSecond io_bw_;
   io::SharedBandwidth io_;
   std::vector<JobState> jobs_;
   std::deque<std::size_t> queue_;     ///< waiting jobs, FCFS order
@@ -204,10 +205,5 @@ class PlatformSimulator {
 
   PlatformResult res_;
 };
-
-/// Set the "platform.*" counters in `registry` from a finished run
-/// (free-function form for merged sweep registries).
-void export_counters(const PlatformResult& result, CheckpointStrategy s,
-                     obs::Registry& registry);
 
 }  // namespace hpccsim::sched

@@ -123,4 +123,50 @@ std::vector<PlatformJob> platform_workload(const PlatformWorkloadConfig& cfg,
   return jobs;
 }
 
+std::vector<PlatformJob> consortium_workload(std::int32_t total_jobs,
+                                             std::int32_t machine_nodes,
+                                             std::uint64_t seed) {
+  HPCCSIM_EXPECTS(total_jobs > 0 && machine_nodes >= 16);
+  Rng rng(seed);
+  std::vector<PlatformJob> jobs;
+  jobs.reserve(static_cast<std::size_t>(total_jobs));
+  double t_min = 0.0;  // arrivals spread over the day
+  for (std::int32_t i = 0; i < total_jobs; ++i) {
+    t_min += rng.exponential(1.0 / 6.0);  // one submit every ~6 minutes
+    PlatformJob j;
+    j.submit = sim::Time::sec(t_min * 60.0);
+    j.any_shape = true;
+    const double cls = rng.uniform();
+    // Sizes are drawn as rectangles (as Delta users requested them), so
+    // every node count has a shape that fits the empty machine. The
+    // mesh aspect used for shaping is the Delta's (width ~ 2x height).
+    const auto mesh_h =
+        static_cast<std::int32_t>(std::sqrt(machine_nodes / 2.0));
+    const std::int32_t mesh_w = machine_nodes / mesh_h;
+    if (cls < 0.10) {
+      // Hero run: a half-to-full-height slab, hours long.
+      j.name = "hero" + std::to_string(i);
+      j.width = static_cast<std::int32_t>(rng.range(mesh_w / 2, mesh_w));
+      j.height = mesh_h;
+      j.work = sim::Time::sec(rng.uniform(1.0, 3.0) * 3600.0);
+    } else if (cls < 0.50) {
+      // Production sweep: mid-size rectangle.
+      j.name = "prod" + std::to_string(i);
+      j.width = static_cast<std::int32_t>(rng.range(4, 16));
+      j.height = static_cast<std::int32_t>(rng.range(4, std::min(8, mesh_h)));
+      j.work = sim::Time::sec(rng.uniform(20.0, 120.0) * 60.0);
+    } else {
+      // Debug / development job.
+      j.name = "debug" + std::to_string(i);
+      j.width = static_cast<std::int32_t>(rng.range(1, 4));
+      j.height = static_cast<std::int32_t>(rng.range(1, 4));
+      j.work = sim::Time::sec(rng.uniform(1.0, 10.0) * 60.0);
+    }
+    // Users overestimate (classic logs: 2-3x).
+    j.estimate = sim::Time::sec(j.work.as_sec() * rng.uniform(1.0, 3.0));
+    jobs.push_back(std::move(j));
+  }
+  return jobs;
+}
+
 }  // namespace hpccsim::sched

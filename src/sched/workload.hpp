@@ -49,6 +49,10 @@ struct PlatformJob {
   std::string name;  ///< "<class><index>"
   std::int32_t app_class = 0;
   std::int32_t width = 1, height = 1;  ///< requested partition rectangle
+  /// Ask for nodes() nodes in whatever rectangle
+  /// PartitionAllocator::allocate_nodes finds at dispatch (near-square
+  /// first: the testbed's rule) instead of width x height itself.
+  bool any_shape = false;
   sim::Time work;      ///< failure-free compute time
   sim::Time estimate;  ///< user walltime estimate (>= work; backfill input)
   sim::Time submit;
@@ -74,5 +78,14 @@ struct PlatformWorkloadConfig {
 /// every job is schedulable on an empty machine.
 std::vector<PlatformJob> platform_workload(const PlatformWorkloadConfig& cfg,
                                            const mesh::Mesh2D& mesh);
+
+/// A representative consortium day on a `machine_nodes`-node Delta-shaped
+/// mesh: a mix of full-machine hero runs, mid-size production sweeps and
+/// small debug jobs, one submit every ~6 minutes, all drawn from one
+/// Rng(seed) stream. Every job is an any_shape node-count request with
+/// the default checkpoint footprint.
+std::vector<PlatformJob> consortium_workload(std::int32_t total_jobs,
+                                             std::int32_t machine_nodes,
+                                             std::uint64_t seed);
 
 }  // namespace hpccsim::sched

@@ -17,7 +17,7 @@
 #include "nx/collectives.hpp"
 #include "nx/machine_runtime.hpp"
 #include "proc/machine.hpp"
-#include "sched/batch.hpp"
+#include "sched/platform.hpp"
 #include "util/rng.hpp"
 #include "wan/consortium.hpp"
 #include "wan/flows.hpp"
@@ -121,22 +121,26 @@ TEST(Integration, LinpackOrderBeyondMemoryStillSimulates) {
 
 TEST(Integration, SchedulerFeedsSimulatedJobDurations) {
   // Close the loop: measure a modeled LU's duration, then schedule a day
-  // of such jobs — the batch layer consumes what the machine layer
+  // of such jobs — the job scheduler consumes what the machine layer
   // produces.
   nx::NxMachine machine(proc::touchstone_delta().with_nodes(64));
   linalg::LuConfig lu = linalg::lu_config_for(machine, 2000, 64);
   const Time lu_time = linalg::run_distributed_lu(machine, lu).elapsed;
 
-  sched::BatchSimulator sim(mesh::Mesh2D(8, 8),
-                            sched::SchedulePolicy::EasyBackfill);
+  sched::PlatformConfig cfg;
+  cfg.policy = sched::SchedulePolicy::EasyBackfill;
+  cfg.node_mtbf = Time::zero();  // no failures, no checkpoints
+  sched::PlatformSimulator sim(mesh::Mesh2D(8, 8), cfg);
+  std::vector<sched::PlatformJob> jobs(10);
   for (int i = 0; i < 10; ++i) {
-    sched::Job j;
+    sched::PlatformJob& j = jobs[static_cast<std::size_t>(i)];
     j.name = "lu" + std::to_string(i);
-    j.nodes = 64;
-    j.runtime = lu_time;
+    j.width = 64;  // a 64-node request, shaped at dispatch
+    j.any_shape = true;
+    j.work = lu_time;
     j.submit = Time::zero();  // all queued at once
-    sim.submit(std::move(j));
   }
+  sim.submit(std::move(jobs));
   const auto res = sim.run();
   // Full-machine jobs run strictly back to back: makespan is exactly
   // ten LU durations and the machine never idles.

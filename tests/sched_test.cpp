@@ -1,6 +1,7 @@
 // Tests for the space-sharing scheduler: the rectangle allocator's
-// invariants, fragmentation accounting, and the batch simulator's
-// policies (FCFS head-of-line blocking vs EASY backfill).
+// invariants, fragmentation accounting, and the job scheduler's
+// policies on node-count requests (FCFS head-of-line blocking vs EASY
+// backfill).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,9 +9,11 @@
 #include <set>
 #include <utility>
 
-#include "sched/batch.hpp"
 #include "sched/partition.hpp"
+#include "sched/platform.hpp"
+#include "sched/workload.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace hpccsim::sched {
 namespace {
@@ -356,144 +359,180 @@ TEST(Partition, MatchesBruteForceReferenceOnRandomTraffic) {
   }
 }
 
-// -------------------------------------------------------------- batch --
+// ---------------------------------------------------------- scheduler --
+//
+// The one job scheduler (PlatformSimulator) with failures and
+// checkpoints off, on node-count requests: the testbed day of A6.
 
-Job mk_job(const char* name, std::int32_t nodes, double runtime_min,
-           double submit_min, double estimate_min = 0) {
-  Job j;
+PlatformJob mk_job(const char* name, std::int32_t nodes, double runtime_min,
+                   double submit_min, double estimate_min = 0) {
+  PlatformJob j;
   j.name = name;
-  j.nodes = nodes;
-  j.runtime = Time::sec(runtime_min * 60);
+  j.width = nodes;  // nodes x 1, reshaped by allocate_nodes at dispatch
+  j.any_shape = true;
+  j.work = Time::sec(runtime_min * 60);
   j.estimate = Time::sec((estimate_min > 0 ? estimate_min : runtime_min) * 60);
   j.submit = Time::sec(submit_min * 60);
   return j;
 }
 
-TEST(Batch, SingleJobRunsImmediately) {
-  BatchSimulator sim(Mesh2D(8, 8), SchedulePolicy::FCFS);
-  sim.submit(mk_job("a", 16, 30, 0));
-  const BatchResult r = sim.run();
+PlatformResult run_day(Mesh2D mesh, SchedulePolicy policy,
+                       std::vector<PlatformJob> jobs) {
+  PlatformConfig cfg;
+  cfg.policy = policy;
+  cfg.node_mtbf = Time::zero();  // no fault trace, no checkpoints
+  PlatformSimulator sim(mesh, cfg);
+  sim.submit(std::move(jobs));
+  return sim.run();
+}
+
+TEST(Scheduler, SingleJobRunsImmediately) {
+  const PlatformResult r =
+      run_day(Mesh2D(8, 8), SchedulePolicy::FCFS, {mk_job("a", 16, 30, 0)});
   EXPECT_EQ(r.makespan, Time::sec(30 * 60));
   EXPECT_EQ(r.wait_minutes.max(), 0.0);
   EXPECT_NEAR(r.utilization, 16.0 / 64.0, 1e-12);
 }
 
-TEST(Batch, FcfsQueuesWhenFull) {
-  BatchSimulator sim(Mesh2D(4, 4), SchedulePolicy::FCFS);
-  sim.submit(mk_job("big1", 16, 60, 0));
-  sim.submit(mk_job("big2", 16, 60, 1));
-  const BatchResult r = sim.run();
-  const auto& jobs = sim.jobs();
-  EXPECT_EQ(jobs[1].start, jobs[0].finish);
+TEST(Scheduler, FcfsQueuesWhenFull) {
+  // big2 starts the instant big1 frees the machine.
+  const PlatformResult r =
+      run_day(Mesh2D(4, 4), SchedulePolicy::FCFS,
+              {mk_job("big1", 16, 60, 0), mk_job("big2", 16, 60, 1)});
+  EXPECT_EQ(r.wait_minutes.max(), 59.0);
   EXPECT_EQ(r.makespan, Time::sec(120 * 60));
 }
 
-TEST(Batch, FcfsHeadOfLineBlocksSmallJobs) {
-  // big1 fills the machine; big2 waits; tiny submitted after big2 must
-  // ALSO wait under FCFS even though space exists for it after big1.
-  BatchSimulator sim(Mesh2D(4, 4), SchedulePolicy::FCFS);
-  sim.submit(mk_job("big1", 12, 60, 0));
-  sim.submit(mk_job("big2", 16, 60, 1));
-  sim.submit(mk_job("tiny", 1, 5, 2));
-  sim.run();
-  const auto& jobs = sim.jobs();
-  // tiny starts only after big2 started (FCFS order).
-  EXPECT_GE(jobs[2].start, jobs[1].start);
-}
-
-TEST(Batch, EasyBackfillLetsTinyJobsThrough) {
-  BatchSimulator sim(Mesh2D(4, 4), SchedulePolicy::EasyBackfill);
-  sim.submit(mk_job("big1", 12, 60, 0));
-  sim.submit(mk_job("big2", 16, 60, 1));
-  sim.submit(mk_job("tiny", 1, 5, 2));  // fits beside big1, ends well
-                                        // before big1 frees the machine
-  const BatchResult r = sim.run();
-  const auto& jobs = sim.jobs();
-  EXPECT_LT(jobs[2].start, jobs[1].start);  // jumped the queue
-  EXPECT_EQ(r.backfilled, 1);
-}
-
-TEST(Batch, BackfillNeverDelaysReservedHead) {
-  // tiny's estimate exceeds the head's reserved start; it must NOT
-  // backfill.
-  BatchSimulator sim(Mesh2D(4, 4), SchedulePolicy::EasyBackfill);
-  sim.submit(mk_job("big1", 16, 60, 0));
-  sim.submit(mk_job("big2", 16, 60, 1));
-  sim.submit(mk_job("long-tiny", 1, 30, 2, /*estimate=*/120));
-  const BatchResult r = sim.run();
-  const auto& jobs = sim.jobs();
-  EXPECT_GE(jobs[2].start, jobs[1].start);
+TEST(Scheduler, FcfsHeadOfLineBlocksSmallJobs) {
+  // big1 leaves room for tiny, but big2 heads the queue: under FCFS tiny
+  // waits behind it, starting only when big2 has run (120 - 2 min).
+  const PlatformResult r = run_day(
+      Mesh2D(4, 4), SchedulePolicy::FCFS,
+      {mk_job("big1", 12, 60, 0), mk_job("big2", 16, 60, 1),
+       mk_job("tiny", 1, 5, 2)});
+  EXPECT_EQ(r.wait_minutes.max(), 118.0);
   EXPECT_EQ(r.backfilled, 0);
+  EXPECT_EQ(r.makespan, Time::sec(125 * 60));
 }
 
-TEST(Batch, AllJobsCompleteUnderBothPolicies) {
+TEST(Scheduler, EasyBackfillLetsTinyJobsThrough) {
+  // tiny fits beside big1 and ends well before big1 frees the machine.
+  const PlatformResult r = run_day(
+      Mesh2D(4, 4), SchedulePolicy::EasyBackfill,
+      {mk_job("big1", 12, 60, 0), mk_job("big2", 16, 60, 1),
+       mk_job("tiny", 1, 5, 2)});
+  EXPECT_EQ(r.backfilled, 1);
+  EXPECT_EQ(r.wait_minutes.max(), 59.0);  // big2 only; tiny jumped
+  EXPECT_EQ(r.makespan, Time::sec(120 * 60));
+}
+
+TEST(Scheduler, BackfillNeverDelaysReservedHead) {
+  // long-tiny fits beside big1, but its estimate runs past the head's
+  // reserved start (big1's 60-minute estimate): it must NOT backfill.
+  const PlatformResult r = run_day(
+      Mesh2D(4, 4), SchedulePolicy::EasyBackfill,
+      {mk_job("big1", 12, 60, 0), mk_job("big2", 16, 60, 1),
+       mk_job("long-tiny", 1, 30, 2, /*estimate_min=*/120)});
+  EXPECT_EQ(r.backfilled, 0);
+  EXPECT_EQ(r.wait_minutes.max(), 118.0);  // started after big2
+  EXPECT_EQ(r.makespan, Time::sec(150 * 60));
+}
+
+TEST(Scheduler, AllJobsCompleteUnderBothPolicies) {
   for (const auto policy :
        {SchedulePolicy::FCFS, SchedulePolicy::EasyBackfill}) {
-    BatchSimulator sim(Mesh2D(33, 16), policy);
-    for (Job& j : consortium_workload(80, 528, 7)) sim.submit(std::move(j));
-    const BatchResult r = sim.run();
-    for (const Job& j : sim.jobs()) {
-      EXPECT_TRUE(j.done);
-      EXPECT_GE(j.start, j.submit);
-      EXPECT_EQ(j.finish, j.start + j.runtime);
-    }
+    const std::vector<PlatformJob> day = consortium_workload(80, 528, 7);
+    double work_node_seconds = 0.0;
+    for (const PlatformJob& j : day)
+      work_node_seconds += j.work.as_sec() * j.nodes();
+    const PlatformResult r = run_day(Mesh2D(33, 16), policy, day);
+    EXPECT_EQ(r.jobs, 80);
+    EXPECT_EQ(r.wait_minutes.count(), 80u);
+    EXPECT_GE(r.wait_minutes.min(), 0.0);
+    // Each job ran exactly its work once: nothing else was occupied.
+    EXPECT_EQ(r.rollbacks, 0);
+    EXPECT_EQ(r.ckpts_committed, 0);
+    EXPECT_EQ(r.useful_node_seconds, r.busy_node_seconds);
+    EXPECT_NEAR(r.useful_node_seconds, work_node_seconds,
+                1e-9 * work_node_seconds);
     EXPECT_GT(r.utilization, 0.0);
     EXPECT_LE(r.utilization, 1.0);
   }
 }
 
-TEST(Batch, BackfillImprovesWaitAndUtilization) {
-  auto run_policy = [](SchedulePolicy p) {
-    BatchSimulator sim(Mesh2D(33, 16), p);
-    for (Job& j : consortium_workload(120, 528, 11)) sim.submit(std::move(j));
-    return sim.run();
-  };
-  const BatchResult fcfs = run_policy(SchedulePolicy::FCFS);
-  const BatchResult easy = run_policy(SchedulePolicy::EasyBackfill);
+TEST(Scheduler, BackfillImprovesWaitAndUtilization) {
+  const auto day = consortium_workload(120, 528, 11);
+  const PlatformResult fcfs =
+      run_day(Mesh2D(33, 16), SchedulePolicy::FCFS, day);
+  const PlatformResult easy =
+      run_day(Mesh2D(33, 16), SchedulePolicy::EasyBackfill, day);
   EXPECT_GT(easy.backfilled, 0);
   // The classic result: backfill cuts mean wait substantially.
   EXPECT_LT(easy.wait_minutes.mean(), fcfs.wait_minutes.mean());
   EXPECT_GE(easy.utilization, fcfs.utilization * 0.99);
 }
 
-TEST(Batch, WorkloadGeneratorIsDeterministicAndBounded) {
+TEST(Scheduler, WorkloadGeneratorIsDeterministicAndBounded) {
   const auto a = consortium_workload(50, 528, 9);
   const auto b = consortium_workload(50, 528, 9);
   ASSERT_EQ(a.size(), 50u);
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].nodes, b[i].nodes);
-    EXPECT_EQ(a[i].runtime, b[i].runtime);
-    EXPECT_GE(a[i].nodes, 1);
-    EXPECT_LE(a[i].nodes, 528);
-    EXPECT_GE(a[i].estimate, a[i].runtime);
+    EXPECT_EQ(a[i].nodes(), b[i].nodes());
+    EXPECT_EQ(a[i].work, b[i].work);
+    EXPECT_TRUE(a[i].any_shape);
+    EXPECT_GE(a[i].nodes(), 1);
+    EXPECT_LE(a[i].nodes(), 528);
+    EXPECT_GE(a[i].estimate, a[i].work);
   }
 }
 
-TEST(Batch, NodeFailureRequeuesVictimJob) {
-  BatchSimulator sim(Mesh2D(8, 8), SchedulePolicy::FCFS);
-  sim.submit(mk_job("victim", 64, 30, 0));  // fills the whole mesh
-  // Node 0 dies 10 minutes in: the job loses its progress and reruns.
-  sim.inject_failures({{Time::sec(10 * 60), 0}});
-  const BatchResult r = sim.run();
-  EXPECT_EQ(r.requeued, 1);
-  EXPECT_NEAR(r.lost_node_seconds, 64.0 * 600.0, 1e-6);
-  // Restarted immediately at t=10 min, full 30-minute rerun.
-  EXPECT_EQ(r.makespan, Time::sec(40 * 60));
+TEST(Scheduler, RejectsOversizedJob) {
+  PlatformSimulator sim(Mesh2D(4, 4), PlatformConfig{});
+  EXPECT_THROW(sim.submit({mk_job("too-big", 17, 10, 0)}), ContractError);
+  // 17 is prime: no shape of it fits even a 17-node 4 x 5 mesh.
+  PlatformSimulator prime(Mesh2D(4, 5), PlatformConfig{});
+  EXPECT_THROW(prime.submit({mk_job("prime", 17, 10, 0)}), ContractError);
 }
 
-TEST(Batch, FailureOnIdleNodeIsHarmless) {
-  BatchSimulator sim(Mesh2D(8, 8), SchedulePolicy::FCFS);
-  sim.submit(mk_job("a", 4, 30, 0));  // leaves most of the mesh idle
-  sim.inject_failures({{Time::sec(10 * 60), 63}});  // far corner
-  const BatchResult r = sim.run();
-  EXPECT_EQ(r.requeued, 0);
-  EXPECT_EQ(r.lost_node_seconds, 0.0);
-  EXPECT_EQ(r.makespan, Time::sec(30 * 60));
-}
-
-TEST(Batch, RejectsOversizedJob) {
-  BatchSimulator sim(Mesh2D(4, 4), SchedulePolicy::FCFS);
-  EXPECT_THROW(sim.submit(mk_job("too-big", 17, 10, 0)), ContractError);
+TEST(Scheduler, ConsortiumDayMatchesBatchPin) {
+  // The consortium day as the retired batch simulator scheduled it (node
+  // counts shaped by allocate_nodes at dispatch): makespan, backfills,
+  // the worst wait and the fragmentation samples, exactly. A scheduler
+  // that fixes each job's shape at submit instead moves every row.
+  struct Pin {
+    SchedulePolicy policy;
+    std::uint64_t seed;
+    std::uint64_t makespan_ps;
+    std::int64_t backfilled;
+    double wait_max_min;
+    double frag_mean;
+  };
+  const Pin pins[] = {
+      {SchedulePolicy::FCFS, 3, 197165052020653248u, 0, 2209.9034983049346,
+       0.25831473568736668},
+      {SchedulePolicy::FCFS, 17, 164501557209637549u, 0, 1763.5801687958854,
+       0.34983312249469345},
+      {SchedulePolicy::FCFS, 29, 128264783181885105u, 0, 1126.3677446346628,
+       0.36095285931445337},
+      {SchedulePolicy::EasyBackfill, 3, 176051436453844620u, 116,
+       1858.0099055247911, 0.32437135808575057},
+      {SchedulePolicy::EasyBackfill, 17, 153240514849619993u, 107,
+       1575.8961294622595, 0.3751548460384494},
+      {SchedulePolicy::EasyBackfill, 29, 126180710467206132u, 108,
+       1079.5005022707808, 0.33407455313891837},
+  };
+  for (const Pin& p : pins) {
+    SCOPED_TRACE(testing::Message()
+                 << policy_name(p.policy) << " seed " << p.seed);
+    const PlatformResult r = run_day(Mesh2D(33, 16), p.policy,
+                                     consortium_workload(150, 528, p.seed));
+    EXPECT_EQ(r.makespan.picoseconds(), p.makespan_ps);
+    EXPECT_EQ(r.backfilled, p.backfilled);
+    EXPECT_EQ(r.wait_minutes.count(), 150u);
+    EXPECT_EQ(r.wait_minutes.max(), p.wait_max_min);
+    EXPECT_EQ(r.frag_samples.count(), 300u);
+    EXPECT_EQ(r.frag_samples.mean(), p.frag_mean);
+  }
 }
 
 }  // namespace
