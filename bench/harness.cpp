@@ -24,6 +24,14 @@ int run_cli(ArgParser& args, int argc, const char* const* argv,
   }
 }
 
+std::int32_t positive_int32(const ArgParser& args, const std::string& name) {
+  const std::int64_t v = args.integer(name);
+  if (v < 1 || v > std::numeric_limits<std::int32_t>::max())
+    throw std::invalid_argument("--" + name + " must be in [1, 2^31), got " +
+                                args.str(name));
+  return static_cast<std::int32_t>(v);
+}
+
 Harness::Harness(const std::string& name, const std::string& description)
     : args(name, description), metrics(name) {
   args.add_json_option();

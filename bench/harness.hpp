@@ -15,6 +15,7 @@
 //   }
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -31,6 +32,11 @@ namespace hpccsim::bench {
 /// its message and returns 2. Otherwise returns `body`'s exit code.
 int run_cli(ArgParser& args, int argc, const char* const* argv,
             const std::function<int()>& body);
+
+/// Integer option `name` as a count in [1, 2^31). Out of range throws
+/// std::invalid_argument naming the option, so a bad count exits 2
+/// instead of reaching a model precondition.
+std::int32_t positive_int32(const ArgParser& args, const std::string& name);
 
 /// One --threads entry of a thread sweep, as the sweep body reports it.
 struct SweepRun {

@@ -14,7 +14,6 @@
 // parallel_for's static partition; registries merge in strategy order,
 // so stdout and --json are byte-identical at any --jobs value.
 #include <cstdio>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -35,38 +34,30 @@ struct StrategyRun {
 };
 
 int exhibit(const ArgParser& args, bench::Harness& h) {
-  const mesh::Mesh2D mesh(static_cast<std::int32_t>(args.integer("width")),
-                          static_cast<std::int32_t>(args.integer("height")));
-
-  // platform_workload() requires a positive job count and span; name
-  // the option at fault instead of its precondition.
-  const std::int64_t njobs = args.integer("njobs");
-  if (njobs <= 0 || njobs > std::numeric_limits<std::int32_t>::max())
-    throw std::invalid_argument("--njobs must be in [1, 2^31), got " +
-                                args.str("njobs"));
+  // The mesh, platform_workload() and the CFS require positive sizes,
+  // a positive span and an MTBF with a picosecond count; name the option
+  // at fault instead of their preconditions.
+  const std::int32_t width = bench::positive_int32(args, "width");
+  const std::int32_t height = bench::positive_int32(args, "height");
+  const mesh::Mesh2D mesh(width, height);
   PlatformWorkloadConfig wc;
   wc.seed = static_cast<std::uint64_t>(args.integer("seed"));
-  wc.jobs = static_cast<std::int32_t>(njobs);
+  wc.jobs = bench::positive_int32(args, "njobs");
   wc.days = args.real("days");
   if (!(wc.days > 0.0))
     throw std::invalid_argument("--days must be > 0, got " +
                                 args.str("days"));
   const std::vector<PlatformJob> trace = platform_workload(wc, mesh);
 
-  // Likewise an MTBF outside [0, 2^64 ps ~ 213.5 days) has no
-  // picosecond count, and the CFS needs a disk.
+  // 2^64 ps is ~213.5 days.
   const double mtbf_days = args.real("node-mtbf-days");
   if (!(mtbf_days >= 0.0 && mtbf_days < 213.0))
     throw std::invalid_argument("--node-mtbf-days must be in [0, 213), got " +
                                 args.str("node-mtbf-days"));
-  const std::int64_t disks = args.integer("io-disks");
-  if (disks <= 0 || disks > std::numeric_limits<std::int32_t>::max())
-    throw std::invalid_argument("--io-disks must be in [1, 2^31), got " +
-                                args.str("io-disks"));
   PlatformConfig base;
   base.node_mtbf = sim::Time::sec(mtbf_days * 86400.0);
   base.failure_seed = static_cast<std::uint64_t>(args.integer("failure-seed"));
-  base.io_disks = static_cast<std::int32_t>(disks);
+  base.io_disks = bench::positive_int32(args, "io-disks");
 
   obs::BenchMetrics& bm = h.metrics;
   bm.config("width", args.integer("width"));

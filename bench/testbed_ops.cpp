@@ -10,8 +10,6 @@
 // (sched::PlatformSimulator) with failures and checkpoints off: each job
 // asks for a node count and the allocator shapes it at dispatch.
 #include <cstdio>
-#include <limits>
-#include <stdexcept>
 
 #include "harness.hpp"
 #include "sched/platform.hpp"
@@ -22,13 +20,8 @@ using namespace hpccsim::sched;
 
 int exhibit(const ArgParser& args, bench::Harness& h) {
   const mesh::Mesh2D delta(33, 16);
-  // consortium_workload() requires a positive job count; name the
-  // option at fault instead of its precondition.
-  const std::int64_t jobs = args.integer("jobs");
-  if (jobs <= 0 || jobs > std::numeric_limits<std::int32_t>::max())
-    throw std::invalid_argument("--jobs must be in [1, 2^31), got " +
-                                args.str("jobs"));
-  const auto njobs = static_cast<std::int32_t>(jobs);
+  // consortium_workload() requires a positive job count.
+  const std::int32_t njobs = bench::positive_int32(args, "jobs");
   std::printf("== A6: %d-job consortium day on the %s ==\n", njobs,
               delta.describe().c_str());
 

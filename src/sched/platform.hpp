@@ -78,8 +78,8 @@ struct PlatformConfig {
   /// Daly intervals (zero disables failures and checkpoints).
   sim::Time node_mtbf = sim::Time::sec(50.0 * 86400.0);
   std::uint64_t failure_seed = 1;  ///< common across strategy sweep points
-  /// Fault-trace horizon as a multiple of the workload's span (crashes
-  /// past the last completion are harmless no-ops).
+  /// Fault-trace horizon in days (crashes past the last completion are
+  /// harmless no-ops).
   double failure_horizon_days = 90.0;
 
   /// CFS disks: all checkpoint/restore traffic shares their aggregate
