@@ -56,8 +56,8 @@ void apply_calibration(hpccsim::proc::NodeModel& node,
 
 // The curated comparison set for the --skeleton self-check: every
 // deterministic whole-run counter the replay must reproduce exactly.
-// (nx.payload.pool.* and lu.skeleton.* intentionally differ between a
-// derived and a replayed machine — docs/MODEL.md §13.)
+// (lu.skeleton.* intentionally differs between a derived and a replayed
+// machine — docs/MODEL.md §13.)
 constexpr const char* kReplayCheckedCounters[] = {
     "core.engine.events",  "core.engine.calls_scheduled",
     "nx.sends",            "nx.recvs",

@@ -319,9 +319,9 @@ void BM_flit_step_parallel(benchmark::State& state) {
 BENCHMARK(BM_flit_step_parallel);
 
 void BM_modeled_send_recv(benchmark::State& state) {
-  // The modeled-mode hot path end to end: csend/crecv ping-pong with a
-  // size-only pooled payload. After warmup this must run at zero heap
-  // allocations per message (allocs_per_msg counter).
+  // The modeled-mode hot path end to end: csend/crecv ping-pong with
+  // null payloads. After warmup this must run at zero heap allocations
+  // per message (allocs_per_msg counter).
   nx::NxMachine m(proc::touchstone_delta().with_nodes(2));
   constexpr int kRoundtrips = 512;
   std::uint64_t messages = 0;
@@ -332,15 +332,13 @@ void BM_modeled_send_recv(benchmark::State& state) {
       const int peer = 1 - ctx.rank();
       for (int i = 0; i < kRoundtrips; ++i) {
         if (ctx.rank() == 0) {
-          nx::Payload p = nx::Payload::sized(64);
-          co_await ctx.send(peer, 7, 512, std::move(p));
+          co_await ctx.send(peer, 7, 512);
           nx::Message back = co_await ctx.recv(peer, 8);
           (void)back;
         } else {
           nx::Message got = co_await ctx.recv(peer, 7);
           (void)got;
-          nx::Payload p = nx::Payload::sized(64);
-          co_await ctx.send(peer, 8, 512, std::move(p));
+          co_await ctx.send(peer, 8, 512);
         }
       }
     });

@@ -33,8 +33,7 @@ namespace {
 // Thread-invariant whole-run counters the sweep must reproduce exactly
 // at every thread count. Partition-dependent counters
 // (core.engine.peak_queue_depth, core.engine.call_slot_high_water,
-// engine.shard.*, nx.payload.pool.*) are intentionally absent —
-// docs/MODEL.md §15.
+// engine.shard.*) are intentionally absent — docs/MODEL.md §15.
 constexpr const char* kInvariantCounters[] = {
     "core.engine.events",  "core.engine.calls_scheduled",
     "nx.sends",            "nx.recvs",

@@ -290,21 +290,15 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
     }
 
     // ---- 2. pivot sequence along process rows ----
+    // Modeled mode sends no payload: receivers recompute the
+    // deterministic stand-in pivots locally.
     Payload pivpay;
-    if (pcol == pc) {
-      if (st.numeric) {
-        std::vector<double> pv;
-        pv.reserve(piv_this_panel.size());
-        for (const std::int64_t p : piv_this_panel)
-          pv.push_back(static_cast<double>(p));
-        pivpay = nx::make_payload(std::move(pv));
-      } else {
-        // Modeled mode: receivers recompute the deterministic stand-in
-        // pivots locally, so the bcast only needs the shape — a pooled
-        // size-only payload, the modeled hot path's one payload per
-        // panel (was the last per-iteration heap allocation).
-        pivpay = Payload::sized(static_cast<std::size_t>(jb));
-      }
+    if (pcol == pc && st.numeric) {
+      std::vector<double> pv;
+      pv.reserve(piv_this_panel.size());
+      for (const std::int64_t p : piv_this_panel)
+        pv.push_back(static_cast<double>(p));
+      pivpay = nx::make_payload(std::move(pv));
     }
     Message pivmsg = co_await nx::bcast(
         ctx, rowg, cfg.grid.rank_of(prow, pc),
@@ -675,15 +669,10 @@ Task<> replay_rank(NxContext& ctx, const std::vector<nx::SkelOp>& ops,
   std::size_t depth = 0;
   for (const nx::SkelOp& op : ops) {
     switch (op.kind) {
-      case nx::SkelOp::Send: {
-        // Hoisted named local (GCC 12 ?:-in-co_await rule).
-        Payload p;
-        if (op.aux & 1)
-          p = Payload::sized(static_cast<std::size_t>(op.c / 8));
+      case nx::SkelOp::Send:
         co_await ctx.send(static_cast<int>(op.a), static_cast<int>(op.b),
-                          op.c, std::move(p));
+                          op.c);
         break;
-      }
       case nx::SkelOp::Recv: {
         Message m =
             co_await ctx.recv(static_cast<int>(op.b) - 1,

@@ -20,9 +20,9 @@
 //   Numeric — local data is real; every kernel executes; the result is
 //     verified against a reference factorization (small n).
 //   Modeled — no data moves; the *identical* message schedule runs with
-//     shape-only payloads and compute time charged from the node kernel
-//     model. This is how order-25,000 runs execute in seconds of host
-//     time while preserving the performance-relevant structure.
+//     null payloads and compute time charged from the node kernel model.
+//     This is how order-25,000 runs execute in seconds of host time while
+//     preserving the performance-relevant structure.
 #pragma once
 
 #include <cstdint>
@@ -99,8 +99,8 @@ std::shared_ptr<const LuSkeleton> derive_lu_skeleton(nx::NxMachine& machine,
 /// Re-issue a recorded schedule on `machine`. With the same machine
 /// config this reproduces the derived run's engine event stream
 /// byte-for-byte (same counters, histograms and timings; only the
-/// machine's lu.skeleton.* counters and payload-pool acquire counts
-/// differ — see docs/MODEL.md §13). With a different NodeModel it
+/// machine's lu.skeleton.* counters differ — see docs/MODEL.md §13).
+/// With a different NodeModel it
 /// yields that model's timings for the same schedule.
 LuResult replay_lu_skeleton(nx::NxMachine& machine, const LuConfig& cfg,
                             const LuSkeleton& skel);

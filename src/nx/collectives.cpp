@@ -105,15 +105,7 @@ Group Group::world(const NxContext& ctx) {
 }
 
 Payload combine(ReduceOp op, const Payload& a, const Payload& b) {
-  if (!a || !b) {
-    // Modeled mode: shapes only, no arithmetic. Keep a size-only
-    // contribution alive (refcount copy, no allocation) so the reduce
-    // result still reports elements(); still null when neither side
-    // carries a shape.
-    if (a.is_sized()) return a;
-    if (b.is_sized()) return b;
-    return {};
-  }
+  if (!a || !b) return {};  // modeled mode: sizes only, no arithmetic
   HPCCSIM_EXPECTS(a->size() == b->size());
   std::vector<double> out(a->size());
   switch (op) {

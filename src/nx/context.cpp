@@ -31,15 +31,12 @@ obs::Histogram& NxContext::collective_histogram(CollectiveKind k) {
   return *slot;
 }
 
-void NxContext::record_send(int dst, int tag, Bytes bytes,
-                            const Payload& payload) {
+void NxContext::record_send(int dst, int tag, Bytes bytes) {
   if (dst > 0xffff || tag < 0) {
     recorder_->invalidate();
     return;
   }
-  const std::uint8_t aux =
-      (payload.has_values() || payload.is_sized()) ? 1 : 0;
-  recorder_->ops.push_back(SkelOp{SkelOp::Send, aux,
+  recorder_->ops.push_back(SkelOp{SkelOp::Send, 0,
                                   static_cast<std::uint16_t>(dst),
                                   static_cast<std::uint32_t>(tag), bytes});
 }
@@ -112,7 +109,7 @@ void NxContext::launch_message(int dst, int tag, Bytes bytes,
 sim::Task<> NxContext::send(int dst, int tag, Bytes bytes, Payload payload) {
   HPCCSIM_EXPECTS(dst >= 0 && dst < nodes());
   HPCCSIM_EXPECTS(tag >= 0);
-  if (recorder_) record_send(dst, tag, bytes, payload);
+  if (recorder_) record_send(dst, tag, bytes);
   auto& eng = *engine_;
   const sim::Time start = eng.now();
   // A sharded run captures the send here, one send_overhead before it

@@ -184,7 +184,7 @@ class NxContext {
                       sim::Time depart);
 
   // Cold-path recording helpers (context.cpp).
-  void record_send(int dst, int tag, Bytes bytes, const Payload& payload);
+  void record_send(int dst, int tag, Bytes bytes);
   void record_recv(int src, int tag);
   void record_compute(proc::Kernel k, std::int64_t m, std::int64_t n,
                       std::int64_t p);

@@ -23,9 +23,6 @@ NxMachine::NxMachine(proc::MachineConfig config, NetKind net)
   contexts_.reserve(static_cast<std::size_t>(config_.node_count()));
   for (int r = 0; r < config_.node_count(); ++r)
     contexts_.push_back(std::make_unique<NxContext>(*this, r));
-  const detail::PayloadPoolStats& ps = detail::payload_pool_stats();
-  payload_base_values_ = ps.acquires;
-  payload_base_sized_ = ps.sized_acquires;
 }
 
 obs::Histogram& NxMachine::collective_histogram(CollectiveKind k) {
@@ -80,8 +77,6 @@ sim::Time NxMachine::run_parallel(const Program* spmd,
   par_.intents += t.intents;
   par_.handoffs += t.handoffs;
   par_.window_skips += t.window_skips;
-  par_.pool_values += t.pool_values;
-  par_.pool_sized += t.pool_sized;
   par_.runs += t.runs;
   par_.bands = t.bands;
   return engine_.now() - start;
@@ -142,14 +137,6 @@ obs::Registry& NxMachine::snapshot_counters() {
   set("nx.send_wait.ns", static_cast<std::uint64_t>(total.send_wait.as_ns()));
   set("nx.recv_wait.ns", static_cast<std::uint64_t>(total.recv_wait.as_ns()));
   set("nx.messages_dropped", messages_dropped_);
-  // Pool stats are thread-local: the machine-thread delta covers
-  // sequential runs plus band 0 (which runs on this thread); worker-band
-  // acquires are gathered per run by the parallel engine.
-  const detail::PayloadPoolStats& ps = detail::payload_pool_stats();
-  set("nx.payload.pool.values",
-      ps.acquires - payload_base_values_ + par_.pool_values);
-  set("nx.payload.pool.sized",
-      ps.sized_acquires - payload_base_sized_ + par_.pool_sized);
   set("proc.nodes", static_cast<std::uint64_t>(config_.node_count()));
   set("proc.nodes_down",
       static_cast<std::uint64_t>(node_state_.node_count() -

@@ -3,9 +3,9 @@
 //
 // Thread architecture: the bands run on the process-wide WorkerPool
 // (core/barrier.hpp) the flit network's sharded scheduler shares. Band
-// 0 always runs on the coordinating thread, so band 0's payload/frame
-// pools are the machine thread's own, and band i runs on worker i-1 for
-// the whole run. A run is three command kinds:
+// 0 always runs on the coordinating thread, so band 0's frame arena is
+// the machine thread's own, and band i runs on worker i-1 for the whole
+// run. A run is three command kinds:
 //
 //   Start   create each band's Engine, rebind the band's contexts to
 //           it, spawn the band's node programs;
@@ -54,19 +54,12 @@ struct alignas(64) Band {
   obs::Registry coll_registry;        ///< band-private collective hists
   std::int64_t next_ps = sim::Engine::kNoPendingEvent;
   std::exception_ptr error;
-  // Worker-thread payload-pool baselines/deltas (stats are
-  // thread-local; band 0's delta is part of the machine thread's own).
-  std::uint64_t pool_base_values = 0;
-  std::uint64_t pool_base_sized = 0;
-  std::uint64_t pool_values = 0;
-  std::uint64_t pool_sized = 0;
 };
 
 /// The command the coordinator dispatches to every band.
 struct Job {
   enum Cmd { Start, Window, Finish };
   Cmd cmd = Start;
-  std::uint64_t command = 0;       ///< dispatches so far in this run
   std::int64_t start_ps = 0;       ///< machine clock at run start
   std::int64_t window_end_ps = 0;  ///< exclusive edge for Window
   NxMachine* machine = nullptr;
@@ -78,15 +71,9 @@ struct Job {
 /// throws: a failure parks the band (sentinel next_ps) and records the
 /// exception for the coordinator to rethrow in band order.
 void run_band_command(const Job& job, Band& b) {
-  // Payloads other bands returned during the previous command come
-  // home here, never mid-command (see nx/payload.cpp).
-  detail::payload_command_boundary(job.command);
   try {
     switch (job.cmd) {
       case Job::Start: {
-        const detail::PayloadPoolStats& ps = detail::payload_pool_stats();
-        b.pool_base_values = ps.acquires;
-        b.pool_base_sized = ps.sized_acquires;
         b.engine = std::make_unique<sim::Engine>();
         b.engine->run_until(sim::Time::ps(job.start_ps));
         for (int r = b.first; r <= b.last; ++r) {
@@ -119,9 +106,6 @@ void run_band_command(const Job& job, Band& b) {
         // Destroy the band engine here, on the thread whose FrameArena
         // allocated its coroutine frames.
         b.engine.reset();
-        const detail::PayloadPoolStats& ps = detail::payload_pool_stats();
-        b.pool_values = ps.acquires - b.pool_base_values;
-        b.pool_sized = ps.sized_acquires - b.pool_base_sized;
         break;
       }
     }
@@ -175,7 +159,6 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
   job.per_node = per_node;
   const auto dispatch = [&](Job::Cmd cmd) {
     job.cmd = cmd;
-    ++job.command;
     pool.dispatch(band_count, [&](int i) {
       run_band_command(job, bands[static_cast<std::size_t>(i)]);
     });
@@ -303,13 +286,6 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
   }
 
   dispatch(Job::Finish);
-  // Workers are parked: band 0's thread takes back what they returned
-  // during Finish before it goes on with sequential work.
-  detail::payload_command_boundary(job.command + 1);
-  for (std::size_t i = 1; i < bands.size(); ++i) {
-    totals.pool_values += bands[i].pool_values;
-    totals.pool_sized += bands[i].pool_sized;
-  }
 
   if (band_error) std::rethrow_exception(band_error);
   if (coord_error) std::rethrow_exception(coord_error);

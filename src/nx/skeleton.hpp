@@ -36,7 +36,7 @@ const char* collective_name(CollectiveKind k);
 /// schedule (~14M ops) stays around 220 MB while cached.
 struct SkelOp {
   enum Kind : std::uint8_t {
-    Send,       ///< aux bit0: carries a (sized) payload; a=dst, b=tag, c=bytes
+    Send,       ///< a=dst, b=tag, c=bytes
     Recv,       ///< b=src+1 (0 encodes kAnySource), c=tag
     Compute,    ///< aux=proc::Kernel, b=p, c=(m<<32)|n
     Busy,       ///< c=picoseconds

@@ -41,5 +41,6 @@ expect(flit_throughput 2 "--shape" --shape 12)
 expect(shared_platform 2 "--io-disks" --io-disks 0)
 expect(shared_platform 2 "--node-mtbf-days" --node-mtbf-days -1)
 expect(testbed_ops 2 "--jobs" --jobs 0)
+expect(testbed_ops 2 "--seeds" --seeds ,)
 expect(shared_platform 2 "--node-mtbf-days" --node-mtbf-days 300)
 expect(shared_platform 2 "--width" --width 0)

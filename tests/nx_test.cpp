@@ -417,8 +417,9 @@ TEST(CollectiveOps, CombineHelpers) {
   EXPECT_EQ(combine(ReduceOp::Sum, a, b)->at(0), 4.0);
   EXPECT_EQ(combine(ReduceOp::Max, a, b)->at(1), 5.0);
   EXPECT_EQ(combine(ReduceOp::Min, a, b)->at(0), 1.0);
-  // Modeled mode: null payloads propagate.
+  // Modeled mode: a null contribution on either side gives null.
   EXPECT_EQ(combine(ReduceOp::Sum, {}, b), nullptr);
+  EXPECT_EQ(combine(ReduceOp::MaxAbsLoc, a, {}), nullptr);
   // MaxAbsLoc tie -> smaller index.
   const Payload t1 = payload_of(-2.0, 3.0);
   const Payload t2 = payload_of(2.0, 7.0);
@@ -771,62 +772,40 @@ TEST(AllgatherTiming, RingCostScalesWithGroupSize) {
 namespace hpccsim::nx {
 namespace {
 
-TEST(Payload, ThreeStatesAndSharedPtrCompatibility) {
+TEST(Payload, NullOrSharedValues) {
   Payload none;
   EXPECT_FALSE(none);
   EXPECT_TRUE(none == nullptr);
-  EXPECT_EQ(none.elements(), 0u);
-  EXPECT_FALSE(none.is_sized());
-
-  Payload sized = Payload::sized(17);
-  EXPECT_FALSE(sized);  // sized payloads take the modeled-mode branch
-  EXPECT_TRUE(sized == nullptr);
-  EXPECT_TRUE(sized.is_sized());
-  EXPECT_EQ(sized.elements(), 17u);
 
   Payload vals = make_payload({1.0, 2.0, 3.0});
   EXPECT_TRUE(vals);
   EXPECT_FALSE(vals == nullptr);
-  EXPECT_TRUE(vals.has_values());
-  EXPECT_EQ(vals.elements(), 3u);
+  EXPECT_EQ(vals->size(), 3u);
   EXPECT_EQ(vals->at(1), 2.0);
 
-  // Copies share the record (broadcast fan-out without duplication).
+  // Copies share one record (broadcast fan-out without duplication),
+  // and the record lives until its last holder lets go.
+  const std::vector<double>* rec = &*vals;
   Payload copy = vals;
-  EXPECT_EQ(&*copy, &*vals);
+  EXPECT_EQ(&*copy, rec);
   Payload moved = std::move(copy);
-  EXPECT_EQ(&*moved, &*vals);
+  EXPECT_EQ(&*moved, rec);
+  Payload assigned = payload_of(9.0);
+  assigned = moved;
+  EXPECT_EQ(&*assigned, rec);
+  vals = nullptr;
+  moved = nullptr;
+  EXPECT_FALSE(vals);
+  EXPECT_FALSE(moved);
+  EXPECT_EQ(assigned->at(2), 3.0);
 }
 
 TEST(Payload, MessageValuesFallsBackToSharedEmpty) {
-  Message shaped{0, 0, 128, Payload::sized(16)};
-  EXPECT_TRUE(shaped.values().empty());
-  EXPECT_EQ(&shaped.values(), &kNoPayloadValues);
+  Message modeled{0, 0, 128, {}};
+  EXPECT_TRUE(modeled.values().empty());
+  EXPECT_EQ(&modeled.values(), &kNoPayloadValues);
   Message real{0, 0, 16, make_payload({4.0, 5.0})};
   EXPECT_EQ(real.values().size(), 2u);
-}
-
-TEST(Payload, PoolRecyclesRecords) {
-  const auto& stats = detail::payload_pool_stats();
-  // Warm one record into the free list.
-  { Payload p = Payload::sized(8); }
-  const std::uint64_t heap_before = stats.heap_allocs;
-  const std::uint64_t sized_before = stats.sized_acquires;
-  for (int i = 0; i < 100; ++i) {
-    Payload p = Payload::sized(static_cast<std::size_t>(i));
-    EXPECT_EQ(p.elements(), static_cast<std::size_t>(i));
-  }
-  EXPECT_EQ(stats.heap_allocs, heap_before);  // free-list hits only
-  EXPECT_EQ(stats.sized_acquires, sized_before + 100);
-}
-
-TEST(CollectiveOps, CombinePropagatesModeledShape) {
-  // Size-only contributions keep their shape through a modeled reduce.
-  const Payload shaped = Payload::sized(6);
-  const Payload other;
-  EXPECT_TRUE(combine(ReduceOp::Sum, shaped, other).is_sized());
-  EXPECT_EQ(combine(ReduceOp::Sum, other, shaped).elements(), 6u);
-  EXPECT_FALSE(combine(ReduceOp::Sum, other, other).is_sized());
 }
 
 TEST(Mailbox, RecvOrAbortResolvesWhenTriggerAlreadyFired) {
@@ -850,10 +829,10 @@ TEST(Mailbox, RecvOrAbortResolvesWhenTriggerAlreadyFired) {
 
 // ---------------------------------------------- allocation accounting --
 //
-// The modeled-mode hot path (send/recv/collectives with size-only
-// payloads) must be allocation-free in steady state: pooled payload
-// records, SlotList mailboxes, inline delivery callbacks and recycled
-// coroutine frames. Verified with a counting global operator new.
+// The modeled-mode hot path (send/recv/collectives with null payloads)
+// must be allocation-free in steady state: SlotList mailboxes, inline
+// delivery callbacks and recycled coroutine frames. Verified with a
+// counting global operator new.
 
 #include <array>
 #include <atomic>
@@ -888,8 +867,8 @@ TEST(NxAllocation, ModeledLuIterationCommIsAllocationFree) {
   // pivot/L/U broadcasts, a pairwise row swap and the trailing-update
   // compute — repeated with a barrier between iterations. Rank 0
   // samples the global allocation counter at each barrier: the first
-  // iterations warm frame-arena size classes, mailbox slots, histogram
-  // rows and the payload free list; the tail must be exactly flat.
+  // iterations warm frame-arena size classes, mailbox slots and
+  // histogram rows; the tail must be exactly flat.
   NxMachine m(proc::touchstone_delta().with_nodes(6));  // 2x3 mesh
   constexpr int kIters = 6;
   std::array<std::uint64_t, kIters> samples{};
@@ -910,7 +889,6 @@ TEST(NxAllocation, ModeledLuIterationCommIsAllocationFree) {
                                        doubles_bytes(2), cand);
       (void)red;
       Payload piv;
-      if (pcol == 0) piv = Payload::sized(16);
       Message pm =
           co_await bcast(ctx, rowg, prow * 3, doubles_bytes(16), piv);
       (void)pm;
@@ -921,8 +899,7 @@ TEST(NxAllocation, ModeledLuIterationCommIsAllocationFree) {
       Message um = co_await bcast(ctx, colg, pcol, 2048, ublock);
       (void)um;
       const int partner = prow == 0 ? ctx.rank() + 3 : ctx.rank() - 3;
-      Payload rowseg = Payload::sized(64);
-      co_await ctx.send(partner, 50, 512, rowseg);
+      co_await ctx.send(partner, 50, 512);
       Message got = co_await ctx.recv(partner, 50);
       (void)got;
       co_await ctx.compute(proc::Kernel::Gemm, 64, 64, 16);
@@ -997,10 +974,12 @@ Task<> traffic_program(NxContext& ctx, std::vector<double>& out) {
     const int from = (r + n - stride) % n;
     Request rx = ctx.irecv(from, 100 + k);
     co_await ctx.busy(Time::ns(1 + next() % 50000));
-    co_await ctx.send(to, 100 + k, 64 + next() % 8192,
-                      Payload::sized(next() % 32));
+    const Bytes bytes = 64 + next() % 8192;
+    Payload pay = make_payload(std::vector<double>(next() % 32, r));
+    co_await ctx.send(to, 100 + k, bytes, std::move(pay));
     Message got = co_await rx.wait();
-    acc += static_cast<double>(got.bytes) + static_cast<double>(got.payload.elements());
+    acc += static_cast<double>(got.bytes) +
+           static_cast<double>(got.values().size());
     if (k % 3 == 0) {
       Message s = co_await allreduce(ctx, Group::world(ctx), ReduceOp::Sum,
                                      8, payload_of(acc));
@@ -1021,7 +1000,6 @@ std::vector<std::int64_t> invariant_counters(NxMachine& m) {
       "nx.bytes_sent",          "nx.flops_charged",
       "nx.compute.ns",          "nx.send_wait.ns",
       "nx.recv_wait.ns",        "nx.messages_dropped",
-      "nx.payload.pool.values", "nx.payload.pool.sized",
       "mesh.messages",          "mesh.reroutes",
       "mesh.stalls",            "proc.nodes",
   };
@@ -1046,7 +1024,8 @@ Task<> isend_program(NxContext& ctx, std::vector<double>& out) {
       rx.push_back(ctx.irecv((r + n - j * (k + 2)) % n, tag + j));
     for (int j = 1; j <= 3; ++j)
       tx.push_back(ctx.isend((r + j * (k + 2)) % n, tag + j,
-                             256 * j + 8 * (r % 13), Payload::sized(j)));
+                             256 * j + 8 * (r % 13),
+                             make_payload(std::vector<double>(j, r))));
     co_await ctx.busy(Time::ns(500 * (1 + r % 7)));
     co_await ctx.send((r + 5) % n, tag, 64);
     acc += static_cast<double>((co_await ctx.recv((r + n - 5) % n, tag)).bytes);
@@ -1054,7 +1033,7 @@ Task<> isend_program(NxContext& ctx, std::vector<double>& out) {
     for (Request& q : rx) {
       Message got = co_await q.wait();
       acc += static_cast<double>(got.bytes) +
-             static_cast<double>(got.payload.elements());
+             static_cast<double>(got.values().size());
     }
   }
   co_await barrier(ctx, Group::world(ctx));
@@ -1168,8 +1147,10 @@ TEST(ParallelEngine, CollectiveHistogramsMatchSequential) {
                                        ReduceOp::Sum, 8,
                                        payload_of(double(ctx.rank())));
         (void)s;
-        Message b = co_await bcast(ctx, Group::world(ctx), it, 1024,
-                                   Payload::sized(128));
+        Payload pay;
+        if (ctx.rank() == it)
+          pay = make_payload(std::vector<double>(128, double(it)));
+        Message b = co_await bcast(ctx, Group::world(ctx), it, 1024, pay);
         (void)b;
       }
     });
@@ -1300,10 +1281,10 @@ TEST(ParallelEngine, ProcessErrorsPropagateFromBands) {
 
 TEST(NxAllocation, ParallelSteadyStateIsAllocationFreeAcrossBands) {
   // The sharded engine must preserve the zero-allocation steady state:
-  // band event loops, cross-band payload handoffs (owner-return pool),
-  // intent capture/replay buffers and band registries all reach fixed
-  // capacity after warmup. Samples are global (all threads), taken at
-  // iteration barriers; the tail must be exactly flat.
+  // band event loops, intent capture/replay buffers and band registries
+  // all reach fixed capacity after warmup. Samples are global (all
+  // threads), taken at iteration barriers; the tail must be exactly
+  // flat.
   NxMachine m(proc::touchstone_delta().with_nodes(64));
   m.set_threads(4);
   ASSERT_TRUE(m.parallel_eligible());
@@ -1317,13 +1298,13 @@ TEST(NxAllocation, ParallelSteadyStateIsAllocationFreeAcrossBands) {
       if (ctx.rank() == 0)
         samples[static_cast<std::size_t>(it)] =
             g_heap_allocs.load(std::memory_order_relaxed);
-      // Cross-band ring exchange with pooled sized payloads, plus one
-      // modeled collective — the parallel hot path. Blocking send/recv
+      // Cross-band ring exchange with null payloads, plus one modeled
+      // collective — the parallel hot path. Blocking send/recv
       // (not irecv: request state and its helper process heap-allocate
       // by design, in sequential mode too).
       const int to = (ctx.rank() + 17) % n;
       const int from = (ctx.rank() + n - 17) % n;
-      co_await ctx.send(to, 60, 1024, Payload::sized(64));
+      co_await ctx.send(to, 60, 1024);
       (void)co_await ctx.recv(from, 60);
       Message red = co_await allreduce(ctx, world, ReduceOp::MaxAbsLoc,
                                        doubles_bytes(2), {});
@@ -1401,12 +1382,12 @@ Task<> random_program(NxContext& ctx, RandomSpec spec,
       for (int j = 1; j <= fan; ++j) {
         const Bytes b = kBytes[pick(own, 4)];
         tx.push_back(ctx.isend((r + stride * j) % n, tag + j, b,
-                               Payload::sized(b / 8)));
+                               make_payload(std::vector<double>(b / 8, r))));
       }
       co_await ctx.busy(grain());
       for (Request& q : rx) {
         Message got = co_await q.wait();
-        acc += static_cast<double>(got.bytes + got.payload.elements());
+        acc += static_cast<double>(got.bytes + got.values().size());
       }
       co_await ctx.waitall(tx);
     } else {
