@@ -177,6 +177,24 @@ int exhibit(const ArgParser& args, bench::Harness& h) {
     messages += static_cast<std::int64_t>(results[i].messages);
     bytes_moved += static_cast<std::int64_t>(results[i].bytes_moved);
   }
+  // Registry::merge adds gauges, but the contention gauges are a max
+  // and a per-message mean: take the max over points, and the mean
+  // weighted by each point's routed messages.
+  double contention_max = 0.0, contention_us = 0.0;
+  std::int64_t routed = 0;
+  for (const obs::Registry& reg : regs) {
+    const std::int64_t m = reg.value("mesh.messages");
+    contention_max =
+        std::max(contention_max, reg.gauge("mesh.contention.us.max"));
+    contention_us += reg.gauge("mesh.contention.us.mean") *
+                     static_cast<double>(m);
+    routed += m;
+  }
+  if (routed > 0) {
+    totals.set_gauge("mesh.contention.us.max", contention_max);
+    totals.set_gauge("mesh.contention.us.mean",
+                     contention_us / static_cast<double>(routed));
+  }
   bm.metric("gflops_max", gflops_max);
   bm.metric("messages", messages);
   bm.metric("bytes_moved", bytes_moved);

@@ -23,34 +23,46 @@ Placement placement_from(std::string_view name) {
                               std::string(name));
 }
 
-DatasetId ReplicaCatalog::add_dataset(Bytes size, SiteId initial_replica) {
-  HPCCSIM_EXPECTS(size > 0);
-  Dataset d;
-  d.size = size;
-  d.replicas.push_back(initial_replica);
-  datasets_.push_back(std::move(d));
-  return static_cast<DatasetId>(datasets_.size() - 1);
+std::int32_t SiteRows::count(std::int32_t row) const {
+  std::int32_t n = 0;
+  for_each(row, [&](SiteId) { ++n; });
+  return n;
 }
 
-bool ReplicaCatalog::has_replica(DatasetId d, SiteId s) const {
-  const auto& r = at(d).replicas;
-  return std::find(r.begin(), r.end(), s) != r.end();
+bool SiteRows::none() const {
+  return std::all_of(bits_.begin(), bits_.end(),
+                     [](std::uint64_t w) { return w == 0; });
+}
+
+DatasetId ReplicaCatalog::add_dataset(Bytes size, SiteId initial_replica) {
+  HPCCSIM_EXPECTS(size > 0);
+  HPCCSIM_EXPECTS(initial_replica >= 0 &&
+                  initial_replica < replicas_.sites());
+  const auto d = static_cast<DatasetId>(sizes_.size());
+  sizes_.push_back(size);
+  replicas_.add_rows(1);
+  replicas_.set(d, initial_replica);
+  return d;
 }
 
 void ReplicaCatalog::add_replica(DatasetId d, SiteId s) {
-  if (!has_replica(d, s))
-    datasets_[static_cast<std::size_t>(d)].replicas.push_back(s);
+  HPCCSIM_EXPECTS(d >= 0 && d < dataset_count());
+  HPCCSIM_EXPECTS(s >= 0 && s < replicas_.sites());
+  replicas_.set(d, s);
 }
 
 SiteId ReplicaCatalog::select_source(
     DatasetId d, SiteId dst, Placement policy, wan::RouteTable& routes,
     const std::vector<double>& egress_backlog_s) const {
+  HPCCSIM_EXPECTS(d >= 0 && d < dataset_count());
+  // Replicas come in ascending site id, so a strictly better score is
+  // the only way to displace the current pick: ties keep the lowest id.
   SiteId best = -1;
   double best_score = 0.0;  // meaning depends on the policy
-  for (const SiteId s : at(d).replicas) {
-    if (s == dst) continue;
+  replicas_.for_each(d, [&](SiteId s) {
+    if (s == dst) return;
     const auto* route = routes.route(s, dst);
-    if (route == nullptr) continue;
+    if (route == nullptr) return;
     double score = 0.0;
     switch (policy) {
       case Placement::WidestPath:
@@ -61,12 +73,11 @@ SiteId ReplicaCatalog::select_source(
         score = -egress_backlog_s.at(static_cast<std::size_t>(s));
         break;
     }
-    if (best == -1 || score > best_score ||
-        (score == best_score && s < best)) {
+    if (best == -1 || score > best_score) {
       best = s;
       best_score = score;
     }
-  }
+  });
   return best;
 }
 

@@ -8,7 +8,12 @@
 namespace hpccsim::grid {
 
 GridSimulator::GridSimulator(const Federation& fed, Placement policy)
-    : fed_(&fed), policy_(policy), routes_(fed.wan()), engine_(routes_) {
+    : fed_(&fed),
+      policy_(policy),
+      catalog_(fed.wan().site_count()),
+      routes_(fed.wan()),
+      engine_(routes_),
+      inflight_(fed.wan().site_count()) {
   const auto n = static_cast<std::size_t>(fed.wan().site_count());
   ingress_.assign(n, 0);
   egress_.assign(n, 0);
@@ -18,14 +23,8 @@ GridSimulator::GridSimulator(const Federation& fed, Placement policy)
 
 void GridSimulator::on_complete(const wan::FlowEngine::Completion& c) {
   const auto d = static_cast<DatasetId>(c.tag);
-  const auto nsites =
-      static_cast<std::uint64_t>(fed_->wan().site_count());
-  const auto key = static_cast<std::uint64_t>(c.tag) * nsites +
-                   static_cast<std::uint64_t>(c.dst);
-  const auto it = inflight_.find(key);
-  HPCCSIM_ASSERT(it != inflight_.end());
-  stats_.coalesced += it->second;
-  inflight_.erase(it);
+  HPCCSIM_ASSERT(inflight_.test(d, c.dst));
+  inflight_.reset(d, c.dst);
 
   ++stats_.flows_completed;
   stats_.bytes_moved += c.bytes;
@@ -57,8 +56,8 @@ void GridSimulator::run(WorkloadGenerator& workload) {
   for (DatasetId d = 0; d < workload.dataset_count(); ++d)
     catalog_.add_dataset(workload.dataset_bytes(d),
                          fed_->archive_of(workload.initial_region(d)));
+  inflight_.add_rows(static_cast<std::size_t>(workload.dataset_count()));
 
-  const auto nsites = static_cast<std::uint64_t>(fed_->wan().site_count());
   const auto cb = [this](const wan::FlowEngine::Completion& c) {
     on_complete(c);
   };
@@ -69,10 +68,8 @@ void GridSimulator::run(WorkloadGenerator& workload) {
       ++stats_.cache_hits;
       continue;
     }
-    const auto key = static_cast<std::uint64_t>(q->dataset) * nsites +
-                     static_cast<std::uint64_t>(q->dst);
-    if (const auto it = inflight_.find(key); it != inflight_.end()) {
-      ++it->second;  // join the in-flight transfer
+    if (inflight_.test(q->dataset, q->dst)) {
+      ++stats_.coalesced;  // join the in-flight transfer
       continue;
     }
     const SiteId src = catalog_.select_source(q->dataset, q->dst, policy_,
@@ -81,7 +78,7 @@ void GridSimulator::run(WorkloadGenerator& workload) {
       ++stats_.unroutable;
       continue;
     }
-    inflight_.emplace(key, 0);
+    inflight_.set(q->dataset, q->dst);
     const GridSite* src_info = fed_->site_info(src);
     HPCCSIM_ASSERT(src_info != nullptr);
     egress_backlog_s_[static_cast<std::size_t>(src)] +=
@@ -91,7 +88,7 @@ void GridSimulator::run(WorkloadGenerator& workload) {
                   static_cast<std::uint64_t>(q->dataset));
   }
   engine_.run_to_completion(cb);
-  HPCCSIM_ENSURES(inflight_.empty());
+  HPCCSIM_ENSURES(inflight_.none());
 }
 
 void GridSimulator::export_counters(obs::Registry& reg) const {

@@ -4,7 +4,8 @@
 // Each request for (dataset, leaf) is served one of three ways:
 //  - cache hit: the leaf already holds a replica — no WAN transfer;
 //  - coalesced: the same (dataset, leaf) transfer is already in
-//    flight — the request joins it and completes with it;
+//    flight — the request joins it (counted when it joins) and
+//    completes with it;
 //  - a new flow from the replica the placement policy selects.
 // Completed transfers cache the dataset at the leaf when its replica
 // storage has room (no eviction; full caches reject new fills), which
@@ -15,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "grid/catalog.hpp"
@@ -74,10 +74,8 @@ class GridSimulator {
   wan::RouteTable routes_;
   wan::FlowEngine engine_;
 
-  // (dataset * site_count + dst) -> requests that joined the in-flight
-  // transfer. Never iterated, so the unordered container cannot leak
-  // nondeterminism into results.
-  std::unordered_map<std::uint64_t, std::int32_t> inflight_;
+  // (dataset, dst) transfers in flight: one row per dataset.
+  SiteRows inflight_;
 
   std::vector<Bytes> ingress_, egress_;         // by SiteId, completed
   std::vector<double> egress_backlog_s_;        // by SiteId, at selection

@@ -77,11 +77,15 @@ double WorkloadGenerator::rate_at(double t_s) const {
 
 std::optional<Request> WorkloadGenerator::next() {
   // Nonhomogeneous Poisson by thinning: candidate arrivals at the peak
-  // rate, accepted with probability rate(t)/peak.
+  // rate, accepted with probability rate(t)/peak. rate_at(t) is
+  // base * (1 + amplitude * bump) with amplitude * bump >= 0, so it is
+  // never below base_rate_ in floating point either: a draw at or under
+  // the base rate is accepted without evaluating the diurnal shape.
   for (;;) {
     t_s_ += arrival_.exponential(peak_rate_);
     if (t_s_ >= horizon_s_) return std::nullopt;
-    if (arrival_.uniform() * peak_rate_ <= rate_at(t_s_)) break;
+    const double u = arrival_.uniform() * peak_rate_;
+    if (u <= base_rate_ || u <= rate_at(t_s_)) break;
   }
   Request q;
   q.at = sim::Time::sec(t_s_);

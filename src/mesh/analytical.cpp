@@ -63,7 +63,7 @@ sim::Time AnalyticalMeshNet::transfer(NodeId src, NodeId dst, Bytes bytes,
     start = std::max(start, link_free_at_[static_cast<std::size_t>(l)]);
 
   const sim::Time queued = start - depart;
-  contention_ps_sum_ += static_cast<std::int64_t>(queued.picoseconds());
+  contention_ps_sum_ += queued.picoseconds();
   ++contention_count_;
   contention_max_ = std::max(contention_max_, queued);
 

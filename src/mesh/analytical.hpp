@@ -64,7 +64,8 @@ class AnalyticalMeshNet final : public NetworkModel {
   /// of transfer order — same-picosecond transfers replay in a
   /// different (but equivalent) order under the rank-band parallel
   /// engine, and a Welford mean would drift in the last ulp
-  /// (docs/MODEL.md §15).
+  /// (docs/MODEL.md §15). It is 128 bits wide: long faulty runs sum
+  /// more than 2^63 ps of queueing.
   std::uint64_t messages_routed() const { return messages_; }
   double contention_mean_us() const {
     return contention_count_ ? static_cast<double>(contention_ps_sum_) /
@@ -97,7 +98,7 @@ class AnalyticalMeshNet final : public NetworkModel {
   std::uint64_t reroutes_ = 0;
   std::uint64_t stalls_ = 0;
   std::uint64_t messages_ = 0;
-  std::int64_t contention_ps_sum_ = 0;
+  __extension__ unsigned __int128 contention_ps_sum_ = 0;
   std::uint64_t contention_count_ = 0;
   sim::Time contention_max_;
   // Per-message route scratch (capacity persists: transfer() is the

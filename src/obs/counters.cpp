@@ -93,6 +93,11 @@ std::int64_t Registry::value(std::string_view name) const {
   return it == counters_.end() ? 0 : it->second.value();
 }
 
+double Registry::gauge(std::string_view name) const {
+  auto it = gauges_.find(name);
+  return it == gauges_.end() ? 0.0 : it->second;
+}
+
 void Registry::merge(const Registry& other) {
   for (const auto& [name, c] : other.counters_)
     counter(name).add(c.value());

@@ -75,6 +75,8 @@ class Registry {
 
   /// Value of a counter, or 0 when absent (does not create).
   std::int64_t value(std::string_view name) const;
+  /// Value of a gauge, or 0 when absent (does not create).
+  double gauge(std::string_view name) const;
   bool empty() const {
     return counters_.empty() && gauges_.empty() && histograms_.empty();
   }

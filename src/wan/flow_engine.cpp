@@ -1,6 +1,7 @@
 #include "wan/flow_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -27,9 +28,13 @@ FlowEngine::FlowEngine(RouteTable& routes) : routes_(&routes) {
   link_flows_.resize(links.size());
   cap_.resize(links.size());
   rate_sum_.assign(links.size(), 0.0);
-  link_mark_.assign(links.size(), 0);
+  expanded_.assign(links.size(), 0);
+  link_bits_.assign((links.size() + 63) / 64, 0);
   residual_.assign(links.size(), 0.0);
   users_.assign(links.size(), 0);
+  share_.assign(links.size(), 0.0);
+  first_.assign(links.size(), 0);
+  last_.assign(links.size(), 0);
   for (std::size_t l = 0; l < links.size(); ++l)
     cap_[l] = link_bandwidth(links[l].type).bytes_per_sec();
 }
@@ -52,6 +57,7 @@ FlowEngine::FlowId FlowEngine::alloc_slot() {
   gen_.push_back(0);
   tag_.push_back(0);
   route_.push_back(nullptr);
+  hops_.emplace_back();
   link_pos_.emplace_back();
   flow_mark_.push_back(0);
   new_rate_.push_back(0.0);
@@ -78,6 +84,7 @@ FlowEngine::FlowId FlowEngine::start(SiteId src, SiteId dst, Bytes bytes,
   synced_ps_[f] = now_ps_;
   tag_[f] = tag;
   route_[f] = r;
+  hops_[f] = r->links;
   link_pos_[f].assign(r->links.size(), 0);
   for (std::size_t i = 0; i < r->links.size(); ++i) {
     const std::int32_t l = r->links[i];
@@ -100,7 +107,7 @@ void FlowEngine::bump_epoch() {
   if (++epoch_ == 0) {
     // Epoch counter wrapped: stale marks could alias, so reset them.
     std::fill(flow_mark_.begin(), flow_mark_.end(), 0u);
-    std::fill(link_mark_.begin(), link_mark_.end(), 0u);
+    std::fill(expanded_.begin(), expanded_.end(), 0u);
     epoch_ = 1;
   }
 }
@@ -109,16 +116,19 @@ bool FlowEngine::add_to_set(FlowId f) {
   if (flow_mark_[f] == epoch_) return false;
   flow_mark_[f] = epoch_;
   set_.push_back(f);
-  for (const std::int32_t l : route_[f]->links) {
-    if (link_mark_[l] != epoch_) {
-      link_mark_[l] = epoch_;
-      mlinks_.push_back(l);
-    }
-  }
+  for (const std::int32_t l : hops_[f])
+    link_bits_[static_cast<std::size_t>(l) / 64] |= std::uint64_t{1}
+                                                    << (l % 64);
   return true;
 }
 
+// A link's flow list cannot change inside one ripple: process() seeds
+// the set and only then unlinks the departing flow (the `except` of its
+// seeding), and a starved flow excepts itself while already in the set.
+// So a second expansion of the same link adds nothing, and is skipped.
 bool FlowEngine::add_link_flows(std::int32_t l, FlowId except) {
+  if (expanded_[l] == epoch_) return false;
+  expanded_[l] = epoch_;
   bool grew = false;
   for (const LinkEntry& e : link_flows_[l])
     if (e.flow != except) grew |= add_to_set(e.flow);
@@ -160,11 +170,16 @@ void FlowEngine::schedule(FlowId f) {
 // restricted max-min share and no constraint reaches outside the set.
 void FlowEngine::recompute() {
   if (set_.empty()) return;
+  constexpr double kNoUsers = std::numeric_limits<double>::infinity();
   for (;;) {
     ++stats_.recomputes;
     // Pinned tie-break: bottleneck candidates are examined in ascending
     // link index order, exactly like FlowSimulator::fair_rates.
-    std::sort(mlinks_.begin(), mlinks_.end());
+    mlinks_.clear();
+    for (std::size_t w = 0; w < link_bits_.size(); ++w)
+      for (std::uint64_t b = link_bits_[w]; b != 0; b &= b - 1)
+        mlinks_.push_back(
+            static_cast<std::int32_t>(w * 64 + std::countr_zero(b)));
 
     // Residual capacity per member link with the affected flows' own
     // rates added back (they are being re-assigned); all other flows
@@ -174,40 +189,49 @@ void FlowEngine::recompute() {
       users_[l] = 0;
     }
     for (const FlowId f : set_) {
-      for (const std::int32_t l : route_[f]->links) {
+      for (const std::int32_t l : hops_[f]) {
         residual_[l] += rate_[f];
         ++users_[l];
       }
     }
-    for (const std::int32_t l : mlinks_)
+    // Each member link's flows, in set order, and its current share.
+    std::int32_t n = 0;
+    for (const std::int32_t l : mlinks_) {
       if (residual_[l] < 0.0) residual_[l] = 0.0;
+      share_[l] = residual_[l] / users_[l];
+      first_[l] = last_[l] = n;
+      n += users_[l];
+    }
+    members_.resize(static_cast<std::size_t>(n));
+    for (const FlowId f : set_) {
+      frozen_[f] = 0;
+      for (const std::int32_t l : hops_[f]) members_[last_[l]++] = f;
+    }
 
-    // Progressive water-filling restricted to the affected set.
-    for (const FlowId f : set_) frozen_[f] = 0;
+    // Progressive water-filling restricted to the affected set. Freezing
+    // the bottleneck's flows in its member order meets them in set
+    // order, as a scan of the whole set would.
     std::size_t unfrozen = set_.size();
     while (unfrozen > 0) {
-      double best_share = std::numeric_limits<double>::infinity();
+      double best_share = kNoUsers;
       std::int32_t best = -1;
       for (const std::int32_t l : mlinks_) {
-        if (users_[l] == 0) continue;
-        const double share = residual_[l] / users_[l];
-        if (share < best_share) {
-          best_share = share;
+        if (share_[l] < best_share) {
+          best_share = share_[l];
           best = l;
         }
       }
       HPCCSIM_ASSERT(best >= 0);
-      for (const FlowId f : set_) {
+      for (std::int32_t i = first_[best]; i < last_[best]; ++i) {
+        const FlowId f = members_[i];
         if (frozen_[f]) continue;
-        const auto& ls = route_[f]->links;
-        if (std::find(ls.begin(), ls.end(), best) == ls.end()) continue;
         new_rate_[f] = best_share;
         frozen_[f] = 1;
         --unfrozen;
-        for (const std::int32_t l : ls) {
+        for (const std::int32_t l : hops_[f]) {
           residual_[l] -= best_share;
           if (residual_[l] < 0.0) residual_[l] = 0.0;
-          --users_[l];
+          share_[l] = --users_[l] > 0 ? residual_[l] / users_[l] : kNoUsers;
         }
       }
     }
@@ -222,7 +246,7 @@ void FlowEngine::recompute() {
       if (has_event_[f] && std::abs(nu - old) <= kRateEps * (old + 1.0))
         continue;
       sync_remaining(f);
-      for (const std::int32_t l : route_[f]->links) {
+      for (const std::int32_t l : hops_[f]) {
         // A link saturated *before* the change frees capacity when the
         // rate drops — its flows must be re-examined.
         if (saturated(l)) dirty_links_.push_back(l);
@@ -240,27 +264,27 @@ void FlowEngine::recompute() {
     bool grew = false;
     for (const std::int32_t l : dirty_links_) grew |= add_link_flows(l, -1);
     for (const FlowId f : changed_)
-      for (const std::int32_t l : route_[f]->links)
+      for (const std::int32_t l : hops_[f])
         if (saturated(l)) grew |= add_link_flows(l, -1);
     // A starved flow (zero share: it arrived on a fully-occupied link)
     // pulls in everyone it shares a link with so the next pass can
     // redistribute — max-min never leaves a flow at zero. Indexed loop:
     // add_link_flows appends to set_.
-    const std::size_t members = set_.size();
-    for (std::size_t i = 0; i < members; ++i) {
+    const std::size_t set_size = set_.size();
+    for (std::size_t i = 0; i < set_size; ++i) {
       const FlowId f = set_[i];
       if (rate_[f] > 0.0) continue;
-      for (const std::int32_t l : route_[f]->links)
+      for (const std::int32_t l : hops_[f])
         grew |= add_link_flows(l, f);
     }
     if (!grew) break;
   }
   set_.clear();
-  mlinks_.clear();
+  std::fill(link_bits_.begin(), link_bits_.end(), 0);
 }
 
 void FlowEngine::unlink(FlowId f) {
-  const auto& ls = route_[f]->links;
+  const auto ls = hops_[f];
   for (std::size_t i = 0; i < ls.size(); ++i) {
     const std::int32_t l = ls[i];
     auto& lst = link_flows_[l];
@@ -307,7 +331,7 @@ void FlowEngine::process(std::uint64_t until_ps,
     bump_epoch();
     // Seed the ripple with everyone sharing a constraining link with
     // the departing flow, then take the flow out of the network.
-    for (const std::int32_t l : route_[f]->links)
+    for (const std::int32_t l : hops_[f])
       if (saturated(l)) add_link_flows(l, f);
     unlink(f);
     route_[f] = nullptr;

@@ -20,20 +20,33 @@
 //    link imposes no max-min constraint, so rate changes cannot
 //    propagate across it), until a fixpoint. Per-event cost is
 //    proportional to the affected neighbourhood, not the flow count.
+//    A link's flow list cannot change inside one ripple, so each link
+//    is expanded at most once per event.
+//  - **Per-link member lists in the water-fill.** Each pass lists the
+//    affected flows per member link (one flat CSR array, in set order)
+//    and caches each member link's share (residual / users). A round
+//    scans the cached shares for the bottleneck and freezes only that
+//    link's unfrozen flows, re-dividing just the links a freeze
+//    touched. Member links live in a link bitset, read back in
+//    ascending order, so no pass sorts.
 //  - **Preallocated SoA slots.** Flow state is struct-of-arrays,
-//    recycled through a free list; per-slot vectors keep their
-//    capacity, so steady state allocates nothing.
+//    recycled through a free list; each slot holds its route links as
+//    a flat span, and per-slot vectors keep their capacity, so steady
+//    state allocates nothing.
 //
 // Rates follow the same progressive water-filling as
 // FlowSimulator::fair_rates, with the same pinned tie-break (ascending
-// link index; see docs/MODEL.md §12), restricted to the affected set
-// against residual capacities. tests/wan_test.cpp cross-checks the
-// engine against the retained full-recompute reference on randomized
-// scenarios.
+// link index, strict `<`; see docs/MODEL.md §12), restricted to the
+// affected set against residual capacities. A round freezes the same
+// flows in the same set order as a full scan would, so every residual
+// subtraction happens in the same order and rates are bit-identical.
+// tests/wan_test.cpp cross-checks the engine against the retained
+// full-recompute reference on randomized scenarios.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "core/event_queue.hpp"
@@ -131,6 +144,7 @@ class FlowEngine {
   std::vector<std::uint32_t> gen_;            // invalidates stale heap entries
   std::vector<std::uint64_t> tag_;
   std::vector<const RouteTable::Route*> route_;
+  std::vector<std::span<const std::int32_t>> hops_;  // route_[f]->links
   std::vector<std::vector<std::int32_t>> link_pos_;  // position per hop
   std::vector<std::uint8_t> has_event_;  // flow has a live heap entry
   std::vector<FlowId> free_;
@@ -143,13 +157,18 @@ class FlowEngine {
   // Recompute scratch (epoch-stamped membership; zero steady-state
   // allocation once warm).
   std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> flow_mark_, link_mark_;
-  std::vector<FlowId> set_;              // affected set, insertion order
-  std::vector<std::int32_t> mlinks_;     // member links
-  std::vector<double> new_rate_;         // per slot
-  std::vector<double> residual_;         // per link
-  std::vector<std::int32_t> users_;      // per link
-  std::vector<std::uint8_t> frozen_;     // per slot
+  std::vector<std::uint32_t> flow_mark_;   // per slot: in the set
+  std::vector<std::uint32_t> expanded_;    // per link: flows added
+  std::vector<std::uint64_t> link_bits_;   // member links, one bit each
+  std::vector<FlowId> set_;                // affected set, insertion order
+  std::vector<std::int32_t> mlinks_;       // member links, ascending
+  std::vector<double> new_rate_;           // per slot
+  std::vector<std::uint8_t> frozen_;       // per slot
+  std::vector<double> residual_;           // per link
+  std::vector<std::int32_t> users_;        // per link: unfrozen flows
+  std::vector<double> share_;              // per link: residual / users
+  std::vector<std::int32_t> first_, last_; // per link: span of members_
+  std::vector<FlowId> members_;            // set flows per link (CSR)
   std::vector<FlowId> changed_;
   std::vector<std::int32_t> dirty_links_;  // saturated before a change
 

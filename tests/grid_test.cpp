@@ -4,7 +4,9 @@
 // invariants (conservation + determinism).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "grid/catalog.hpp"
@@ -12,6 +14,7 @@
 #include "grid/grid_sim.hpp"
 #include "grid/workload.hpp"
 #include "obs/counters.hpp"
+#include "util/rng.hpp"
 #include "wan/flow_engine.hpp"
 
 namespace hpccsim::grid {
@@ -180,7 +183,7 @@ TEST(Catalog, WidestPathPrefersTheFatterPipe) {
   w.add_link(a, dst, wan::LinkType::T3, Time::ms(1));
   w.add_link(b, dst, wan::LinkType::T1, Time::ms(1));
   wan::RouteTable routes(w);
-  ReplicaCatalog cat;
+  ReplicaCatalog cat(w.site_count());
   const DatasetId d = cat.add_dataset(1'000'000, a);
   cat.add_replica(d, b);
   std::vector<double> backlog(3, 0.0);
@@ -200,7 +203,7 @@ TEST(Catalog, TieBreaksOnLowestSiteId) {
   w.add_link(a, dst, wan::LinkType::T3, Time::ms(1));
   w.add_link(b, dst, wan::LinkType::T3, Time::ms(1));
   wan::RouteTable routes(w);
-  ReplicaCatalog cat;
+  ReplicaCatalog cat(w.site_count());
   const DatasetId d = cat.add_dataset(1'000'000, b);  // registered b first
   cat.add_replica(d, a);
   const std::vector<double> backlog(3, 0.0);
@@ -217,7 +220,7 @@ TEST(Catalog, ExcludesDestinationAndUnroutable) {
   w.add_site("island");
   w.add_link(a, dst, wan::LinkType::T3, Time::ms(1));
   wan::RouteTable routes(w);
-  ReplicaCatalog cat;
+  ReplicaCatalog cat(w.site_count());
   const DatasetId d = cat.add_dataset(1'000'000, dst);
   const std::vector<double> backlog(3, 0.0);
   // Only replica is the destination itself: nothing to pull from.
@@ -232,14 +235,69 @@ TEST(Catalog, ExcludesDestinationAndUnroutable) {
 }
 
 TEST(Catalog, AddReplicaIsIdempotent) {
-  ReplicaCatalog cat;
+  ReplicaCatalog cat(3);
   const DatasetId d = cat.add_dataset(42, 0);
   cat.add_replica(d, 1);
   cat.add_replica(d, 1);
-  EXPECT_EQ(cat.replicas(d).size(), 2u);
+  EXPECT_EQ(cat.replica_count(d), 2);
   EXPECT_TRUE(cat.has_replica(d, 0));
   EXPECT_TRUE(cat.has_replica(d, 1));
   EXPECT_FALSE(cat.has_replica(d, 2));
+}
+
+TEST(Catalog, RowsSpanWordsAndTieBreakAcrossThem) {
+  // 130 sites, each on its own link to the hub (site 129), so a row is
+  // three words and sites 0, 63, 64 and 100 sit in words 0, 0, 1 and 1.
+  wan::Wan w;
+  for (int i = 0; i < 130; ++i) w.add_site("s" + std::to_string(i));
+  const SiteId hub = 129;
+  for (SiteId s = 0; s < hub; ++s)
+    w.add_link(s, hub, s == 100 ? wan::LinkType::HippiSonet
+                                : wan::LinkType::T3,
+               Time::ms(1));
+  wan::RouteTable routes(w);
+  ReplicaCatalog cat(w.site_count());
+  std::vector<double> backlog(130, 0.0);
+
+  const DatasetId all = cat.add_dataset(1'000'000, 100);
+  for (const SiteId s : {64, 63, 0}) cat.add_replica(all, s);
+  cat.add_replica(all, 64);  // idempotent across words too
+  EXPECT_EQ(cat.replica_count(all), 4);
+  for (const SiteId s : {0, 63, 64, 100})
+    EXPECT_TRUE(cat.has_replica(all, s)) << s;
+  for (const SiteId s : {1, 62, 65, 99, 101, 128, 129})
+    EXPECT_FALSE(cat.has_replica(all, s)) << s;
+  // Site 100 alone has the HIPPI pipe; equal backlogs tie on site 0.
+  EXPECT_EQ(cat.select_source(all, hub, Placement::WidestPath, routes,
+                              backlog),
+            100);
+  EXPECT_EQ(cat.select_source(all, hub, Placement::LeastLoaded, routes,
+                              backlog),
+            0);
+  // Least loaded among the word-1 replicas: the lower id, 64, wins.
+  backlog[0] = backlog[63] = 5.0;
+  backlog[64] = backlog[100] = 1.0;
+  EXPECT_EQ(cat.select_source(all, hub, Placement::LeastLoaded, routes,
+                              backlog),
+            64);
+  // The destination is never its own source.
+  EXPECT_EQ(cat.select_source(all, 64, Placement::LeastLoaded, routes,
+                              backlog),
+            100);
+
+  // Equal T3 pipes straddling the word boundary: 63 beats 64.
+  const DatasetId edge = cat.add_dataset(1'000'000, 64);
+  cat.add_replica(edge, 63);
+  EXPECT_EQ(cat.select_source(edge, hub, Placement::WidestPath, routes,
+                              backlog),
+            63);
+  // Within word 1, registered high id first: 64 beats 128.
+  const DatasetId upper = cat.add_dataset(1'000'000, 128);
+  cat.add_replica(upper, 64);
+  EXPECT_EQ(cat.select_source(upper, hub, Placement::WidestPath, routes,
+                              backlog),
+            64);
+  EXPECT_FALSE(cat.has_replica(upper, 63));
 }
 
 TEST(FlowEngine, SingleFlowCompletionRecord) {
@@ -300,6 +358,63 @@ TEST(FlowEngine, CallbackMayStartFollowOnFlows) {
   EXPECT_EQ(order[0], 1u);
   EXPECT_EQ(order[1], 2u);
   EXPECT_EQ(engine.active(), 0);
+}
+
+// A two-second burst of pulls on the grid federation, pinned bit for
+// bit. Every third leaf rides a 1.544 Mb/s T1, so arrivals land on
+// saturated T1 links with a zero share and pull their neighbours in,
+// and affected sets span the leaves' access links and the backbone.
+// The hash covers each completion's tag and finish picosecond in
+// completion order.
+TEST(FlowEngine, FederationBurstIsPinned) {
+  const Federation fed{FederationConfig{}};
+  wan::RouteTable routes(fed.wan());
+  wan::FlowEngine engine(routes);
+  struct Pull {
+    SiteId src, dst;
+    Bytes bytes;
+    Time start;
+  };
+  std::vector<Pull> pulls;
+  Rng rng(1992);
+  const auto& leaves = fed.leaves();
+  for (int i = 0; i < 160; ++i) {
+    const SiteId dst = leaves[rng.below(leaves.size())].site;
+    SiteId src = fed.archive_of(
+        static_cast<std::int32_t>(rng.below(fed.archives().size())));
+    if (rng.below(3) == 0) {
+      src = leaves[rng.below(leaves.size())].site;
+      if (src == dst) continue;
+    }
+    const Bytes bytes = 100'000 + static_cast<Bytes>(rng.below(2'000'000));
+    pulls.push_back({src, dst, bytes,
+                     Time::ms(static_cast<double>(rng.below(2000)))});
+  }
+  std::stable_sort(
+      pulls.begin(), pulls.end(),
+      [](const Pull& a, const Pull& b) { return a.start < b.start; });
+  std::uint64_t hash = 14695981039346656037u;  // FNV-1a
+  const auto mix = [&hash](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i, v >>= 8)
+      hash = (hash ^ (v & 0xff)) * 1099511628211u;
+  };
+  const auto done = [&](const wan::FlowEngine::Completion& c) {
+    mix(c.tag);
+    mix(c.finish.picoseconds());
+  };
+  for (std::size_t i = 0; i < pulls.size(); ++i) {
+    engine.run_until(pulls[i].start, done);
+    engine.start(pulls[i].src, pulls[i].dst, pulls[i].bytes, i);
+  }
+  engine.run_to_completion(done);
+  const auto& e = engine.stats();
+  EXPECT_EQ(e.completed, static_cast<std::int64_t>(pulls.size()));
+  EXPECT_EQ(engine.now().picoseconds(), 80683176165805u);
+  EXPECT_EQ(hash, 66770490254735211u);
+  EXPECT_EQ(e.recomputes, 572);
+  EXPECT_EQ(e.rate_updates, 1878);
+  EXPECT_EQ(e.stale_events, 1720);
+  EXPECT_EQ(e.active_peak, 93);
 }
 
 GridSimulator::Stats run_grid(Placement policy, obs::Registry* reg = nullptr) {
@@ -370,6 +485,89 @@ TEST(GridSimulator, SingleShot) {
   sim.run(wl);
   WorkloadGenerator wl2(small_workload(), fed);
   EXPECT_THROW(sim.run(wl2), ContractError);
+}
+
+// A grid day pinned bit for bit, per policy: request outcomes, the end
+// time, the slowdown sum as a hexfloat and the engine's pass counts.
+// Which flows share a water-fill pass, the order of its residual
+// subtractions, the catalog's source choice and the in-flight joins all
+// feed these numbers.
+struct PinnedDay {
+  Placement policy;
+  std::int64_t requests, cache_hits, coalesced, flows;
+  Bytes bytes_moved;
+  std::uint64_t end_ps;
+  double slowdown_sum;
+  std::int64_t recomputes, rate_updates, stale_events, active_peak;
+};
+
+void expect_day(const FederationConfig& fc, const WorkloadConfig& wc,
+                const PinnedDay& want) {
+  const Federation fed(fc);
+  WorkloadGenerator wl(wc, fed);
+  GridSimulator sim(fed, want.policy);
+  sim.run(wl);
+  const auto& s = sim.stats();
+  const auto& e = sim.engine_stats();
+  SCOPED_TRACE(placement_name(want.policy));
+  EXPECT_EQ(s.requests, want.requests);
+  EXPECT_EQ(s.cache_hits, want.cache_hits);
+  EXPECT_EQ(s.coalesced, want.coalesced);
+  EXPECT_EQ(s.flows_completed, want.flows);
+  EXPECT_EQ(s.unroutable, 0);
+  EXPECT_EQ(s.requests,
+            s.cache_hits + s.coalesced + s.unroutable + s.flows_completed);
+  EXPECT_EQ(s.cache_fills + s.cache_rejected, s.flows_completed);
+  EXPECT_EQ(s.bytes_moved, want.bytes_moved);
+  EXPECT_EQ(sim.now().picoseconds(), want.end_ps);
+  EXPECT_EQ(s.slowdown_sum, want.slowdown_sum);
+  EXPECT_EQ(e.recomputes, want.recomputes);
+  EXPECT_EQ(e.rate_updates, want.rate_updates);
+  EXPECT_EQ(e.stale_events, want.stale_events);
+  EXPECT_EQ(e.active_peak, want.active_peak);
+  EXPECT_EQ(e.started, s.flows_completed);
+}
+
+// The default 28-site federation with 1 GB leaf caches under a busy
+// stream: least-loaded peaks at 67 concurrent flows, and full caches
+// reject most fills.
+TEST(GridSimulator, PinnedDayPerPolicy) {
+  FederationConfig fc;
+  fc.leaf_storage = 1'000'000'000;
+  WorkloadConfig wc;
+  wc.days = 0.08;
+  wc.requests_per_day = 400000.0;
+  wc.dataset_count = 5000;
+  expect_day(fc, wc,
+             {Placement::WidestPath, 32363, 2330, 17, 30016, 299385295704,
+              7563508669965844u, 0x1.c15a198e9b63bp+15, 58344, 85075, 55059,
+              53});
+  expect_day(fc, wc,
+             {Placement::LeastLoaded, 32363, 2324, 32, 30007, 299248827686,
+              8041700296908848u, 0x1.21c4cab323cep+16, 79953, 133119, 103112,
+              67});
+}
+
+// 9 regions x 8 leaves: 90 sites, so catalog and in-flight rows are
+// two words, and replicas cached at sites >= 64 serve later pulls.
+TEST(GridSimulator, PinnedDayOnMultiWordRows) {
+  FederationConfig fc;
+  fc.regions = 9;
+  fc.leaves_per_region = 8;
+  fc.leaf_storage = 1'000'000'000;
+  WorkloadConfig wc;
+  wc.days = 0.05;
+  wc.requests_per_day = 400000.0;
+  wc.dataset_count = 2000;
+  ASSERT_GT(Federation(fc).wan().site_count(), 64);
+  expect_day(fc, wc,
+             {Placement::WidestPath, 20358, 2405, 2, 17951, 178199137921,
+              4342724013814934u, 0x1.4550d925e33ebp+14, 22883, 23709, 5758,
+              33});
+  expect_day(fc, wc,
+             {Placement::LeastLoaded, 20358, 2405, 4, 17949, 178179890946,
+              4342724013814934u, 0x1.5e9b45b00520dp+14, 26862, 26767, 8818,
+              35});
 }
 
 }  // namespace

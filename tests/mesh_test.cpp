@@ -157,6 +157,19 @@ TEST(AnalyticalNet, ResetClearsState) {
   EXPECT_EQ(arr, expected);
 }
 
+TEST(AnalyticalNet, ContentionSumPastInt64StaysExact) {
+  // Three messages of 4e18 ps each (4e12 bytes at 1 MB/s) queue behind
+  // one another on one link: 0 + 4e18 + 8e18 ps of queueing passes
+  // INT64_MAX (~9.22e18 ps). Every value here is exact in a double.
+  AnalyticalParams p = test_params();
+  p.channel_bw = mb_per_s(1.0);
+  AnalyticalMeshNet net(Mesh2D(2, 1), p);
+  for (int i = 0; i < 3; ++i)
+    net.transfer(0, 1, 4'000'000'000'000, Time::zero());
+  EXPECT_EQ(net.contention_max_us(), 8e12);
+  EXPECT_EQ(net.contention_mean_us(), 4e12);
+}
+
 TEST(CrossbarNet, FixedLatencyPlusSerialization) {
   CrossbarNet net(16, Time::us(1), mb_per_s(100));
   const Time arr = net.transfer(3, 12, 100'000, Time::ms(1));
