@@ -401,27 +401,120 @@ TEST(FlitGolden, PinnedCountersAndRegistryDump) {
             static_cast<std::int64_t>(net.fastforwarded_flits()));
 }
 
+// FNV-1a over every message's delivered cycle: moves if any delivery
+// moves.
+std::uint64_t delivery_hash(const FlitNetwork& net) {
+  std::uint64_t h = 14695981039346656037u;
+  for (const FlitMessage& m : net.messages())
+    for (int b = 0; b < 64; b += 8)
+      h = (h ^ ((m.delivered_cycle >> b) & 0xff)) * 1099511628211u;
+  return h;
+}
+
+// The schedule counters of a pinned run at one thread count. They
+// describe the schedule, not the traffic, so each count has its own.
+struct SchedulePin {
+  int threads;
+  std::uint64_t skipped, ffwd_messages, visits, windows, boundary;
+};
+
+void expect_schedule(const FlitNetwork& net, const SchedulePin& p) {
+  const std::string at = std::to_string(p.threads) + " threads";
+  EXPECT_EQ(net.skipped_cycles(), p.skipped) << at;
+  EXPECT_EQ(net.fastforwarded_messages(), p.ffwd_messages) << at;
+  EXPECT_EQ(net.router_visits(), p.visits) << at;
+  EXPECT_EQ(net.parallel_windows(), p.windows) << at;
+  EXPECT_EQ(net.boundary_flits(), p.boundary) << at;
+}
+
 // The saturated Delta-mesh point of the flit_throughput thread sweep
-// (--shape 33x16 --messages 6 --gap-us 20), pinned exactly.
-TEST(FlitGolden, DeltaMeshSaturatedPoint) {
-  const Mesh2D mesh(33, 16);
+// (--shape 33x16 --messages 6 --gap-us 20) under `algo`.
+void run_delta_saturated(FlitNetwork& net) {
   TrafficConfig cfg;
   cfg.messages_per_node = 6;
   cfg.message_bytes = 1024;
   cfg.mean_gap = sim::Time::us(20);
   cfg.seed = 1992;
-  FlitNetwork net(mesh, FlitParams{});
   const double cyc_us = net.cycle_time().as_us();
-  for (const auto& t : generate_traffic(mesh, cfg))
+  for (const auto& t : generate_traffic(net.mesh(), cfg))
     net.inject(t.src, t.dst, t.bytes,
                static_cast<std::uint64_t>(t.depart.as_us() / cyc_us));
   net.run();
+}
 
-  EXPECT_EQ(net.cycle(), 5203u);
-  EXPECT_EQ(net.link_flits(), 3285888u);
-  EXPECT_EQ(net.injected_flits(), 202752u);  // 3168 messages x 64 flits
-  EXPECT_EQ(net.ejected_flits(), 202752u);
-  EXPECT_DOUBLE_EQ((net.cycle_time() * net.cycle()).as_sec(), 0.00332992);
+// Pinned exactly, at 1 and 4 threads.
+TEST(FlitGolden, DeltaMeshSaturatedPoint) {
+  for (const SchedulePin& pin : {SchedulePin{1, 0, 0, 2104065, 0, 0},
+                                 SchedulePin{4, 0, 0, 2104065, 6, 531904}}) {
+    FlitNetwork net(Mesh2D(33, 16), FlitParams{});
+    net.set_threads(pin.threads);
+    run_delta_saturated(net);
+    EXPECT_EQ(net.cycle(), 5203u);
+    EXPECT_EQ(net.link_flits(), 3285888u);
+    EXPECT_EQ(net.injected_flits(), 202752u);  // 3168 messages x 64 flits
+    EXPECT_EQ(net.ejected_flits(), 202752u);
+    EXPECT_EQ(delivery_hash(net), 15095078499303793533u);
+    EXPECT_DOUBLE_EQ((net.cycle_time() * net.cycle()).as_sec(), 0.00332992);
+    expect_schedule(net, pin);
+  }
+}
+
+// The same point under west-first routing: the adaptive allocation
+// path ablate_routing runs.
+TEST(FlitGolden, DeltaMeshSaturatedWestFirst) {
+  FlitParams fp;
+  fp.routing = RouteAlgo::WestFirst;
+  for (const SchedulePin& pin : {SchedulePin{1, 0, 0, 4445685, 0, 0},
+                                 SchedulePin{4, 0, 0, 4445685, 10, 531904}}) {
+    FlitNetwork net(Mesh2D(33, 16), fp);
+    net.set_threads(pin.threads);
+    run_delta_saturated(net);
+    EXPECT_EQ(net.cycle(), 10172u);
+    EXPECT_EQ(net.link_flits(), 3285888u);
+    EXPECT_EQ(net.injected_flits(), 202752u);
+    EXPECT_EQ(delivery_hash(net), 14162933052759310140u);
+    expect_schedule(net, pin);
+  }
+}
+
+// Sparse traffic whose source queues are out of inject-cycle order:
+// every fourth node queues 4 messages at random cycles in 40 clusters
+// 10,000 cycles apart, so a later message is often due sooner than the
+// one ahead of it and waits behind it. Lone worms fast-forward, the
+// gaps are skipped, and clustered worms contend. `from` offsets every
+// cycle.
+void inject_sparse_queues(FlitNetwork& net, std::uint64_t seed,
+                          std::uint64_t from) {
+  Rng rng(seed);
+  const NodeId n = net.mesh().node_count();
+  for (int k = 0; k < 4; ++k)
+    for (NodeId s = 0; s < n; s += 4) {
+      auto d = static_cast<NodeId>(rng.below(n));
+      if (d == s) d = (d + 1) % n;
+      net.inject(s, d, 64 * (1 + rng.below(8)),
+                 from + 10'000 * rng.below(40) + rng.below(60));
+    }
+}
+
+// Pinned at 1 and 4 threads. The second batch is injected after the
+// first run() returns and starts 50,000 cycles before it ended, so some
+// of its messages are already due.
+TEST(FlitGolden, SparseOutOfOrderQueuesAcrossTwoRuns) {
+  for (const SchedulePin& pin : {SchedulePin{1, 727903, 18, 13544, 0, 0},
+                                 SchedulePin{4, 704005, 18, 13544, 27, 5448}}) {
+    FlitNetwork net(Mesh2D(8, 8), FlitParams{});
+    net.set_threads(pin.threads);
+    inject_sparse_queues(net, 23, 0);
+    net.run();
+    EXPECT_EQ(net.cycle(), 390059u);
+    inject_sparse_queues(net, 24, net.cycle() - 50'000);
+    net.run();
+    EXPECT_EQ(net.cycle(), 730160u);
+    EXPECT_EQ(net.link_flits(), 13384u);
+    EXPECT_EQ(net.undelivered(), 0);
+    EXPECT_EQ(delivery_hash(net), 16177467534429282586u);
+    expect_schedule(net, pin);
+  }
 }
 
 // --------------------------------------- diagnostics and latencies ----
