@@ -21,9 +21,12 @@ using namespace hpccsim::mesh;
 int exhibit(const ArgParser& args, bench::Harness& h) {
   const proc::MachineConfig mc = proc::touchstone_delta();
   const Mesh2D mesh = mc.mesh();
+  const std::int32_t messages = bench::positive_int32(args, "messages");
+  const std::int32_t bytes = bench::positive_int32(args, "bytes");
+  const std::int32_t flit_msgs =
+      bench::non_negative_int32(args, "flit-messages");
   std::printf("== F4: %s wormhole mesh, %llu-byte messages ==\n",
-              mesh.describe().c_str(),
-              static_cast<unsigned long long>(args.integer("bytes")));
+              mesh.describe().c_str(), static_cast<unsigned long long>(bytes));
 
   const std::vector<Pattern> patterns{Pattern::UniformRandom,
                                       Pattern::Transpose, Pattern::BitReversal,
@@ -44,8 +47,8 @@ int exhibit(const ArgParser& args, bench::Harness& h) {
     const double gap_us = gaps[i % gaps.size()];
     TrafficConfig cfg;
     cfg.pattern = p;
-    cfg.messages_per_node = static_cast<std::int32_t>(args.integer("messages"));
-    cfg.message_bytes = static_cast<Bytes>(args.integer("bytes"));
+    cfg.messages_per_node = messages;
+    cfg.message_bytes = static_cast<Bytes>(bytes);
     cfg.mean_gap = sim::Time::us(gap_us);
     cfg.seed = 92;
     const auto trace = generate_traffic(mesh, cfg);
@@ -78,8 +81,8 @@ int exhibit(const ArgParser& args, bench::Harness& h) {
               "last; transpose/bit-reversal stress the bisection\n");
 
   obs::BenchMetrics& bm = h.metrics;
-  bm.config("messages", args.integer("messages"));
-  bm.config("bytes", args.integer("bytes"));
+  bm.config("messages", static_cast<std::int64_t>(messages));
+  bm.config("bytes", static_cast<std::int64_t>(bytes));
   double mean_max = 0.0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     bm.add_sim_time(spans[i]);
@@ -96,8 +99,6 @@ int exhibit(const ArgParser& args, bench::Harness& h) {
   // delivery is byte-compared, and the wall-clock speedup lands in the
   // JSON metrics (wall times never appear on stdout or in the default
   // JSON, keeping the determinism byte-compare clean).
-  const auto flit_msgs =
-      static_cast<std::int32_t>(args.integer("flit-messages"));
   int rc = 0;
   if (flit_msgs > 0) {
     const std::vector<Pattern> fpatterns{Pattern::UniformRandom,
@@ -124,7 +125,7 @@ int exhibit(const ArgParser& args, bench::Harness& h) {
       TrafficConfig cfg;
       cfg.pattern = p;
       cfg.messages_per_node = flit_msgs;
-      cfg.message_bytes = static_cast<Bytes>(args.integer("bytes"));
+      cfg.message_bytes = static_cast<Bytes>(bytes);
       cfg.mean_gap = sim::Time::us(gap_us);
       cfg.seed = 92;
       const auto trace = generate_traffic(mesh, cfg);

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,12 +25,25 @@ int run_cli(ArgParser& args, int argc, const char* const* argv,
   }
 }
 
-std::int32_t positive_int32(const ArgParser& args, const std::string& name) {
+namespace {
+std::int32_t int32_from(const ArgParser& args, const std::string& name,
+                        std::int64_t lo) {
   const std::int64_t v = args.integer(name);
-  if (v < 1 || v > std::numeric_limits<std::int32_t>::max())
-    throw std::invalid_argument("--" + name + " must be in [1, 2^31), got " +
+  if (v < lo || v > std::numeric_limits<std::int32_t>::max())
+    throw std::invalid_argument("--" + name + " must be in [" +
+                                std::to_string(lo) + ", 2^31), got " +
                                 args.str(name));
   return static_cast<std::int32_t>(v);
+}
+}  // namespace
+
+std::int32_t positive_int32(const ArgParser& args, const std::string& name) {
+  return int32_from(args, name, 1);
+}
+
+std::int32_t non_negative_int32(const ArgParser& args,
+                                const std::string& name) {
+  return int32_from(args, name, 0);
 }
 
 Harness::Harness(const std::string& name, const std::string& description)

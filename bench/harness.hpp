@@ -38,6 +38,10 @@ int run_cli(ArgParser& args, int argc, const char* const* argv,
 /// instead of reaching a model precondition.
 std::int32_t positive_int32(const ArgParser& args, const std::string& name);
 
+/// Integer option `name` in [0, 2^31), or std::invalid_argument naming it.
+std::int32_t non_negative_int32(const ArgParser& args,
+                                const std::string& name);
+
 /// One --threads entry of a thread sweep, as the sweep body reports it.
 struct SweepRun {
   double wall_s = 0.0;   ///< host time of the entry's timed work

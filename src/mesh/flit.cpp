@@ -1,6 +1,6 @@
 #include "mesh/flit.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -18,28 +18,25 @@ FlitNetwork::FlitNetwork(Mesh2D mesh, FlitParams params)
   HPCCSIM_EXPECTS(params.input_buffer_flits <= 4096);
   n_ = mesh_.node_count();
   cap_ = params.input_buffer_flits;
-  const auto nports = static_cast<std::size_t>(n_) * kPorts;
-  buf_.resize(nports * static_cast<std::size_t>(cap_));
-  q_head_.assign(nports, 0);
-  q_size_.assign(nports, 0);
-  owner_.assign(nports, -1);
-  staged_count_.assign(nports, 0);
-  router_flits_.assign(static_cast<std::size_t>(n_), 0);
+  const std::int32_t w = mesh_.width();
+  step_[static_cast<int>(Dir::East)] = 1;
+  step_[static_cast<int>(Dir::West)] = -1;
+  step_[static_cast<int>(Dir::North)] = -w;
+  step_[static_cast<int>(Dir::South)] = w;
+  const auto nodes = static_cast<std::size_t>(n_);
+  buf_.resize(nodes * kPorts * static_cast<std::size_t>(cap_));
+  ports_.resize(nodes * kPorts);
+  router_flits_.assign(nodes, 0);
+  xy_.reserve(nodes);
+  for (NodeId n = 0; n < n_; ++n) xy_.push_back(mesh_.coord_of(n));
   whole_.hi = n_;
-  whole_.active.assign(static_cast<std::size_t>((n_ + 63) / 64), 0);
+  whole_.active.assign((nodes + 63) / 64, 0);
   whole_.inject.assign(whole_.active.size(), 0);
-  inject_.resize(static_cast<std::size_t>(n_));
-  nbr_.resize(static_cast<std::size_t>(n_) * 4);
-  cx_.resize(static_cast<std::size_t>(n_));
-  cy_.resize(static_cast<std::size_t>(n_));
-  for (NodeId n = 0; n < n_; ++n) {
-    for (const Dir d : kAllDirs)
-      nbr_[static_cast<std::size_t>(n) * 4 + static_cast<std::size_t>(d)] =
-          mesh_.neighbour(n, d);
-    const Coord c = mesh_.coord_of(n);
-    cx_[static_cast<std::size_t>(n)] = static_cast<std::int16_t>(c.x);
-    cy_[static_cast<std::size_t>(n)] = static_cast<std::int16_t>(c.y);
-  }
+  // Capacity for every source and for one arrival per port, so stepping
+  // never grows either.
+  whole_.waiting.reserve(nodes);
+  whole_.staged.reserve(nodes * kPorts);
+  sources_.resize(nodes);
 }
 
 std::size_t FlitNetwork::inject(NodeId src, NodeId dst, Bytes bytes,
@@ -48,12 +45,29 @@ std::size_t FlitNetwork::inject(NodeId src, NodeId dst, Bytes bytes,
   HPCCSIM_EXPECTS(dst >= 0 && dst < n_);
   HPCCSIM_EXPECTS(src != dst);
   HPCCSIM_EXPECTS(bytes > 0);
+  HPCCSIM_EXPECTS(bytes <= std::numeric_limits<Bytes>::max() -
+                               (params_.flit_bytes - 1));
+  HPCCSIM_EXPECTS(messages_.size() < (std::size_t{1} << 30));  // fits a Flit
+  const auto m = static_cast<std::int32_t>(messages_.size());
   messages_.push_back(FlitMessage{src, dst, bytes, inject_cycle, 0, false});
-  inject_[static_cast<std::size_t>(src)].pending.push_back(
-      static_cast<std::int32_t>(messages_.size() - 1));
-  set_local(whole_.inject, src);
+  next_.push_back(-1);
+  Source& s = sources_[static_cast<std::size_t>(src)];
+  if (s.head < 0) {
+    s.head = m;
+    wait_front(whole_, src);
+  } else {
+    next_[static_cast<std::size_t>(s.tail)] = m;
+  }
+  s.tail = m;
   ++whole_.undelivered;
   return messages_.size() - 1;
+}
+
+void FlitNetwork::wait_front(Band& b, NodeId n) {
+  const std::int32_t m = sources_[static_cast<std::size_t>(n)].head;
+  b.waiting.push_back(
+      {messages_[static_cast<std::size_t>(m)].inject_cycle, n});
+  std::push_heap(b.waiting.begin(), b.waiting.end(), later);
 }
 
 std::int64_t FlitNetwork::flits_of(std::int32_t msg) const {
@@ -70,83 +84,29 @@ const char* route_algo_name(RouteAlgo a) {
   return "?";
 }
 
-void FlitNetwork::route_candidates(NodeId node, NodeId dst, int out[3],
-                                   int& count) const {
-  count = 0;
-  if (node == dst) {
-    out[count++] = kLocal;
-    return;
-  }
-  const std::int32_t cx = cx_[static_cast<std::size_t>(node)];
-  const std::int32_t cy = cy_[static_cast<std::size_t>(node)];
-  const std::int32_t tx = cx_[static_cast<std::size_t>(dst)];
-  const std::int32_t ty = cy_[static_cast<std::size_t>(dst)];
-  if (params_.routing == RouteAlgo::XY) {
-    if (cx != tx)
-      out[count++] = static_cast<int>(cx < tx ? Dir::East : Dir::West);
-    else
-      out[count++] = static_cast<int>(cy < ty ? Dir::South : Dir::North);
-    return;
-  }
-  // West-first: every west hop precedes any other turn (deadlock-free
-  // per the turn model); once dx >= 0, adapt among the productive
-  // directions.
-  if (cx > tx) {
-    out[count++] = static_cast<int>(Dir::West);
-    return;
-  }
-  if (cx < tx) out[count++] = static_cast<int>(Dir::East);
-  if (cy < ty) out[count++] = static_cast<int>(Dir::South);
-  else if (cy > ty) out[count++] = static_cast<int>(Dir::North);
-  HPCCSIM_ASSERT(count >= 1);
-}
-
+// With the network empty, no source is in the inject bitmap: a source
+// there has staged a flit this cycle or holds a full local port, so it
+// leaves one in flight (rebuild_bitmaps puts every source on the heap).
+// Every pending source is therefore on the heap, whose root holds the
+// earliest front message and whose root's children hold the next
+// earliest of the other sources.
 FlitNetwork::InjectHorizon FlitNetwork::inject_horizon() const {
-  InjectHorizon h;
-  h.first = kNever;
-  h.second = kNever;
-  h.node = -1;
-  bool multi = false;
-  for (std::size_t wi = 0; wi < whole_.inject.size(); ++wi) {
-    std::uint64_t w = whole_.inject[wi];
-    while (w) {
-      const NodeId n =
-          static_cast<NodeId>((wi << 6) + std::countr_zero(w));
-      w &= w - 1;
-      const auto& pend = inject_[static_cast<std::size_t>(n)].pending;
-      const std::uint64_t c =
-          messages_[static_cast<std::size_t>(pend.front())].inject_cycle;
-      if (c < h.first) {
-        h.first = c;
-        h.node = n;
-        multi = false;
-      } else if (c == h.first) {
-        multi = true;
-      }
+  const std::vector<Waiting>& q = whole_.waiting;
+  HPCCSIM_ASSERT(!q.empty());
+  InjectHorizon h{q[0].cycle, q[0].node, kNever};
+  for (std::size_t k = 1; k <= 2 && k < q.size(); ++k) {
+    if (q[k].cycle == h.first) {
+      h.node = -1;  // tied across nodes
+      return h;
     }
+    h.second = std::min(h.second, q[k].cycle);
   }
-  if (multi) {
-    h.node = -1;
-    return h;
-  }
-  for (std::size_t wi = 0; wi < whole_.inject.size(); ++wi) {
-    std::uint64_t w = whole_.inject[wi];
-    while (w) {
-      const NodeId n =
-          static_cast<NodeId>((wi << 6) + std::countr_zero(w));
-      w &= w - 1;
-      const auto& pend = inject_[static_cast<std::size_t>(n)].pending;
-      if (n == h.node) {
-        if (pend.size() > 1)
-          h.second = std::min(
-              h.second,
-              messages_[static_cast<std::size_t>(pend[1])].inject_cycle);
-      } else {
-        h.second = std::min(
-            h.second,
-            messages_[static_cast<std::size_t>(pend.front())].inject_cycle);
-      }
-    }
+  if (h.node >= 0) {
+    const std::int32_t m = sources_[static_cast<std::size_t>(h.node)].head;
+    const std::int32_t after = next_[static_cast<std::size_t>(m)];
+    if (after >= 0)
+      h.second = std::min(
+          h.second, messages_[static_cast<std::size_t>(after)].inject_cycle);
   }
   return h;
 }
@@ -202,8 +162,8 @@ bool FlitNetwork::try_empty_advance(std::uint64_t max_cycles) {
     // in cycle start + hops + flits, and the network is empty
     // again one cycle later. Safe only if no other message can
     // start injecting before that point.
-    auto& st = inject_[static_cast<std::size_t>(h.node)];
-    const std::int32_t m = st.pending.front();
+    Source& st = sources_[static_cast<std::size_t>(h.node)];
+    const std::int32_t m = st.head;
     HPCCSIM_ASSERT(st.flits_sent == 0);
     const auto& msg = messages_[static_cast<std::size_t>(m)];
     const auto hops =
@@ -221,8 +181,11 @@ bool FlitNetwork::try_empty_advance(std::uint64_t max_cycles) {
       whole_.link += nflits * hops;
       ffwd_flits_ += nflits;
       ++ffwd_messages_;
-      st.pending.pop_front();
-      if (st.pending.empty()) clear_local(whole_.inject, h.node);
+      // The source leaves the heap root; its next message waits in turn.
+      std::pop_heap(whole_.waiting.begin(), whole_.waiting.end(), later);
+      whole_.waiting.pop_back();
+      st.head = next_[static_cast<std::size_t>(m)];
+      if (st.head >= 0) wait_front(whole_, h.node);
       cycle_ = done;
       return true;
     }

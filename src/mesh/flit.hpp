@@ -18,12 +18,15 @@
 // input ports in index order, and adaptive choices break ties by
 // route-preference order.
 //
-// Hot-path layout (docs/MODEL.md §10): router state is structure-of-
-// arrays — flits are 12-byte POD records in one flat preallocated ring-
-// buffer arena (per-port capacity = input_buffer_flits), with flat
-// head/size/owner arrays beside it. After construction, stepping never
-// touches the heap. Three scheduling optimisations sit on top, all
-// provably result-identical to plain per-cycle stepping:
+// Hot-path layout (docs/MODEL.md §10): a flit is one 32-bit word (its
+// message index, a head bit and a tail bit) in one flat preallocated
+// ring-buffer arena (per-port capacity = input_buffer_flits), and each
+// (router, port) has one 8-byte record beside it: the input ring's head
+// and size, the in-place staged arrival, the output port's owner, the
+// input port's grant and its waiting head's candidate outputs. After
+// construction and inject(), stepping never touches the heap. Three
+// scheduling optimisations sit on top, all provably result-identical to
+// plain per-cycle stepping:
 //
 //   - active-set stepping: step() visits only routers that hold at
 //     least one visible flit (a bitmap kept exact by push/pop), so the
@@ -36,10 +39,16 @@
 //     cycle, falling back to stepping the moment a second message
 //     could contend.
 //
-// step_reference() / run_reference() keep the naive full-scan schedule
-// compiled in as a cross-check mode: tests assert the fast path yields
-// byte-identical delivered_cycle, link/injected/ejected flit counters,
-// and final cycle on every configuration (tests/flit_test.cpp).
+// Injection visits only sources whose front message is due: the others
+// wait in a min-heap on their front message's inject cycle, whose root
+// also gives the idle skip and the fast-forward their horizon.
+//
+// step_reference() / run_reference() run the same band step with the
+// naive full-scan schedule as a cross-check mode: tests assert the fast
+// path yields byte-identical delivered_cycle, link/injected/ejected flit
+// counters, and final cycle on every configuration, and the FlitGolden
+// pins hold the band step itself to recorded deliveries
+// (tests/flit_test.cpp).
 //
 // Parallel mode (docs/MODEL.md §11): set_threads(T > 1) makes run()
 // partition the mesh into spatially contiguous row bands, each stepped
@@ -58,10 +67,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
-#include <type_traits>
 #include <vector>
 
 #include "core/barrier.hpp"
@@ -110,7 +117,8 @@ class FlitNetwork {
   FlitNetwork& operator=(FlitNetwork&&) = delete;
 
   /// Queue a message for injection at its source from `inject_cycle` on.
-  /// Returns the message index.
+  /// Returns the message index. A network holds fewer than 2^30
+  /// messages, and `bytes` must leave its flit count unwrapped.
   std::size_t inject(NodeId src, NodeId dst, Bytes bytes,
                      std::uint64_t inject_cycle);
 
@@ -207,34 +215,48 @@ class FlitNetwork {
   static constexpr int kLocal = 4;
   static constexpr int kPorts = 5;
 
-  struct Flit {
-    std::int32_t msg = -1;
-    NodeId dst = -1;
-    std::uint8_t head = 0;
-    std::uint8_t tail = 0;
-  };
-  static_assert(sizeof(Flit) <= 16 && std::is_trivially_copyable_v<Flit>,
-                "flits must stay small POD records");
+  // A flit is one word: its message index << 2, a head bit and a tail
+  // bit. A head flit reads its destination from its message.
+  using Flit = std::uint32_t;
+  static constexpr Flit kHead = 2;
+  static constexpr Flit kTail = 1;
+  static std::int32_t msg_of(Flit f) {
+    return static_cast<std::int32_t>(f >> 2);
+  }
 
-  struct Staged {
-    NodeId node;
-    std::int32_t port;
-    Flit flit;
+  // One (router, port) record. Port k of a router is both input k (its
+  // ring, grant and waiting head's candidates) and output k (its owner).
+  struct Port {
+    std::uint16_t head = 0;  // ring slot of the front flit
+    std::uint16_t size = 0;  // visible flits
+    std::int8_t staged = 0;  // 1 if a flit arrived in place this cycle
+    std::int8_t owner = -1;  // output k: the input port it carries
+    std::int8_t grant = -1;  // input k: the output port it holds
+    std::uint8_t want = 0;   // input k: its ungranted head's candidates
   };
+  static_assert(sizeof(Port) == 8, "one record per (router, port)");
 
-  // Route computation: candidate output ports for a flit at `node`
-  // heading to `dst`, in preference order (all minimal). XY returns one
-  // candidate; WestFirst may return several for the adaptive phase.
-  // kLocal (alone) when node == dst.
-  void route_candidates(NodeId node, NodeId dst, int out[3], int& count) const;
+  // Route computation: the candidate output ports (all minimal) for a
+  // head at `node` heading to `dst`, as a bit set over ports. XY gives
+  // one; WestFirst may give several for the adaptive phase, and
+  // ascending port order is its preference order (East before the one
+  // productive North or South). kLocal alone when node == dst.
+  inline std::uint8_t route_candidates(NodeId node, NodeId dst) const;
 
   // Flat index of (node, port).
   std::int32_t pidx(NodeId node, int port) const {
     return node * kPorts + port;
   }
-  const Flit& fifo_front(std::int32_t p) const {
-    return buf_[static_cast<std::size_t>(p * cap_ + q_head_[
-        static_cast<std::size_t>(p)])];
+  Flit& slot(std::int32_t p, std::int32_t i) {
+    return buf_[static_cast<std::size_t>(p) * static_cast<std::size_t>(cap_) +
+                static_cast<std::size_t>(i)];
+  }
+  // The ring slot after port p's visible flits: where an arrival lands.
+  Flit& back_slot(std::int32_t p) {
+    const Port& q = ports_[static_cast<std::size_t>(p)];
+    std::int32_t i = q.head + q.size;
+    if (i >= cap_) i -= cap_;
+    return slot(p, i);
   }
 
   // --- The band step (src/mesh/flit_parallel.cpp) ---------------------
@@ -245,14 +267,21 @@ class FlitNetwork {
   // reads, flits and credits across band boundaries, so the whole-mesh
   // step compiles without boundary checks.
   struct Edge;  // one directed cross-band link
+  // A source waiting for its front message: due at `cycle`.
+  struct Waiting {
+    std::uint64_t cycle;
+    NodeId node;
+  };
   struct alignas(64) Band {
     NodeId lo = 0, hi = 0;
     // Bitmaps, bit j = router lo + j, exact at cycle boundaries: active
-    // holds >= 1 visible flit, inject has a non-empty pending-message
-    // queue. Band-private words, since rows are not 64-aligned.
+    // holds >= 1 visible flit, inject has a due front message. Band-
+    // private words, since rows are not 64-aligned.
     std::vector<std::uint64_t> active;
     std::vector<std::uint64_t> inject;
-    std::vector<Staged> staged;  // in-band arrivals this cycle
+    std::int64_t nactive = 0;      // bits set in active
+    std::vector<Waiting> waiting;  // min-heap of not-yet-due sources
+    std::vector<std::int32_t> staged;  // ports holding an arrival
     // Boundary edges, one per column, null without a neighbour band:
     // from_* feed this band's top-row North / bottom-row South inputs,
     // to_* carry its flits into the band above / below.
@@ -275,6 +304,12 @@ class FlitNetwork {
   static void clear_local(std::vector<std::uint64_t>& bm, std::int32_t j) {
     bm[static_cast<std::size_t>(j >> 6)] &= ~(std::uint64_t{1} << (j & 63));
   }
+  // Heap order for Band::waiting: the root is the earliest (cycle, node).
+  static bool later(const Waiting& a, const Waiting& b) {
+    return a.cycle != b.cycle ? a.cycle > b.cycle : a.node > b.node;
+  }
+  // Puts source n, whose pending list is not empty, on b's heap.
+  void wait_front(Band& b, NodeId n);
 
   // One cycle c of band b; `full_scan` visits every router (the
   // reference schedule) instead of the active set. The small per-flit
@@ -290,13 +325,12 @@ class FlitNetwork {
   inline std::int32_t occ(const Band& b, NodeId node, int port) const;
   template <bool kSharded>
   inline void pop(Band& b, NodeId node, int port);
-  inline void push_fifo(Band& b, std::int32_t p, NodeId node,
-                        const Flit& f);
+  inline void push_fifo(Band& b, std::int32_t p, Flit f);
   template <bool kSharded>
-  inline void stage_to(Band& b, NodeId node, int port, const Flit& f,
+  inline void stage_to(Band& b, NodeId node, int port, Flit f,
                        std::int64_t c);
   inline Edge* edge_to(const Band& b, NodeId node) const;
-  void rebuild_bitmaps(Band& b);  // from router_flits_ and inject_
+  void rebuild_bitmaps(Band& b);  // from router_flits_ and sources_
   bool step_whole(bool full_scan);
 
   // Shared empty-network shortcut used by both the sequential and the
@@ -333,29 +367,27 @@ class FlitNetwork {
   FlitParams params_;
   std::int32_t n_ = 0;    // router count
   std::int32_t cap_ = 0;  // per-input-port buffer capacity (flits)
+  std::int32_t step_[4] = {};  // id offset to the neighbour, per Dir
 
-  // --- SoA router state, all preallocated at construction -------------
-  std::vector<Flit> buf_;                  // n * 5 * cap ring storage
-  std::vector<std::uint16_t> q_head_;      // n * 5 ring head index
-  std::vector<std::uint16_t> q_size_;      // n * 5 ring occupancy
-  std::vector<std::int8_t> owner_;         // n * 5 output-port owner
-  std::vector<std::int32_t> router_flits_; // n: visible flits per router
-  std::vector<std::int16_t> staged_count_; // n * 5 staged this cycle
-  std::vector<NodeId> nbr_;                // n * 4 neighbour table
-  std::vector<std::int16_t> cx_, cy_;      // n coordinates
-  // The band that spans every row: the sequential step's bitmaps and
-  // arrival list, and the running counter totals.
+  // --- Router state, all preallocated at construction -----------------
+  std::vector<Flit> buf_;                   // n * 5 * cap ring storage
+  std::vector<Port> ports_;                 // n * 5 port records
+  std::vector<std::int32_t> router_flits_;  // n: visible flits per router
+  std::vector<Coord> xy_;                   // n coordinates
+  // The band that spans every row: the sequential step's bitmaps, heap
+  // and arrival list, and the running counter totals.
   Band whole_;
 
   std::vector<FlitMessage> messages_;
-  // Per-source queue of (message index) not yet fully injected and the
-  // number of flits of the current message already injected. Cold path:
-  // only inject() grows it.
-  struct InjectState {
-    std::deque<std::int32_t> pending;
+  // Each source's messages not yet fully injected, in inject() order: a
+  // list linked through next_ (per message, -1 ends it), and the flits
+  // of its head message already injected.
+  struct Source {
+    std::int32_t head = -1, tail = -1;
     std::int64_t flits_sent = 0;
   };
-  std::vector<InjectState> inject_;
+  std::vector<Source> sources_;
+  std::vector<std::int32_t> next_;
 
   std::uint64_t cycle_ = 0;
   std::uint64_t skipped_cycles_ = 0;

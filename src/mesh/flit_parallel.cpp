@@ -76,7 +76,7 @@ constexpr std::int64_t kPoison = std::numeric_limits<std::int64_t>::max();
 struct FlitNetwork::Edge {
   struct Entry {
     std::int64_t cycle = 0;
-    Flit flit;
+    Flit flit = 0;
   };
   static constexpr std::int64_t kRing = 8;
   std::int32_t port = -1;  // owner-side input port (flat pidx)
@@ -103,18 +103,21 @@ std::int32_t FlitNetwork::occ(const Band& b, NodeId node, int port) const {
   if constexpr (kSharded)
     if (const Edge* e = edge_to(b, node))
       return static_cast<std::int32_t>(e->sent - e->consumed);
-  const auto p = static_cast<std::size_t>(pidx(node, port));
-  return static_cast<std::int32_t>(q_size_[p]) + staged_count_[p];
+  const Port& q = ports_[static_cast<std::size_t>(pidx(node, port))];
+  return q.size + q.staged;
 }
 
+// A pop keeps head + size fixed, so an arrival staged in place at the
+// slot after the visible flits stays there until phase 3 counts it.
 template <bool kSharded>
 void FlitNetwork::pop(Band& b, NodeId node, int port) {
-  const auto p = static_cast<std::size_t>(pidx(node, port));
-  auto& head = q_head_[p];
-  head = static_cast<std::uint16_t>(head + 1 == cap_ ? 0 : head + 1);
-  --q_size_[p];
-  if (--router_flits_[static_cast<std::size_t>(node)] == 0)
+  Port& q = ports_[static_cast<std::size_t>(pidx(node, port))];
+  q.head = static_cast<std::uint16_t>(q.head + 1 == cap_ ? 0 : q.head + 1);
+  --q.size;
+  if (--router_flits_[static_cast<std::size_t>(node)] == 0) {
     clear_local(b.active, node - b.lo);
+    --b.nactive;
+  }
   if constexpr (kSharded) {
     // A boundary input returns the credit to its feeder's mirror.
     const std::int32_t w = mesh_.width();
@@ -125,21 +128,25 @@ void FlitNetwork::pop(Band& b, NodeId node, int port) {
   }
 }
 
-void FlitNetwork::push_fifo(Band& b, std::int32_t p, NodeId node,
-                            const Flit& f) {
-  const auto head = q_head_[static_cast<std::size_t>(p)];
-  auto& size = q_size_[static_cast<std::size_t>(p)];
-  HPCCSIM_ASSERT(static_cast<std::int32_t>(size) < cap_);
-  std::int32_t slot = head + size;
-  if (slot >= cap_) slot -= cap_;
-  buf_[static_cast<std::size_t>(p * cap_ + slot)] = f;
-  ++size;
-  if (router_flits_[static_cast<std::size_t>(node)]++ == 0)
+// Makes flit f visible at the back of port p at once (boundary arrivals).
+void FlitNetwork::push_fifo(Band& b, std::int32_t p, Flit f) {
+  Port& q = ports_[static_cast<std::size_t>(p)];
+  HPCCSIM_ASSERT(q.size + q.staged < cap_);
+  back_slot(p) = f;
+  ++q.size;
+  const NodeId node = p / kPorts;
+  if (router_flits_[static_cast<std::size_t>(node)]++ == 0) {
     set_local(b.active, node - b.lo);
+    ++b.nactive;
+  }
 }
 
+// Stages flit f into input `port` of `node`: in place, in the ring slot
+// after the visible flits, or across a band boundary through its edge.
+// Each input port has a unique upstream output, so at most one flit is
+// staged per (node, port) per cycle.
 template <bool kSharded>
-void FlitNetwork::stage_to(Band& b, NodeId node, int port, const Flit& f,
+void FlitNetwork::stage_to(Band& b, NodeId node, int port, Flit f,
                            [[maybe_unused]] std::int64_t c) {
   if constexpr (kSharded)
     if (Edge* e = edge_to(b, node)) {
@@ -150,8 +157,12 @@ void FlitNetwork::stage_to(Band& b, NodeId node, int port, const Flit& f,
       ++b.boundary;
       return;
     }
-  b.staged.push_back(Staged{node, port, f});
-  ++staged_count_[static_cast<std::size_t>(pidx(node, port))];
+  const std::int32_t p = pidx(node, port);
+  Port& q = ports_[static_cast<std::size_t>(p)];
+  HPCCSIM_ASSERT(q.staged == 0);
+  back_slot(p) = f;
+  q.staged = 1;
+  b.staged.push_back(p);
 }
 
 // Make boundary arrivals staged during cycle `apply_c` visible: phase 3
@@ -165,102 +176,130 @@ void FlitNetwork::apply_inbound(Band& b, std::int64_t apply_c) {
         const Edge::Entry& en = ed->ring[ed->rd & (Edge::kRing - 1)];
         HPCCSIM_ASSERT(en.cycle >= apply_c);
         if (en.cycle > apply_c) break;
-        push_fifo(b, ed->port, ed->port / kPorts, en.flit);
+        push_fifo(b, ed->port, en.flit);
       }
   }
 }
 
 // Phase 1: injection — one flit per node per cycle into the local input
-// port, in node-id order over the band's sources with pending messages.
+// port, in node-id order over the band's sources whose front message is
+// due. Sources whose front falls due this cycle leave the heap first.
 void FlitNetwork::phase1(Band& b, std::int64_t c) {
+  const auto now = static_cast<std::uint64_t>(c);
+  while (!b.waiting.empty() && b.waiting.front().cycle <= now) {
+    set_local(b.inject, b.waiting.front().node - b.lo);
+    std::pop_heap(b.waiting.begin(), b.waiting.end(), later);
+    b.waiting.pop_back();
+  }
   for (std::size_t wi = 0; wi < b.inject.size(); ++wi) {
     std::uint64_t w = b.inject[wi];
     while (w) {
       const NodeId n =
           b.lo + static_cast<NodeId>((wi << 6) + std::countr_zero(w));
       w &= w - 1;
-      auto& st = inject_[static_cast<std::size_t>(n)];
-      const std::int32_t m = st.pending.front();
-      if (messages_[static_cast<std::size_t>(m)].inject_cycle >
-          static_cast<std::uint64_t>(c))
-        continue;
       if (occ<false>(b, n, kLocal) >= cap_) continue;
+      Source& st = sources_[static_cast<std::size_t>(n)];
+      const std::int32_t m = st.head;
       const std::int64_t total = flits_of(m);
-      Flit f;
-      f.msg = m;
-      f.dst = messages_[static_cast<std::size_t>(m)].dst;
-      f.head = st.flits_sent == 0;
-      f.tail = st.flits_sent == total - 1;
+      const Flit f = static_cast<Flit>(m) << 2 |
+                     (st.flits_sent == 0 ? kHead : 0) |
+                     (st.flits_sent == total - 1 ? kTail : 0);
       stage_to<false>(b, n, kLocal, f, c);
       ++b.in_flight;
       ++b.injected;
       if (++st.flits_sent == total) {
-        st.pending.pop_front();
+        // The next message keeps the source's bit only if already due.
         st.flits_sent = 0;
-        if (st.pending.empty()) clear_local(b.inject, n - b.lo);
+        st.head = next_[static_cast<std::size_t>(m)];
+        if (st.head < 0 ||
+            messages_[static_cast<std::size_t>(st.head)].inject_cycle > now) {
+          clear_local(b.inject, n - b.lo);
+          if (st.head >= 0) wait_front(b, n);
+        }
       }
     }
   }
+}
+
+std::uint8_t FlitNetwork::route_candidates(NodeId node, NodeId dst) const {
+  const auto bit = [](Dir d) {
+    return static_cast<std::uint8_t>(1u << static_cast<int>(d));
+  };
+  if (node == dst) return std::uint8_t{1u << kLocal};
+  const Coord at = xy_[static_cast<std::size_t>(node)];
+  const Coord to = xy_[static_cast<std::size_t>(dst)];
+  if (params_.routing == RouteAlgo::XY) {
+    if (at.x != to.x) return bit(at.x < to.x ? Dir::East : Dir::West);
+    return bit(at.y < to.y ? Dir::South : Dir::North);
+  }
+  // West-first: every west hop precedes any other turn (deadlock-free
+  // per the turn model); once dx >= 0, adapt among the productive
+  // directions.
+  if (at.x > to.x) return bit(Dir::West);
+  std::uint8_t m = 0;
+  if (at.x < to.x) m |= bit(Dir::East);
+  if (at.y < to.y) m |= bit(Dir::South);
+  else if (at.y > to.y) m |= bit(Dir::North);
+  HPCCSIM_ASSERT(m != 0);
+  return m;
 }
 
 // Phase 2 for one router: switch allocation, then traversal.
 template <bool kSharded>
 void FlitNetwork::phase2_router(Band& b, NodeId n, std::int64_t c) {
   const std::int32_t base = pidx(n, 0);
+  Port* const port = &ports_[static_cast<std::size_t>(base)];
 
   // Allocation: each ungranted head flit claims its best free candidate
   // output — for adaptive routing, the one with the most downstream
-  // buffer space (ties: route-preference order).
+  // buffer space (ties: route-preference order). An input that fronts a
+  // body flit always holds a grant (its head took one, only its tail
+  // releases it), so the grant check comes first. A head keeps the
+  // front until it is granted, so its candidates are computed once and
+  // kept in `want` until then.
   for (int ip = 0; ip < kPorts; ++ip) {
-    const std::int32_t p = base + ip;
-    if (q_size_[static_cast<std::size_t>(p)] == 0) continue;
-    const Flit& front = fifo_front(p);
-    if (!front.head) continue;
-    bool granted = false;
-    for (int op = 0; op < kPorts; ++op)
-      granted = granted || owner_[static_cast<std::size_t>(base + op)] == ip;
-    if (granted) continue;
-    int cands[3];
-    int nc = 0;
-    route_candidates(n, front.dst, cands, nc);
+    if (port[ip].size == 0 || port[ip].grant >= 0) continue;
+    if (port[ip].want == 0) {
+      const Flit front = slot(base + ip, port[ip].head);
+      if (!(front & kHead)) continue;
+      port[ip].want = route_candidates(
+          n, messages_[static_cast<std::size_t>(msg_of(front))].dst);
+    }
     int best = -1;
     std::int32_t best_space = -1;
-    for (int k = 0; k < nc; ++k) {
-      const int op = cands[k];
-      if (owner_[static_cast<std::size_t>(base + op)] >= 0) continue;
-      std::int32_t space;
-      if (op == kLocal) {
-        space = std::numeric_limits<std::int32_t>::max();
-      } else {
-        const NodeId next = nbr_[static_cast<std::size_t>(n) * 4 +
-                                 static_cast<std::size_t>(op)];
-        space = cap_ - occ<kSharded>(b, next, opposite(op));
-      }
+    for (unsigned w = port[ip].want; w; w &= w - 1) {
+      const int op = std::countr_zero(w);
+      if (port[op].owner >= 0) continue;
+      const std::int32_t space =
+          op == kLocal ? std::numeric_limits<std::int32_t>::max()
+                       : cap_ - occ<kSharded>(b, n + step_[op], opposite(op));
       if (space > best_space) {
         best_space = space;
         best = op;
       }
     }
-    if (best >= 0)
-      owner_[static_cast<std::size_t>(base + best)] =
-          static_cast<std::int8_t>(ip);
+    if (best >= 0) {
+      port[best].owner = static_cast<std::int8_t>(ip);
+      port[ip].grant = static_cast<std::int8_t>(best);
+      port[ip].want = 0;
+    }
   }
 
-  // Traversal: one flit per owned output port.
+  // Traversal: one flit per owned output port with downstream credit
+  // (the ejection port always accepts).
   for (int op = 0; op < kPorts; ++op) {
-    const std::int8_t own = owner_[static_cast<std::size_t>(base + op)];
-    if (own < 0) continue;
-    const std::int32_t p = base + own;
-    if (q_size_[static_cast<std::size_t>(p)] == 0) continue;
-    const Flit f = fifo_front(p);
-
+    const int own = port[op].owner;
+    if (own < 0 || port[own].size == 0) continue;
+    if (op != kLocal &&
+        occ<kSharded>(b, n + step_[op], opposite(op)) >= cap_)
+      continue;  // credit stall
+    const Flit f = slot(base + own, port[own].head);
+    pop<kSharded>(b, n, own);
     if (op == kLocal) {
-      // Ejection: always accepted.
-      pop<kSharded>(b, n, own);
       --b.in_flight;
       ++b.ejected;
-      if (f.tail) {
-        auto& msg = messages_[static_cast<std::size_t>(f.msg)];
+      if (f & kTail) {
+        auto& msg = messages_[static_cast<std::size_t>(msg_of(f))];
         HPCCSIM_ASSERT(!msg.delivered);
         // Charge router pipeline depth once per hop of the route.
         msg.delivered_cycle =
@@ -270,30 +309,29 @@ void FlitNetwork::phase2_router(Band& b, NodeId n, std::int64_t c) {
         msg.delivered = true;
         --b.undelivered;
         b.last_tail = static_cast<std::uint64_t>(c) + 1;
-        owner_[static_cast<std::size_t>(base + op)] = -1;
       }
     } else {
-      const NodeId next = nbr_[static_cast<std::size_t>(n) * 4 +
-                               static_cast<std::size_t>(op)];
-      HPCCSIM_ASSERT(next >= 0);
-      const int nip = opposite(op);
-      if (occ<kSharded>(b, next, nip) >= cap_) continue;  // credit stall
-      pop<kSharded>(b, n, own);
-      stage_to<kSharded>(b, next, nip, f, c);
+      stage_to<kSharded>(b, n + step_[op], opposite(op), f, c);
       ++b.link;
-      if (f.tail) owner_[static_cast<std::size_t>(base + op)] = -1;
+    }
+    if (f & kTail) {
+      port[op].owner = -1;
+      port[own].grant = -1;
     }
   }
 }
 
-// Phase 3: staged arrivals become visible next cycle. At most one flit
-// is staged per (node, port) per cycle — each input port has a unique
-// upstream output — so application order cannot reorder a FIFO.
+// Phase 3: arrivals staged in place become visible next cycle.
 void FlitNetwork::phase3(Band& b) {
-  for (const Staged& st : b.staged) {
-    const std::int32_t p = pidx(st.node, st.port);
-    push_fifo(b, p, st.node, st.flit);
-    staged_count_[static_cast<std::size_t>(p)] = 0;
+  for (const std::int32_t p : b.staged) {
+    Port& q = ports_[static_cast<std::size_t>(p)];
+    ++q.size;
+    q.staged = 0;
+    const NodeId node = p / kPorts;
+    if (router_flits_[static_cast<std::size_t>(node)]++ == 0) {
+      set_local(b.active, node - b.lo);
+      ++b.nactive;
+    }
   }
   b.staged.clear();
 }
@@ -308,10 +346,8 @@ void FlitNetwork::band_cycle(Band& b, std::int64_t c, bool full_scan) {
     // Only routers holding a visible flit can change any state this
     // cycle; both walks below visit exactly those routers in id order,
     // matching the full scan (skipped routers are provable no-ops).
-    std::int64_t cnt = 0;
-    for (const std::uint64_t w : b.active) cnt += std::popcount(w);
-    b.visits += static_cast<std::uint64_t>(cnt);
-    if (cnt * 2 >= static_cast<std::int64_t>(b.hi - b.lo)) {
+    b.visits += static_cast<std::uint64_t>(b.nactive);
+    if (b.nactive * 2 >= static_cast<std::int64_t>(b.hi - b.lo)) {
       // Dense regime (saturation): a predictable linear sweep beats
       // the bit-extraction chain.
       for (NodeId n = b.lo; n < b.hi; ++n)
@@ -344,15 +380,23 @@ bool FlitNetwork::step_whole(bool full_scan) {
 bool FlitNetwork::step() { return step_whole(false); }
 bool FlitNetwork::step_reference() { return step_whole(true); }
 
+// Every pending source goes on the heap; phase 1 moves the due ones.
 void FlitNetwork::rebuild_bitmaps(Band& b) {
   std::fill(b.active.begin(), b.active.end(), 0);
   std::fill(b.inject.begin(), b.inject.end(), 0);
+  b.nactive = 0;
+  b.waiting.clear();
   for (NodeId n = b.lo; n < b.hi; ++n) {
-    if (router_flits_[static_cast<std::size_t>(n)] > 0)
+    if (router_flits_[static_cast<std::size_t>(n)] > 0) {
       set_local(b.active, n - b.lo);
-    if (!inject_[static_cast<std::size_t>(n)].pending.empty())
-      set_local(b.inject, n - b.lo);
+      ++b.nactive;
+    }
+    const std::int32_t m = sources_[static_cast<std::size_t>(n)].head;
+    if (m >= 0)
+      b.waiting.push_back(
+          {messages_[static_cast<std::size_t>(m)].inject_cycle, n});
   }
+  std::make_heap(b.waiting.begin(), b.waiting.end(), later);
 }
 
 struct FlitNetwork::ParCtx {
@@ -427,7 +471,7 @@ struct FlitNetwork::ParCtx {
       s.progress.reset(begin - 1);
     }
     for (Edge& ed : edges) {
-      ed.sent = net->q_size_[static_cast<std::size_t>(ed.port)];
+      ed.sent = net->ports_[static_cast<std::size_t>(ed.port)].size;
       ed.consumed = 0;
       ed.wr = ed.rd = 0;
     }
@@ -507,6 +551,8 @@ void FlitNetwork::ensure_par_ctx() {
         static_cast<std::size_t>((s.hi - s.lo + 63) / 64);
     s.active.assign(words, 0);
     s.inject.assign(words, 0);
+    s.waiting.reserve(static_cast<std::size_t>(s.hi - s.lo));
+    s.staged.reserve(static_cast<std::size_t>(s.hi - s.lo) * kPorts);
     if (b > 0) {  // the boundary above
       s.from_above = &ctx.edges[static_cast<std::size_t>((b - 1) * 2 * width)];
       s.to_above = s.from_above + width;

@@ -38,6 +38,12 @@ expect(shared_platform 2 "--days" --days -5)
 expect(shared_platform 2 "--njobs" --njobs 0)
 expect(flit_throughput 2 "--threads" --threads 0)
 expect(flit_throughput 2 "--shape" --shape 12)
+expect(flit_throughput 2 "--messages" --messages 0)
+expect(flit_throughput 2 "--bytes" --bytes 0)
+expect(flit_throughput 2 "--bytes" --bytes -1)
+expect(flit_throughput 2 "--gap-us" --gap-us -5)
+expect(fig4_mesh_traffic 2 "--messages" --messages 0)
+expect(fig4_mesh_traffic 2 "--flit-messages" --flit-messages -2)
 expect(shared_platform 2 "--io-disks" --io-disks 0)
 expect(shared_platform 2 "--node-mtbf-days" --node-mtbf-days -1)
 expect(testbed_ops 2 "--jobs" --jobs 0)

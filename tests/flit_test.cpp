@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -571,6 +572,18 @@ TEST(FlitDiagnostics, IdleSkipRespectsMaxCycles) {
   EXPECT_LE(net.cycle(), 1000u);
 }
 
+// A byte count whose flit count (bytes + flit_bytes - 1) / flit_bytes
+// would wrap to 0 flits never emits a tail, so the run would spin to
+// max_cycles; inject() refuses it instead.
+TEST(FlitDiagnostics, InjectRejectsWrappingFlitCounts) {
+  FlitNetwork net(Mesh2D(4, 4), FlitParams{});
+  constexpr Bytes kMax = std::numeric_limits<Bytes>::max();
+  EXPECT_THROW(net.inject(0, 15, kMax, 0), ContractError);
+  EXPECT_THROW(net.inject(0, 15, kMax - 14, 0), ContractError);
+  EXPECT_EQ(net.messages().size(), 0u);
+  EXPECT_NO_THROW(net.inject(0, 15, kMax - 15, 0));  // 2^60 flits
+}
+
 TEST(FlitLatency, UndeliveredLatencyIsGuarded) {
   FlitNetwork net(Mesh2D(4, 4), FlitParams{});
   const auto i = net.inject(0, 15, 256, 0);
@@ -582,6 +595,58 @@ TEST(FlitLatency, UndeliveredLatencyIsGuarded) {
   net.run();
   ASSERT_TRUE(net.try_latency_cycles(i).has_value());
   EXPECT_EQ(*net.try_latency_cycles(i), net.latency_cycles(i));
+}
+
+}  // namespace
+}  // namespace hpccsim::mesh
+
+// ---------------------------------------------- allocation accounting --
+//
+// After construction and inject(), stepping never touches the heap: the
+// rings, port records, staging lists and heaps are all sized up front.
+// Verified with a counting global operator new.
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+namespace {
+std::atomic<std::uint64_t> g_heap_allocs{0};
+}  // namespace
+
+// Both new and delete are replaced together, so malloc/free pairing is
+// consistent; GCC's heuristic only sees the free() half and warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
+namespace hpccsim::mesh {
+namespace {
+
+TEST(FlitAllocation, SequentialRunAfterInjectIsAllocationFree) {
+  const Mesh2D mesh(8, 8);
+  FlitNetwork saturated(mesh, FlitParams{});
+  fill(saturated, random_workload(mesh, 31, 3 * mesh.node_count(), 0));
+  FlitNetwork sparse(mesh, FlitParams{});
+  inject_sparse_queues(sparse, 23, 0);
+  for (FlitNetwork* net : {&saturated, &sparse}) {
+    const std::uint64_t before = g_heap_allocs.load();
+    net->run();
+    EXPECT_EQ(g_heap_allocs.load() - before, 0u);
+    EXPECT_EQ(net->undelivered(), 0);
+  }
+  EXPECT_EQ(saturated.skipped_cycles(), 0u);
+  EXPECT_GT(sparse.fastforwarded_messages(), 0u);
 }
 
 }  // namespace
