@@ -1,14 +1,15 @@
 // Fast-path vs reference equivalence tests for the flit-level wormhole
 // network (docs/MODEL.md §10).
 //
-// The overhaul of FlitNetwork (SoA layout, active-set stepping,
-// idle-cycle skip, wormhole fast-forward) claims *byte-identical*
-// results to naive per-cycle full-scan stepping. These tests hold it to
-// that: randomized-traffic property sweeps across routing algorithms,
-// mesh shapes, and load levels compare run() against run_reference()
-// on every delivered cycle and every counter, plus golden pinned
-// counter values, the scheduling counters, and the overflow
-// diagnostics.
+// The fast schedule of FlitNetwork (active-set stepping, idle-cycle
+// skip, wormhole fast-forward) claims *byte-identical* results to naive
+// per-cycle full-scan stepping. These tests hold it to that:
+// randomized-traffic property sweeps across routing algorithms, mesh
+// shapes, and load levels compare run() against run_reference() on
+// every delivered cycle and every counter. run_reference() runs the same
+// band step, so golden pins (counters, a hash of every delivered cycle,
+// the schedule counters at 1 and 4 threads) hold the step itself, next
+// to allocation accounting and the overflow diagnostics.
 #include <gtest/gtest.h>
 
 #include <cstdint>
