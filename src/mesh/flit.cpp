@@ -45,8 +45,12 @@ std::size_t FlitNetwork::inject(NodeId src, NodeId dst, Bytes bytes,
   HPCCSIM_EXPECTS(dst >= 0 && dst < n_);
   HPCCSIM_EXPECTS(src != dst);
   HPCCSIM_EXPECTS(bytes > 0);
-  HPCCSIM_EXPECTS(bytes <= std::numeric_limits<Bytes>::max() -
-                               (params_.flit_bytes - 1));
+  // The flit count (bytes + flit_bytes - 1) / flit_bytes must neither
+  // wrap nor overflow the signed count phase 1 keeps.
+  const Bytes fb = params_.flit_bytes;
+  HPCCSIM_EXPECTS(bytes <= std::numeric_limits<Bytes>::max() - (fb - 1) &&
+                  (bytes + fb - 1) / fb <= static_cast<Bytes>(
+                      std::numeric_limits<std::int64_t>::max()));
   HPCCSIM_EXPECTS(messages_.size() < (std::size_t{1} << 30));  // fits a Flit
   const auto m = static_cast<std::int32_t>(messages_.size());
   messages_.push_back(FlitMessage{src, dst, bytes, inject_cycle, 0, false});

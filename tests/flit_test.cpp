@@ -574,8 +574,9 @@ TEST(FlitDiagnostics, IdleSkipRespectsMaxCycles) {
 }
 
 // A byte count whose flit count (bytes + flit_bytes - 1) / flit_bytes
-// would wrap to 0 flits never emits a tail, so the run would spin to
-// max_cycles; inject() refuses it instead.
+// would wrap to 0 flits, or past the signed count phase 1 keeps, never
+// emits a tail, so the run would spin to max_cycles; inject() refuses
+// it instead.
 TEST(FlitDiagnostics, InjectRejectsWrappingFlitCounts) {
   FlitNetwork net(Mesh2D(4, 4), FlitParams{});
   constexpr Bytes kMax = std::numeric_limits<Bytes>::max();
@@ -583,6 +584,11 @@ TEST(FlitDiagnostics, InjectRejectsWrappingFlitCounts) {
   EXPECT_THROW(net.inject(0, 15, kMax - 14, 0), ContractError);
   EXPECT_EQ(net.messages().size(), 0u);
   EXPECT_NO_THROW(net.inject(0, 15, kMax - 15, 0));  // 2^60 flits
+  FlitParams bytewide;
+  bytewide.flit_bytes = 1;
+  FlitNetwork one(Mesh2D(4, 4), bytewide);
+  EXPECT_THROW(one.inject(0, 15, Bytes{1} << 63, 0), ContractError);
+  EXPECT_NO_THROW(one.inject(0, 15, (Bytes{1} << 63) - 1, 0));
 }
 
 TEST(FlitLatency, UndeliveredLatencyIsGuarded) {
