@@ -4,7 +4,9 @@
 // simulated machines.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "linalg/blas.hpp"
 #include "linalg/blockcyclic.hpp"
@@ -291,6 +293,23 @@ TEST(DistLu, MatchesReferenceFactorizationPivots) {
   const LuResult r = run_distributed_lu(machine, cfg);
   ASSERT_TRUE(r.residual.has_value());
   EXPECT_LT(*r.residual, 50.0);
+}
+
+TEST(DistLu, GoldenResidualBits) {
+  // The exact bits of one numeric solve's HPL residual: any change to
+  // the arithmetic of the distribution, the factorization, either
+  // substitution pass or the gather moves them.
+  nx::NxMachine machine(proc::touchstone_delta().with_nodes(4));
+  LuConfig cfg;
+  cfg.n = 48;
+  cfg.nb = 8;
+  cfg.grid = ProcessGrid{2, 2};
+  cfg.mode = ExecMode::Numeric;
+  cfg.seed = 3;
+  const LuResult r = run_distributed_lu(machine, cfg);
+  ASSERT_TRUE(r.residual.has_value());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(*r.residual), 0x3f841f4d6fd3fa97ull)
+      << std::hexfloat << *r.residual;
 }
 
 TEST(DistLu, ModeledMatchesNumericSchedule) {
@@ -785,6 +804,22 @@ TEST(DistQr, HandlesIllConditionedBetterStory) {
   const QrResult r = run_distributed_qr(machine, cfg);
   ASSERT_TRUE(r.residual.has_value());
   EXPECT_LT(*r.residual, 50.0);
+}
+
+TEST(DistQr, GoldenResidualBits) {
+  // The QR counterpart of DistLu.GoldenResidualBits: distribution,
+  // Householder sweep, backward substitution and gather, bit for bit.
+  nx::NxMachine machine(proc::touchstone_delta().with_nodes(4));
+  QrConfig cfg;
+  cfg.n = 48;
+  cfg.nb = 8;
+  cfg.grid = ProcessGrid{2, 2};
+  cfg.mode = ExecMode::Numeric;
+  cfg.seed = 3;
+  const QrResult r = run_distributed_qr(machine, cfg);
+  ASSERT_TRUE(r.residual.has_value());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(*r.residual), 0x3f7a75024270c962ull)
+      << std::hexfloat << *r.residual;
 }
 
 TEST(DistQr, ModeledModeRunsSameSchedule) {

@@ -12,6 +12,7 @@
 #include "fault/injector.hpp"
 #include "io/cfs.hpp"
 #include "linalg/distlu.hpp"
+#include "linalg/distqr.hpp"
 #include "nx/collectives.hpp"
 #include "nx/machine_runtime.hpp"
 #include "obs/counters.hpp"
@@ -157,11 +158,13 @@ TEST(BenchMetrics, WriteFileEmptyPathIsNoop) {
 
 // --- Determinism: the property the whole subsystem is built on. ------
 
-obs::Registry lu_counters(std::int64_t n) {
+obs::Registry lu_counters(std::int64_t n,
+                          linalg::LuResult* result = nullptr) {
   const proc::MachineConfig mc = proc::touchstone_delta().with_nodes(16);
   nx::NxMachine machine(mc);
   linalg::LuConfig cfg = linalg::lu_config_for(machine, n, 32);
-  (void)linalg::run_distributed_lu(machine, cfg);
+  const linalg::LuResult r = linalg::run_distributed_lu(machine, cfg);
+  if (result) *result = r;
   return machine.snapshot_counters();
 }
 
@@ -184,7 +187,9 @@ TEST(Determinism, GoldenLuCounters) {
   // Exact totals for LU n=256, NB=32 on a 16-node Delta. These are test
   // oracles: any change means the simulation's event stream changed and
   // must be understood (then update the goldens deliberately).
-  const obs::Registry reg = lu_counters(256);
+  linalg::LuResult r;
+  const obs::Registry reg = lu_counters(256, &r);
+  EXPECT_EQ(r.elapsed.picoseconds(), 232829042883);
   EXPECT_EQ(reg.value("nx.sends"), reg.value("nx.recvs"));
   EXPECT_EQ(reg.value("nx.sends"), 4437);
   EXPECT_EQ(reg.value("nx.bytes_sent"), 2443392);
@@ -192,6 +197,25 @@ TEST(Determinism, GoldenLuCounters) {
   EXPECT_EQ(reg.value("core.engine.events"), 21990);
   EXPECT_EQ(reg.value("proc.nodes"), 16);
   EXPECT_EQ(reg.value("nx.messages_dropped"), 0);
+}
+
+TEST(Determinism, GoldenQrCounters) {
+  // Exact totals for modeled QR n=256, NB=32 on the same 16-node Delta,
+  // the grid matching its 4 x 4 mesh. QR's schedule ends in the same
+  // distributed backward substitution as LU's.
+  const proc::MachineConfig mc = proc::touchstone_delta().with_nodes(16);
+  nx::NxMachine machine(mc);
+  linalg::QrConfig cfg;
+  cfg.n = 256;
+  cfg.nb = 32;
+  cfg.grid = linalg::ProcessGrid{mc.mesh_height, mc.mesh_width};
+  cfg.mode = linalg::ExecMode::Modeled;
+  const linalg::QrResult r = linalg::run_distributed_qr(machine, cfg);
+  const obs::Registry reg = machine.snapshot_counters();
+  EXPECT_EQ(r.elapsed.picoseconds(), 287255362740);
+  EXPECT_EQ(reg.value("nx.sends"), 13170);
+  EXPECT_EQ(reg.value("nx.bytes_sent"), 2439168);
+  EXPECT_EQ(reg.value("core.engine.events"), 61812);
 }
 
 TEST(Determinism, GoldenCheckpointedRunCounters) {
