@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <stdexcept>
 #include <vector>
 
 #include "linalg/blas.hpp"
+#include "linalg/dense_system.hpp"
 #include "linalg/verify.hpp"
 #include "nx/collectives.hpp"
 #include "proc/kernel_model.hpp"
@@ -24,42 +24,25 @@ using proc::Kernel;
 using sim::Task;
 using sim::Time;
 
-// User-tag bases (collectives use their own space above 1<<20).
-constexpr int kTagScatter = 100;
-constexpr int kTagScatterB = 101;
+// User-tag bases (collectives use their own space above 1<<20; the
+// dense system's distribution, solve and gather take 100-101, 400 and
+// 600-911).
 constexpr int kTagPanelSwap = 200;
 constexpr int kTagTrailSwap = 300;
-constexpr int kTagGatherX = 400;
-// Triangular-solve tags; +k%16 keeps adjacent steps distinct.
-constexpr int kTagSolveFetch = 600;
-constexpr int kTagSolveStore = 620;
-constexpr int kTagSolveUpdate = 640;
 
 /// Everything the node programs share. Lives on the host stack for the
 /// duration of the run; the simulation is single-threaded, so plain
 /// members are safe.
 struct LuState {
   LuConfig cfg;
-  BlockCyclic dist;
-  bool numeric;
-
-  // Numeric mode only.
-  Matrix a_full;                 // original A (rank 0)
-  std::vector<double> b;         // right-hand side (rank 0, pristine)
-  std::vector<Matrix> local;     // per-rank local block-cyclic storage
-  // Local slice of b / y / x, held by process-column-0 ranks; row
-  // distribution matches the matrix rows.
-  std::vector<std::vector<double>> local_b;
-  std::vector<std::int64_t> pivots;  // global pivot rows, in step order
-  std::optional<double> residual;
+  DenseSystem sys;
 
   // Timing (recorded by rank 0 inside the program).
   Time t_start;
   Time t_end;
 
   explicit LuState(const LuConfig& c)
-      : cfg(c), dist(c.n, c.nb, c.grid),
-        numeric(c.mode == ExecMode::Numeric) {}
+      : cfg(c), sys(c.n, c.nb, c.grid, c.mode == ExecMode::Numeric) {}
 };
 
 /// Pack a row segment (given local columns) of a local matrix.
@@ -82,7 +65,8 @@ void unpack_row(Matrix& m, std::int64_t lrow,
 /// The SPMD node program.
 Task<> lu_node_program(NxContext& ctx, LuState& st) {
   const LuConfig& cfg = st.cfg;
-  const BlockCyclic& dist = st.dist;
+  const BlockCyclic& dist = st.sys.dist;
+  const bool numeric = st.sys.numeric;
   const std::int64_t n = cfg.n;
   const std::int32_t P = cfg.grid.rows, Q = cfg.grid.cols;
   const int rank = ctx.rank();
@@ -95,68 +79,12 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
   Group colg = process_col_group(cfg.grid, pcol);
   Group world = Group::world(ctx);
 
-  Matrix& A = st.local[static_cast<std::size_t>(rank)];
-
   // ------------------------------------------------ setup (untimed) --
-  if (st.numeric) {
-    A = Matrix(lrows, lcols);
-    if (rank == 0) {
-      // Rank 0 generates the global problem and distributes it.
-      Rng rng(cfg.seed);
-      st.a_full = Matrix::random(n, n, rng);
-      st.b = random_vector(n, rng);
-      for (int r = 0; r < ctx.nodes(); ++r) {
-        const std::int32_t rp = cfg.grid.prow_of(r);
-        const std::int32_t rq = cfg.grid.pcol_of(r);
-        const std::int64_t rl = dist.local_rows(rp);
-        const std::int64_t rc = dist.local_cols(rq);
-        std::vector<double> block(static_cast<std::size_t>(rl * rc));
-        for (std::int64_t lc = 0; lc < rc; ++lc) {
-          const std::int64_t gc = dist.global_col(rq, lc);
-          for (std::int64_t lr = 0; lr < rl; ++lr)
-            block[static_cast<std::size_t>(lc * rl + lr)] =
-                st.a_full(dist.global_row(rp, lr), gc);
-        }
-        if (r == 0) {
-          std::copy(block.begin(), block.end(), A.data().begin());
-        } else {
-          // Byte count taken before the move (argument evaluation order).
-          const Bytes blk_bytes = nx::doubles_bytes(block.size());
-          co_await ctx.send(r, kTagScatter, blk_bytes,
-                            nx::make_payload(std::move(block)));
-        }
-      }
-    } else {
-      Message m = co_await ctx.recv(0, kTagScatter);
-      const auto& vals = m.values();
-      HPCCSIM_ASSERT(vals.size() == A.data().size());
-      std::copy(vals.begin(), vals.end(), A.data().begin());
-    }
-    // Distribute the right-hand side across process column 0.
-    if (rank == 0) {
-      for (std::int32_t rp = 0; rp < P; ++rp) {
-        const std::int64_t rl = dist.local_rows(rp);
-        std::vector<double> seg(static_cast<std::size_t>(rl));
-        for (std::int64_t lr = 0; lr < rl; ++lr)
-          seg[static_cast<std::size_t>(lr)] =
-              st.b[static_cast<std::size_t>(dist.global_row(rp, lr))];
-        const int dst = cfg.grid.rank_of(rp, 0);
-        if (dst == 0) {
-          st.local_b[0] = std::move(seg);
-        } else {
-          const Bytes seg_bytes = nx::doubles_bytes(seg.size());
-          co_await ctx.send(dst, kTagScatterB, seg_bytes,
-                            nx::make_payload(std::move(seg)));
-        }
-      }
-    } else if (pcol == 0) {
-      Message m = co_await ctx.recv(0, kTagScatterB);
-      st.local_b[static_cast<std::size_t>(rank)] = m.values();
-    }
-  }
-  // Local view of this node's slice of b (empty off process column 0,
-  // and in modeled mode).
-  std::vector<double>& bloc = st.local_b[static_cast<std::size_t>(rank)];
+  if (numeric) co_await distribute_system(ctx, st.sys, cfg.seed);
+  // This node's local A and slice of b (both empty in modeled mode; b
+  // also off process column 0).
+  Matrix& A = st.sys.local[static_cast<std::size_t>(rank)];
+  std::vector<double>& bloc = st.sys.local_b[static_cast<std::size_t>(rank)];
   co_await nx::barrier(ctx, world);
   if (rank == 0) {
     st.t_start = ctx.now();
@@ -192,7 +120,7 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
 
         // Local pivot candidate.
         Payload cand;
-        if (st.numeric) {
+        if (numeric) {
           double bv = 0.0;
           std::int64_t bg = n;  // sentinel: "no rows here"
           if (mloc > 0) {
@@ -213,7 +141,7 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
         // local (no exchange) and sending the rest one block row down.
         std::int64_t piv_row =
             (j % P == 0) ? j : std::min(j + cfg.nb, n - 1);
-        if (st.numeric) {
+        if (numeric) {
           const auto& v = red.values();
           HPCCSIM_ASSERT(v.size() == 2);
           if (v[0] == 0.0)
@@ -228,7 +156,7 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
         if (piv_row != j) {
           if (oj == op) {
             if (prow == oj) {
-              if (st.numeric)
+              if (numeric)
                 drowswap(jb, A.col(panel_lc0), lrows, dist.local_row(j),
                          dist.local_row(piv_row));
               co_await ctx.compute(Kernel::Swap, jb);
@@ -239,7 +167,7 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
             const int partner = cfg.grid.rank_of(prow == oj ? op : oj, pcol);
             std::vector<double> mine;
             Payload pay;
-            if (st.numeric) {
+            if (numeric) {
               mine = pack_row(A, my_row, panel_cols);
               pay = nx::make_payload(mine);
             }
@@ -248,7 +176,7 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
                                                 static_cast<std::size_t>(jb)),
                               pay);
             Message got = co_await ctx.recv(partner, tag);
-            if (st.numeric) unpack_row(A, my_row, panel_cols, got.values());
+            if (numeric) unpack_row(A, my_row, panel_cols, got.values());
             co_await ctx.compute(Kernel::Swap, jb);
           }
         }
@@ -257,7 +185,7 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
         // the panel edge) down the process column.
         const std::int64_t seg = jb - (j - j0);
         Payload rowseg;
-        if (st.numeric && prow == oj) {
+        if (numeric && prow == oj) {
           std::vector<double> vals(static_cast<std::size_t>(seg));
           const std::int64_t lr = dist.local_row(j);
           for (std::int64_t c = 0; c < seg; ++c)
@@ -273,7 +201,7 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
         const std::int64_t lr1 = dist.first_local_row_at_or_after(prow, j + 1);
         const std::int64_t below = lrows - lr1;
         if (below > 0) {
-          if (st.numeric) {
+          if (numeric) {
             const auto& rv = prow_msg.values();
             const double diag = rv[0];
             HPCCSIM_ASSERT(diag != 0.0);
@@ -293,7 +221,7 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
     // Modeled mode sends no payload: receivers recompute the
     // deterministic stand-in pivots locally.
     Payload pivpay;
-    if (pcol == pc && st.numeric) {
+    if (pcol == pc && numeric) {
       std::vector<double> pv;
       pv.reserve(piv_this_panel.size());
       for (const std::int64_t p : piv_this_panel)
@@ -305,7 +233,7 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
         nx::doubles_bytes(static_cast<std::size_t>(jb)), pivpay);
     if (pcol != pc) {
       piv_this_panel.clear();
-      if (st.numeric) {
+      if (numeric) {
         for (const double v : pivmsg.values())
           piv_this_panel.push_back(static_cast<std::int64_t>(v));
       } else {
@@ -314,9 +242,6 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
           piv_this_panel.push_back(
               (j % P == 0) ? j : std::min(j + cfg.nb, n - 1));
       }
-    }
-    if (rank == 0) {
-      for (const std::int64_t p : piv_this_panel) st.pivots.push_back(p);
     }
 
     // ---- 3. apply row swaps to non-panel local columns ----
@@ -343,7 +268,7 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
           const std::int32_t op = dist.owner_prow(p);
           if (oj == op) {
             if (prow == oj) {
-              if (st.numeric) {
+              if (numeric) {
                 for (const std::int64_t lc : out_cols)
                   std::swap(A(dist.local_row(j), lc), A(dist.local_row(p), lc));
                 if (has_b)
@@ -357,7 +282,7 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
                 prow == oj ? dist.local_row(j) : dist.local_row(p);
             const int partner = cfg.grid.rank_of(prow == oj ? op : oj, pcol);
             Payload pay;
-            if (st.numeric) {
+            if (numeric) {
               std::vector<double> mine = pack_row(A, my_row, out_cols);
               if (has_b)
                 mine.push_back(bloc[static_cast<std::size_t>(my_row)]);
@@ -368,7 +293,7 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
                 partner, tag,
                 nx::doubles_bytes(static_cast<std::size_t>(swap_width)), pay);
             Message got = co_await ctx.recv(partner, tag);
-            if (st.numeric) {
+            if (numeric) {
               const auto& vals = got.values();
               HPCCSIM_ASSERT(static_cast<std::int64_t>(vals.size()) ==
                              swap_width);
@@ -387,7 +312,7 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
     const std::int64_t plr0 = dist.first_local_row_at_or_after(prow, j0);
     const std::int64_t pm = lrows - plr0;  // local panel rows (incl. L11 part)
     Payload lpanel;
-    if (st.numeric && pcol == pc && pm > 0) {
+    if (numeric && pcol == pc && pm > 0) {
       std::vector<double> vals(static_cast<std::size_t>(pm * jb));
       for (std::int64_t c = 0; c < jb; ++c)
         for (std::int64_t r = 0; r < pm; ++r)
@@ -402,14 +327,14 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
         lpanel);
     // Local copy of the L panel this process will multiply with.
     const std::vector<double>* lvals =
-        st.numeric ? &lmsg.values() : nullptr;
+        numeric ? &lmsg.values() : nullptr;
 
     // ---- 5. U block: trsm on the diagonal process row, bcast down ----
     const std::int64_t tlc0 = dist.first_local_col_at_or_after(pcol, j0 + jb);
     const std::int64_t tn = lcols - tlc0;  // local trailing cols
     Payload ublock;
     if (prow == pr && tn > 0) {
-      if (st.numeric) {
+      if (numeric) {
         // L11 sits at the top of the received panel (rows of block k are
         // contiguous on the diagonal process row).
         HPCCSIM_ASSERT(lvals && static_cast<std::int64_t>(lvals->size()) >=
@@ -446,7 +371,7 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
     const std::int64_t ulr0 = dist.first_local_row_at_or_after(prow, j0 + jb);
     const std::int64_t tm = lrows - ulr0;  // local trailing rows
     if (tm > 0 && tn > 0) {
-      if (st.numeric) {
+      if (numeric) {
         const auto& uv = umsg.values();
         HPCCSIM_ASSERT(static_cast<std::int64_t>(uv.size()) == jb * tn);
         // L21 rows of the received panel: those below j0+jb globally.
@@ -462,151 +387,11 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
 
   // --------------------------- distributed triangular solve (timed) --
   //
-  // Right-looking block substitution. At step k the diagonal-block
-  // owner (pr_k, pc_k) solves its nb x nb triangle against the current
-  // slice of b (fetched from process column 0), the block solution is
-  // broadcast down process column pc_k, every process in that column
-  // forms its local matrix-vector update, and the updates land back on
-  // process column 0 where b lives. The forward (L, unit-lower) pass
-  // runs blocks 0..B-1; the backward (U) pass runs B-1..0.
-  //
   // Pivot swaps were already applied to b during factorization (the b
   // entries ride along in the trailing row exchanges), so L y = b~ and
   // U x = y complete the LINPACK solve.
-  if (cfg.include_solve) {
-    for (const bool forward : {true, false}) {
-      for (std::int64_t step = 0; step < nblocks; ++step) {
-        const std::int64_t k = forward ? step : nblocks - 1 - step;
-        const std::int64_t j0 = k * cfg.nb;
-        const std::int64_t jb = std::min<std::int64_t>(cfg.nb, n - j0);
-        const auto pc = static_cast<std::int32_t>(k % Q);
-        const auto pr = static_cast<std::int32_t>(k % P);
-        const int tagf = kTagSolveFetch + static_cast<int>(k % 16) +
-                         (forward ? 0 : 256);
-        const int tags = kTagSolveStore + static_cast<int>(k % 16) +
-                         (forward ? 0 : 256);
-        const int tagu = kTagSolveUpdate + static_cast<int>(k % 16) +
-                         (forward ? 0 : 256);
-        const std::int64_t lck0 =
-            dist.first_local_col_at_or_after(pcol, j0);
-        const std::int64_t lrk = dist.local_row(j0);  // valid on prow==pr
-
-        // (a) fetch b_k from (pr, 0) to the diagonal-block owner.
-        if (prow == pr && pcol == 0 && pc != 0) {
-          Payload pay;
-          if (st.numeric) {
-            std::vector<double> seg(
-                bloc.begin() + lrk, bloc.begin() + lrk + jb);
-            pay = nx::make_payload(std::move(seg));
-          }
-          co_await ctx.send(cfg.grid.rank_of(pr, pc), tagf,
-                            nx::doubles_bytes(static_cast<std::size_t>(jb)),
-                            pay);
-        }
-
-        // (b) solve the diagonal block; (c) store y_k back on column 0.
-        Payload ypay;  // the block solution, produced on (pr, pc)
-        if (prow == pr && pcol == pc) {
-          std::vector<double> y;
-          if (st.numeric) {
-            if (pc == 0) {
-              y.assign(bloc.begin() + lrk, bloc.begin() + lrk + jb);
-            } else {
-              Message m = co_await ctx.recv(cfg.grid.rank_of(pr, 0), tagf);
-              y = m.values();
-            }
-            if (forward) {
-              dtrsm_lower_unit(jb, 1, A.col(lck0) + lrk, lrows, y.data(), jb);
-            } else {
-              dtrsm_upper(jb, 1, A.col(lck0) + lrk, lrows, y.data(), jb);
-            }
-          } else if (pc != 0) {
-            (void)co_await ctx.recv(cfg.grid.rank_of(pr, 0), tagf);
-          }
-          co_await ctx.compute(Kernel::Trsm, jb, 1);
-          if (st.numeric) {
-            if (pc == 0) {
-              std::copy(y.begin(), y.end(), bloc.begin() + lrk);
-            }
-            ypay = nx::make_payload(std::move(y));
-          }
-          if (pc != 0)
-            co_await ctx.send(cfg.grid.rank_of(pr, 0), tags,
-                              nx::doubles_bytes(static_cast<std::size_t>(jb)),
-                              ypay);
-        }
-        if (prow == pr && pcol == 0 && pc != 0) {
-          Message m = co_await ctx.recv(cfg.grid.rank_of(pr, pc), tags);
-          if (st.numeric)
-            std::copy(m.values().begin(), m.values().end(),
-                      bloc.begin() + lrk);
-        }
-
-        // (d) broadcast y_k down process column pc_k; (e) each member
-        // forms its local update u = A[rows, block-k cols] * y_k and
-        // ships it to its row's column-0 process.
-        if (pcol == pc) {
-          Message ym = co_await nx::bcast(
-              ctx, colg, cfg.grid.rank_of(pr, pcol),
-              nx::doubles_bytes(static_cast<std::size_t>(jb)), ypay);
-          // Rows this update touches: below the block (forward pass) or
-          // above it (backward pass).
-          const std::int64_t lr_lo =
-              forward ? dist.first_local_row_at_or_after(prow, j0 + jb) : 0;
-          const std::int64_t lr_hi =
-              forward ? lrows : dist.first_local_row_at_or_after(prow, j0);
-          const std::int64_t m_upd = lr_hi - lr_lo;
-          if (m_upd > 0) {
-            Payload upay;
-            if (st.numeric) {
-              const auto& y = ym.values();
-              std::vector<double> u(static_cast<std::size_t>(m_upd), 0.0);
-              for (std::int64_t c = 0; c < jb; ++c) {
-                const double yc = y[static_cast<std::size_t>(c)];
-                if (yc == 0.0) continue;
-                const double* col = A.col(lck0 + c);
-                for (std::int64_t i = 0; i < m_upd; ++i)
-                  u[static_cast<std::size_t>(i)] += col[lr_lo + i] * yc;
-              }
-              upay = nx::make_payload(std::move(u));
-            }
-            co_await ctx.compute(Kernel::Gemm, m_upd, 1, jb);
-            if (pc == 0) {
-              // Same process owns this slice of b: apply directly.
-              if (st.numeric) {
-                const auto& u = *upay;
-                for (std::int64_t i = 0; i < m_upd; ++i)
-                  bloc[static_cast<std::size_t>(lr_lo + i)] -=
-                      u[static_cast<std::size_t>(i)];
-              }
-              co_await ctx.compute(Kernel::Axpy, m_upd);
-            } else {
-              co_await ctx.send(
-                  cfg.grid.rank_of(prow, 0), tagu,
-                  nx::doubles_bytes(static_cast<std::size_t>(m_upd)), upay);
-            }
-          }
-        }
-        if (pcol == 0 && pc != 0) {
-          const std::int64_t lr_lo =
-              forward ? dist.first_local_row_at_or_after(prow, j0 + jb) : 0;
-          const std::int64_t lr_hi =
-              forward ? lrows : dist.first_local_row_at_or_after(prow, j0);
-          const std::int64_t m_upd = lr_hi - lr_lo;
-          if (m_upd > 0) {
-            Message m = co_await ctx.recv(cfg.grid.rank_of(prow, pc), tagu);
-            if (st.numeric) {
-              const auto& u = m.values();
-              for (std::int64_t i = 0; i < m_upd; ++i)
-                bloc[static_cast<std::size_t>(lr_lo + i)] -=
-                    u[static_cast<std::size_t>(i)];
-            }
-            co_await ctx.compute(Kernel::Axpy, m_upd);
-          }
-        }
-      }
-    }
-  }
+  co_await solve_triangle(ctx, st.sys, Triangle::UnitLower);
+  co_await solve_triangle(ctx, st.sys, Triangle::Upper);
 
   co_await nx::barrier(ctx, world);
   if (rank == 0) {
@@ -615,35 +400,7 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
   }
 
   // --------------------------------- verification (numeric, untimed) --
-  //
-  // Process column 0 now holds x; rank 0 gathers it and checks the HPL
-  // scaled residual against the pristine A and b.
-  if (st.numeric && cfg.include_solve) {
-    if (rank == 0) {
-      std::vector<double> x(static_cast<std::size_t>(n));
-      for (std::int32_t rp = 0; rp < P; ++rp) {
-        const int src = cfg.grid.rank_of(rp, 0);
-        std::vector<double> seg;
-        if (src == 0) {
-          seg = bloc;
-        } else {
-          Message m = co_await ctx.recv(src, kTagGatherX);
-          seg = m.values();
-        }
-        const std::int64_t rl = dist.local_rows(rp);
-        HPCCSIM_ASSERT(static_cast<std::int64_t>(seg.size()) == rl);
-        for (std::int64_t lr = 0; lr < rl; ++lr)
-          x[static_cast<std::size_t>(dist.global_row(rp, lr))] =
-              seg[static_cast<std::size_t>(lr)];
-      }
-      st.residual = scaled_residual(st.a_full, x, st.b);
-    } else if (pcol == 0) {
-      std::vector<double> seg = bloc;
-      const Bytes seg_bytes = nx::doubles_bytes(seg.size());
-      co_await ctx.send(0, kTagGatherX, seg_bytes,
-                        nx::make_payload(std::move(seg)));
-    }
-  }
+  if (numeric) co_await gather_solution(ctx, st.sys);
 }
 
 // ------------------------------------------ skeleton derive / replay --
@@ -744,8 +501,6 @@ struct RecorderGuard {
 LuResult run_lu_program(nx::NxMachine& machine, const LuConfig& cfg,
                         std::vector<nx::SkeletonRecorder>* recs) {
   LuState st(cfg);
-  st.local.resize(static_cast<std::size_t>(machine.nodes()));
-  st.local_b.resize(static_cast<std::size_t>(machine.nodes()));
 
   const auto before = machine.total_stats();
   {
@@ -760,7 +515,7 @@ LuResult run_lu_program(nx::NxMachine& machine, const LuConfig& cfg,
 
   const auto after = machine.total_stats();
   LuResult res = make_lu_result(cfg, st.t_start, st.t_end, before, after);
-  res.residual = st.residual;
+  res.residual = st.sys.residual;
   return res;
 }
 
@@ -806,7 +561,6 @@ std::shared_ptr<const LuSkeleton> derive_lu_skeleton(nx::NxMachine& machine,
   skel->nb = cfg.nb;
   skel->rows = cfg.grid.rows;
   skel->cols = cfg.grid.cols;
-  skel->include_solve = cfg.include_solve;
   skel->per_rank.reserve(recs.size());
   for (auto& r : recs) skel->per_rank.push_back(std::move(r.ops));
   return skel;
@@ -817,7 +571,6 @@ LuResult replay_lu_skeleton(nx::NxMachine& machine, const LuConfig& cfg,
   HPCCSIM_EXPECTS(cfg.grid.size() == machine.nodes());
   HPCCSIM_EXPECTS(skel.n == cfg.n && skel.nb == cfg.nb);
   HPCCSIM_EXPECTS(skel.rows == cfg.grid.rows && skel.cols == cfg.grid.cols);
-  HPCCSIM_EXPECTS(skel.include_solve == cfg.include_solve);
   HPCCSIM_EXPECTS(static_cast<int>(skel.per_rank.size()) == machine.nodes());
 
   ReplayShared sh;

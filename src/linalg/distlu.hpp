@@ -14,7 +14,10 @@
 //     3. the L panel is broadcast along process rows;
 //     4. the owning process ROW solves L11 U12 = A12 (dtrsm) and
 //        broadcasts U12 down process columns;
-//     5. every process applies the local trailing update (dgemm).
+//     5. every process applies the local trailing update (dgemm);
+//
+// then L y = b and U x = y are solved by the blocked substitution of
+// linalg/dense_system.hpp, which LINPACK times with the factorization.
 //
 // Execution modes:
 //   Numeric — local data is real; every kernel executes; the result is
@@ -46,13 +49,10 @@ struct LuConfig {
   ProcessGrid grid;
   ExecMode mode = ExecMode::Modeled;
   std::uint64_t seed = 1;
-  /// Include the (modeled) triangular-solve phase in the timing, as
-  /// LINPACK does.
-  bool include_solve = true;
 };
 
 struct LuResult {
-  sim::Time elapsed;        ///< factorization (+solve) simulated time
+  sim::Time elapsed;        ///< factorization + solve simulated time
   double gflops = 0.0;      ///< lu_solve_flops(n) / elapsed
   /// Numeric mode: the HPL scaled residual of the final solve (values of
   /// O(1) pass); Modeled mode: nullopt.
@@ -73,7 +73,7 @@ LuConfig lu_config_for(const nx::NxMachine& machine, std::int64_t n,
                        ExecMode mode = ExecMode::Modeled);
 
 /// The recorded modeled-mode communication schedule of one
-/// (n, nb, grid, include_solve) configuration: one compact SkelOp
+/// (n, nb, grid) configuration: one compact SkelOp
 /// stream per rank (16 bytes/op; docs/MODEL.md §13). The schedule
 /// never reads the clock or payload values, so one skeleton replays
 /// validly under any NodeModel — the basis of kernel calibration.
@@ -82,7 +82,6 @@ struct LuSkeleton {
   std::int64_t nb = 0;
   std::int32_t rows = 0;
   std::int32_t cols = 0;
-  bool include_solve = true;
   std::vector<std::vector<nx::SkelOp>> per_rank;
   std::size_t total_ops() const;
 };

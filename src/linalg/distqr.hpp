@@ -17,9 +17,11 @@
 //     4. process column 0 applies the reflector to b, accumulating
 //        Q^T b in place.
 //
-// Afterwards R x = Q^T b is solved with the same distributed backward
-// substitution the LU solver uses, and (numeric mode) the solution is
-// verified with the scaled residual against pristine A, b.
+// Afterwards R x = Q^T b is solved by the upper pass of the distributed
+// substitution the LU solver also runs, and (numeric mode) the solution
+// is gathered and verified with the scaled residual against pristine A,
+// b. Distribution, substitution and gather are LU's own code
+// (linalg/dense_system.hpp).
 //
 // Communication pattern: ~4 column-group collectives and one row
 // broadcast per column — reduction-dominated, the dual of LU's
