@@ -131,28 +131,41 @@ INSTANTIATE_TEST_SUITE_P(
 // Pattern-shaped traffic (transpose and hotspot hit systematic
 // contention structure that uniform random can miss).
 TEST(FlitEquivalenceTraffic, PatternsMatchReference) {
-  const Mesh2D mesh(8, 8);
+  auto check = [](const Mesh2D& mesh, const TrafficConfig& cfg,
+                  RouteAlgo algo) {
+    FlitParams fp;
+    fp.routing = algo;
+    FlitNetwork probe(mesh, fp);
+    const double cyc_us = probe.cycle_time().as_us();
+    std::vector<Injection> w;
+    for (const auto& t : generate_traffic(mesh, cfg))
+      w.push_back({t.src, t.dst, t.bytes,
+                   static_cast<std::uint64_t>(t.depart.as_us() / cyc_us)});
+    expect_equivalent(mesh, fp, w,
+                      std::to_string(mesh.width()) + "x" +
+                          std::to_string(mesh.height()) + " " +
+                          pattern_name(cfg.pattern) + "/" +
+                          route_algo_name(algo));
+  };
+  TrafficConfig cfg;
+  cfg.messages_per_node = 5;
+  cfg.message_bytes = 256;
+  cfg.mean_gap = sim::Time::us(40);
+  cfg.seed = 7;
   for (const Pattern p :
        {Pattern::Transpose, Pattern::HotSpot, Pattern::BitReversal}) {
-    for (const RouteAlgo algo : {RouteAlgo::XY, RouteAlgo::WestFirst}) {
-      TrafficConfig cfg;
-      cfg.pattern = p;
-      cfg.messages_per_node = 5;
-      cfg.message_bytes = 256;
-      cfg.mean_gap = sim::Time::us(40);
-      cfg.seed = 7;
-      FlitParams fp;
-      fp.routing = algo;
-      FlitNetwork probe(mesh, fp);
-      const double cyc_us = probe.cycle_time().as_us();
-      std::vector<Injection> w;
-      for (const auto& t : generate_traffic(mesh, cfg))
-        w.push_back({t.src, t.dst, t.bytes,
-                     static_cast<std::uint64_t>(t.depart.as_us() / cyc_us)});
-      expect_equivalent(mesh, fp, w,
-                        std::string(pattern_name(p)) + "/" +
-                            route_algo_name(algo));
-    }
+    cfg.pattern = p;
+    for (const RouteAlgo algo : {RouteAlgo::XY, RouteAlgo::WestFirst})
+      check(Mesh2D(8, 8), cfg, algo);
+  }
+  // The full 33 x 16 Delta mesh in the sparse regime of fig4's
+  // flit-fidelity section: 1 KiB worms, mostly alone in the network.
+  cfg.message_bytes = 1024;
+  cfg.mean_gap = sim::Time::us(4000);
+  cfg.seed = 92;
+  for (const Pattern p : {Pattern::UniformRandom, Pattern::Transpose}) {
+    cfg.pattern = p;
+    check(Mesh2D(33, 16), cfg, RouteAlgo::XY);
   }
 }
 
