@@ -2,7 +2,7 @@
 //
 // Builds a 16-node slice of the Touchstone Delta, runs an SPMD program
 // on it (point-to-point ring + a global reduction), and prints what the
-// machine did. Start here, then read examples/linpack_delta.cpp for the
+// machine did. Start here, then read bench/fig1_linpack.cpp for the
 // paper's headline experiment.
 //
 //   $ ./quickstart
