@@ -117,6 +117,37 @@ TEST(FaultTrace, DifferentSeedsDiffer) {
   EXPECT_NE(a.front().when, b.front().when);
 }
 
+// FNV-1a over every event's (when ps, kind, node), each fed as eight
+// little-endian bytes: moves if any crash or repair moves.
+std::uint64_t trace_hash(const std::vector<FaultEvent>& trace) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto feed = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const FaultEvent& ev : trace) {
+    feed(static_cast<std::uint64_t>(ev.when.picoseconds()));
+    feed(static_cast<std::uint64_t>(ev.kind));
+    feed(static_cast<std::uint64_t>(ev.a));
+  }
+  return h;
+}
+
+TEST(FaultTrace, GoldenNodeTraces) {
+  const auto mesh = small_machine().mesh();
+  const FaultConfig exp = crashy_config(7);
+  FaultConfig weibull = crashy_config(11);
+  weibull.dist = Distribution::Weibull;
+  const auto e = generate_fault_trace(exp, mesh);
+  const auto w = generate_fault_trace(weibull, mesh);
+  EXPECT_EQ(e.size(), 78u);
+  EXPECT_EQ(trace_hash(e), 0x8bc65812194df690ull);
+  EXPECT_EQ(w.size(), 86u);
+  EXPECT_EQ(trace_hash(w), 0x58d1adc5a50ec079ull);
+}
+
 TEST(FaultTrace, IdenticalFromAnyThread) {
   const auto baseline = run_cfs_scenario(42);
   std::vector<Outcome> out(4);
@@ -220,6 +251,19 @@ TEST(FaultInjector, ZeroFaultConfigIsNoOp) {
   EXPECT_EQ(plain.total_stats().bytes_sent,
             injected.total_stats().bytes_sent);
   EXPECT_EQ(injected.messages_dropped(), 0u);
+}
+
+// An attached injector keeps the machine on its own engine: the crash
+// events and CheckpointedRun's shared state live there, not on the
+// sharded engine's band engines.
+TEST(ParallelEngine, FaultInjectorKeepsMachineSequential) {
+  nx::NxMachine machine(proc::touchstone_delta().with_nodes(64));
+  machine.set_threads(4);
+  {
+    FaultInjector injector(machine, FaultConfig{});
+    EXPECT_FALSE(machine.parallel_eligible());
+  }
+  EXPECT_TRUE(machine.parallel_eligible());
 }
 
 // ------------------------------------------------------------- drops --
