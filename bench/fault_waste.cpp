@@ -56,10 +56,7 @@ Scenario build_scenario(std::int64_t nodes, double mtbf_hours,
   // Horizon: generously past any plausible completion; the run disarms
   // the injector once the job commits.
   s.fc.horizon = Time::sec(work_hours * 3600.0 * 4.0);
-  if (weibull) {
-    s.fc.dist = fault::Distribution::Weibull;
-    s.fc.weibull_shape = 0.7;
-  }
+  if (weibull) s.fc.dist = fault::Distribution::Weibull;
 
   s.cc.total_work = Time::sec(work_hours * 3600.0);
   s.cc.bytes_per_node = 16 * MiB;

@@ -64,7 +64,6 @@ constexpr const char* kReplayCheckedCounters[] = {
     "nx.bytes_sent",       "nx.flops_charged",
     "nx.compute.ns",       "nx.send_wait.ns",
     "nx.recv_wait.ns",     "mesh.messages",
-    "mesh.stalls",         "mesh.reroutes",
 };
 
 using namespace hpccsim;

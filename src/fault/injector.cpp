@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <tuple>
 
-#include "mesh/analytical.hpp"
+#include "util/rng.hpp"
 
 namespace hpccsim::fault {
 
@@ -16,33 +15,16 @@ namespace {
 // ambiguous for same-instant deliveries. Clamp to something physical.
 constexpr double kMinRepairSec = 1e-3;
 
-// Mean lifetime draw in seconds from a component's substream.
-double draw_lifetime(Rng& rng, const FaultConfig& cfg, sim::Time mtbf) {
-  const double mean = mtbf.as_sec();
+// Mean lifetime draw in seconds from a node's substream.
+double draw_lifetime(Rng& rng, const FaultConfig& cfg) {
+  const double mean = cfg.node_mtbf.as_sec();
   if (cfg.dist == Distribution::Exponential) {
     return rng.exponential(1.0 / mean);
   }
   // Scale so the Weibull mean equals the configured MTBF:
   // E[X] = scale * Gamma(1 + 1/shape).
-  const double shape = cfg.weibull_shape;
-  const double scale = mean / std::tgamma(1.0 + 1.0 / shape);
-  return rng.weibull(shape, scale);
-}
-
-// Generate alternating fail/repair events for one component.
-template <class Push>
-void component_schedule(Rng rng, const FaultConfig& cfg, sim::Time mtbf,
-                        sim::Time mean_repair, Push push) {
-  double t = 0.0;
-  const double horizon = cfg.horizon.as_sec();
-  for (;;) {
-    t += draw_lifetime(rng, cfg, mtbf);
-    if (t >= horizon) break;
-    const double repair = std::max(
-        rng.exponential(1.0 / mean_repair.as_sec()), kMinRepairSec);
-    push(sim::Time::sec(t), sim::Time::sec(t + repair));
-    t += repair;
-  }
+  const double scale = mean / std::tgamma(1.0 + 1.0 / kWeibullShape);
+  return rng.weibull(kWeibullShape, scale);
 }
 
 }  // namespace
@@ -58,66 +40,44 @@ const char* distribution_name(Distribution d) {
 std::vector<FaultEvent> generate_fault_trace(const FaultConfig& cfg,
                                              const mesh::Mesh2D& mesh) {
   std::vector<FaultEvent> out;
+  if (cfg.node_mtbf <= sim::Time::zero()) return out;
+
   using Kind = FaultEvent::Kind;
-
-  if (cfg.node_mtbf > sim::Time::zero()) {
-    for (std::int32_t r = 0; r < mesh.node_count(); ++r) {
-      component_schedule(
-          named_substream(cfg.seed, "fault.node",
-                          static_cast<std::uint64_t>(r)),
-          cfg, cfg.node_mtbf, cfg.node_repair,
-          [&](sim::Time down, sim::Time up) {
-            out.push_back({down, Kind::NodeCrash, r, 0});
-            out.push_back({up, Kind::NodeRepair, r, 0});
-          });
+  const double horizon = cfg.horizon.as_sec();
+  for (std::int32_t r = 0; r < mesh.node_count(); ++r) {
+    // Alternating crash/repair draws from the node's own substream.
+    Rng rng = named_substream(cfg.seed, "fault.node",
+                              static_cast<std::uint64_t>(r));
+    double t = 0.0;
+    for (;;) {
+      t += draw_lifetime(rng, cfg);
+      if (t >= horizon) break;
+      const double repair = std::max(
+          rng.exponential(1.0 / cfg.node_repair.as_sec()), kMinRepairSec);
+      out.push_back({sim::Time::sec(t), Kind::NodeCrash, r});
+      out.push_back({sim::Time::sec(t + repair), Kind::NodeRepair, r});
+      t += repair;
     }
   }
 
-  if (cfg.link_mtbf > sim::Time::zero()) {
-    for (std::int32_t n = 0; n < mesh.node_count(); ++n) {
-      for (const mesh::Dir d : mesh::kAllDirs) {
-        if (mesh.neighbour(n, d) < 0) continue;  // edge of the mesh
-        const auto link = static_cast<std::uint64_t>(mesh.link(n, d));
-        component_schedule(
-            named_substream(cfg.seed, "fault.link", link), cfg,
-            cfg.link_mtbf, cfg.link_repair,
-            [&](sim::Time down, sim::Time up) {
-              const auto dir = static_cast<std::int32_t>(d);
-              out.push_back({down, Kind::LinkFail, n, dir});
-              out.push_back({up, Kind::LinkRepair, n, dir});
-            });
-      }
-    }
-  }
-
-  std::sort(out.begin(), out.end(),
-            [](const FaultEvent& x, const FaultEvent& y) {
-              return std::tuple(x.when.picoseconds(),
-                                static_cast<int>(x.kind), x.a, x.b) <
-                     std::tuple(y.when.picoseconds(),
-                                static_cast<int>(y.kind), y.a, y.b);
-            });
+  std::sort(out.begin(), out.end());
   return out;
 }
 
 FaultInjector::FaultInjector(nx::NxMachine& machine, FaultConfig cfg)
     : machine_(&machine),
       cfg_(cfg),
-      trace_(generate_fault_trace(cfg, machine.config().mesh())),
-      drop_rng_(named_substream(cfg.seed, "fault.drop")) {
-  machine_->set_fault_hooks(this);
+      trace_(generate_fault_trace(cfg, machine.config().mesh())) {
+  machine_->set_fault_injector_attached(true);
 }
 
 FaultInjector::~FaultInjector() {
-  if (machine_->fault_hooks() == this) machine_->set_fault_hooks(nullptr);
+  machine_->set_fault_injector_attached(false);
 }
 
 void FaultInjector::export_counters(obs::Registry& registry) const {
   registry.counter("fault.crashes").set(static_cast<std::int64_t>(crashes_));
   registry.counter("fault.repairs").set(static_cast<std::int64_t>(repairs_));
-  registry.counter("fault.link_failures")
-      .set(static_cast<std::int64_t>(link_failures_));
-  registry.counter("fault.drops").set(static_cast<std::int64_t>(drops_));
   registry.counter("fault.purged_messages")
       .set(static_cast<std::int64_t>(purged_));
   registry.counter("fault.trace_events")
@@ -125,14 +85,12 @@ void FaultInjector::export_counters(obs::Registry& registry) const {
 }
 
 std::string FaultInjector::trace_csv() const {
-  static constexpr const char* kKindNames[] = {"crash", "repair",
-                                               "link_fail", "link_repair"};
+  static constexpr const char* kKindNames[] = {"crash", "repair"};
   std::ostringstream os;
-  os << "when_us,kind,a,b\n";
+  os << "when_us,kind,a\n";
   for (const FaultEvent& ev : trace_) {
-    os << ev.when.as_us() << ','
-       << kKindNames[static_cast<int>(ev.kind)] << ',' << ev.a << ','
-       << ev.b << '\n';
+    const char* kind = kKindNames[static_cast<int>(ev.kind)];
+    os << ev.when.as_us() << ',' << kind << ',' << ev.a << '\n';
   }
   return os.str();
 }
@@ -193,22 +151,6 @@ void FaultInjector::apply(const FaultEvent& ev) {
       }
       return;
     }
-    case Kind::LinkFail:
-    case Kind::LinkRepair: {
-      const bool fail = ev.kind == Kind::LinkFail;
-      if (fail && disarmed_) return;
-      auto* net =
-          dynamic_cast<mesh::AnalyticalMeshNet*>(&machine_->network());
-      if (!net) return;  // crossbar ablation: links don't exist
-      net->set_link_failed(ev.a, static_cast<mesh::Dir>(ev.b), fail);
-      if (fail) ++link_failures_;
-      if (obs::TraceWriter* tw = machine_->trace_writer())
-        tw->instant(machine_->nodes(),
-                    std::string(fail ? "link fail " : "link repair ") +
-                        std::to_string(ev.a) + " dir" + std::to_string(ev.b),
-                    "fault", now);
-      return;
-    }
   }
 }
 
@@ -220,16 +162,6 @@ sim::Task<> FaultInjector::wait_until_all_up() {
           std::make_unique<sim::Trigger>(machine_->engine());
     co_await all_up_trigger_->wait();
   }
-}
-
-bool FaultInjector::drop_message(int /*src*/, int /*dst*/, int tag,
-                                 Bytes /*bytes*/, sim::Time /*depart*/) {
-  if (cfg_.drop_rate <= 0.0 || disarmed_) return false;
-  // The fault-tolerance protocol itself rides an acked transport.
-  if (tag >= nx::kFaultProtocolTagBase) return false;
-  if (drop_rng_.uniform() >= cfg_.drop_rate) return false;
-  ++drops_;
-  return true;
 }
 
 }  // namespace hpccsim::fault

@@ -1,24 +1,20 @@
-// Deterministic, seeded fault injection for a simulated machine.
+// Deterministic, seeded node-crash injection for a simulated machine.
 //
 // Two-stage design keeps the product guarantee (byte-identical output at
 // any --jobs) trivial to uphold:
 //
 //   1. generate_fault_trace() is a PURE function of (config, mesh): it
-//      draws every component's failure/repair times from named RNG
-//      substreams (util/rng.hpp) and returns the sorted event list. No
-//      engine, no global state — the trace is identical on any thread.
+//      draws every node's crash/repair times from named RNG substreams
+//      (util/rng.hpp) and returns the sorted event list. No engine, no
+//      global state — the trace is identical on any thread.
 //   2. FaultInjector::arm() schedules the trace onto the machine's
 //      engine. Crashes flip proc::NodeStateTable (the runtime then
 //      discards traffic to down nodes), purge the victim's mailbox, and
 //      notify crash listeners (src/fault/checkpoint.hpp uses this to
-//      abort the current epoch). Link events drive the analytical mesh
-//      model's reroute/stall path.
-//
-// Transient message loss is implemented via the nx::FaultHooks
-// interface: a per-message Bernoulli draw from its own substream.
-// Fault-protocol tags (>= nx::kFaultProtocolTagBase) are never dropped.
+//      abort the current epoch).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -29,18 +25,20 @@
 #include "core/task.hpp"
 #include "core/time.hpp"
 #include "mesh/topology.hpp"
-#include "nx/fault_hooks.hpp"
 #include "nx/machine_runtime.hpp"
 #include "obs/counters.hpp"
-#include "util/rng.hpp"
 
 namespace hpccsim::fault {
 
-/// Inter-arrival distribution for component lifetimes.
+/// Inter-arrival distribution for node lifetimes.
 enum class Distribution {
   Exponential,  ///< memoryless (classic MTBF model)
   Weibull,      ///< shape < 1: infant mortality, as real HPC logs show
 };
+
+/// Weibull shape (< 1 = decreasing hazard); the scale is derived so the
+/// mean stays at the configured MTBF.
+inline constexpr double kWeibullShape = 0.7;
 
 const char* distribution_name(Distribution d);
 
@@ -48,7 +46,7 @@ struct FaultConfig {
   std::uint64_t seed = 1;
   /// Faults are generated in [0, horizon). Make it comfortably larger
   /// than the expected run; repairs are always generated for every
-  /// crash, even past the horizon, so no component stays down forever.
+  /// crash, even past the horizon, so no node stays down forever.
   sim::Time horizon = sim::Time::sec(3600.0);
 
   /// Per-node mean time between failures (zero disables node crashes).
@@ -56,50 +54,41 @@ struct FaultConfig {
   /// Mean node repair time (board swap / reboot).
   sim::Time node_repair = sim::Time::sec(120.0);
 
-  /// Per-link MTBF (zero disables link failures).
-  sim::Time link_mtbf = sim::Time::zero();
-  sim::Time link_repair = sim::Time::sec(30.0);
-
-  /// Probability that any one application message is lost in flight.
-  double drop_rate = 0.0;
-
   Distribution dist = Distribution::Exponential;
-  /// Weibull shape (< 1 = decreasing hazard); scale is derived so the
-  /// mean stays at the configured MTBF.
-  double weibull_shape = 0.7;
 };
 
 struct FaultEvent {
   enum class Kind : std::uint8_t {
     NodeCrash = 0,
     NodeRepair = 1,
-    LinkFail = 2,
-    LinkRepair = 3,
   };
   sim::Time when;
   Kind kind = Kind::NodeCrash;
-  std::int32_t a = 0;  ///< node rank, or the link's from-node
-  std::int32_t b = 0;  ///< link direction (mesh::Dir); 0 for node events
+  std::int32_t a = 0;  ///< node rank
+
+  /// Trace order: by time, then kind, then node.
+  friend auto operator<=>(const FaultEvent&, const FaultEvent&) = default;
 };
 
 /// Pure: the full fault schedule for (cfg, mesh), sorted by
-/// (time, kind, a, b). Deterministic on every platform and thread.
+/// (time, kind, a). Deterministic on every platform and thread.
 std::vector<FaultEvent> generate_fault_trace(const FaultConfig& cfg,
                                              const mesh::Mesh2D& mesh);
 
-class FaultInjector final : public nx::FaultHooks {
+class FaultInjector {
  public:
-  /// Generates the trace and installs the message-drop hooks on the
-  /// machine. Call arm() once before running the program.
+  /// Generates the trace and attaches to the machine, which then stays
+  /// on its sequential engine until this injector is destroyed. Call
+  /// arm() once before running the program.
   FaultInjector(nx::NxMachine& machine, FaultConfig cfg);
-  ~FaultInjector() override;
+  ~FaultInjector();
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
   const FaultConfig& config() const { return cfg_; }
   const std::vector<FaultEvent>& trace() const { return trace_; }
-  /// CSV dump ("when_us,kind,a,b"), for determinism checks and tooling.
+  /// CSV dump ("when_us,kind,a"), for determinism checks and tooling.
   std::string trace_csv() const;
 
   /// Replace the generated trace (tests inject hand-built schedules).
@@ -109,10 +98,10 @@ class FaultInjector final : public nx::FaultHooks {
   /// Schedule every trace event on the machine's engine. Call once.
   void arm();
 
-  /// Stop inducing NEW faults (crashes, link failures). Pending repairs
-  /// still fire so nothing waits forever. Called by the checkpoint
-  /// layer once the run completes, so leftover armed events past the
-  /// completion time become no-ops.
+  /// Stop inducing NEW crashes. Pending repairs still fire so nothing
+  /// waits forever. Called by the checkpoint layer once the run
+  /// completes, so leftover armed crashes past the completion time
+  /// become no-ops.
   void disarm() { disarmed_ = true; }
 
   /// Called at each crash instant, after the node is marked down and
@@ -123,20 +112,15 @@ class FaultInjector final : public nx::FaultHooks {
   /// Awaitable: resolves once every node is up.
   sim::Task<> wait_until_all_up();
 
-  /// Set the "fault.*" counters (crashes, repairs, link failures,
-  /// drops, purged messages) in `registry` from current totals.
+  /// Set the "fault.*" counters (crashes, repairs, purged messages,
+  /// trace events) in `registry` from current totals.
   void export_counters(obs::Registry& registry) const;
 
   std::uint64_t crashes() const { return crashes_; }
   std::uint64_t repairs() const { return repairs_; }
-  std::uint64_t drops() const { return drops_; }
   /// Messages discarded from crashed nodes' queues (subset of the
   /// machine's messages_dropped()).
   std::uint64_t purged_messages() const { return purged_; }
-
-  // nx::FaultHooks
-  bool drop_message(int src, int dst, int tag, Bytes bytes,
-                    sim::Time depart) override;
 
  private:
   void apply(const FaultEvent& ev);
@@ -144,7 +128,6 @@ class FaultInjector final : public nx::FaultHooks {
   nx::NxMachine* machine_;
   FaultConfig cfg_;
   std::vector<FaultEvent> trace_;
-  Rng drop_rng_;
   bool armed_ = false;
   bool disarmed_ = false;
 
@@ -154,8 +137,6 @@ class FaultInjector final : public nx::FaultHooks {
 
   std::uint64_t crashes_ = 0;
   std::uint64_t repairs_ = 0;
-  std::uint64_t link_failures_ = 0;
-  std::uint64_t drops_ = 0;
   std::uint64_t purged_ = 0;
 };
 

@@ -5,7 +5,9 @@
 // broadcasts it along rows, the process row owning panel k of B
 // broadcasts it along columns, and every process multiplies locally.
 // The second distributed kernel (after LU) of the Delta application
-// stack; used by the CAS-style examples.
+// stack. No exhibit or example runs it; linalg_test checks its numeric
+// product against a reference, and integration_test runs it beside LU
+// on one machine.
 #pragma once
 
 #include <cstdint>

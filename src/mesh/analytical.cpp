@@ -8,23 +8,8 @@ AnalyticalMeshNet::AnalyticalMeshNet(Mesh2D mesh, AnalyticalParams params)
     : mesh_(mesh),
       params_(params),
       link_free_at_(static_cast<std::size_t>(mesh.link_count()),
-                    sim::Time::zero()),
-      failed_links_(static_cast<std::size_t>(mesh.link_count()), false) {
+                    sim::Time::zero()) {
   HPCCSIM_EXPECTS(params.channel_bw.bytes_per_sec() > 0);
-}
-
-bool AnalyticalMeshNet::route_clean(const std::vector<LinkId>& route) const {
-  for (const LinkId l : route)
-    if (failed_links_[static_cast<std::size_t>(l)]) return false;
-  return true;
-}
-
-void AnalyticalMeshNet::set_link_failed(NodeId from, Dir d, bool failed) {
-  const LinkId l = mesh_.link(from, d);
-  auto ref = failed_links_[static_cast<std::size_t>(l)];
-  if (ref == failed) return;
-  ref = failed;
-  failed_count_ += failed ? 1 : -1;
 }
 
 sim::Time AnalyticalMeshNet::transfer(NodeId src, NodeId dst, Bytes bytes,
@@ -40,25 +25,12 @@ sim::Time AnalyticalMeshNet::transfer(NodeId src, NodeId dst, Bytes bytes,
     return depart + params_.nic_latency + ser;
   }
 
-  // Routes go into member scratch buffers: this runs once per message,
-  // and the modeled hot path must not heap-allocate (docs/PERF.md).
+  // The route goes into a member scratch buffer: this runs once per
+  // message, and the modeled hot path must not heap-allocate
+  // (docs/PERF.md).
   std::vector<LinkId>& route = route_scratch_;
   mesh_.xy_route_into(src, dst, route);
   sim::Time start = depart;
-  if (failed_count_ > 0 && !route_clean(route)) {
-    // Fault path: prefer the YX detour; if that is also cut, retry the
-    // XY route after a backpressure stall (the repair model guarantees
-    // progress, so we do not simulate the retry loop itself).
-    std::vector<LinkId>& alt = alt_scratch_;
-    mesh_.yx_route_into(src, dst, alt);
-    if (route_clean(alt)) {
-      route.swap(alt);
-      ++reroutes_;
-    } else {
-      start = start + params_.fault_stall;
-      ++stalls_;
-    }
-  }
   for (const LinkId l : route)
     start = std::max(start, link_free_at_[static_cast<std::size_t>(l)]);
 
@@ -78,10 +50,6 @@ sim::Time AnalyticalMeshNet::transfer(NodeId src, NodeId dst, Bytes bytes,
 
 void AnalyticalMeshNet::reset() {
   std::fill(link_free_at_.begin(), link_free_at_.end(), sim::Time::zero());
-  std::fill(failed_links_.begin(), failed_links_.end(), false);
-  failed_count_ = 0;
-  reroutes_ = 0;
-  stalls_ = 0;
   messages_ = 0;
   contention_ps_sum_ = 0;
   contention_count_ = 0;

@@ -32,10 +32,6 @@ struct AnalyticalParams {
   BytesPerSecond channel_bw = mb_per_s(25.0);
   /// Injection/ejection channel latency (node <-> router).
   sim::Time nic_latency = sim::Time::ns(100);
-  /// Retry/backpressure penalty charged when a message's XY route and
-  /// its YX fallback both cross a failed link (src/fault injects link
-  /// failures; healthy meshes never pay this).
-  sim::Time fault_stall = sim::Time::ms(5);
 };
 
 class AnalyticalMeshNet final : public NetworkModel {
@@ -78,25 +74,10 @@ class AnalyticalMeshNet final : public NetworkModel {
   /// Drop all link state (start a fresh experiment on the same object).
   void reset();
 
-  /// Mark the unidirectional link out of `from` toward `d` as failed or
-  /// repaired. While a route link is failed, affected messages take the
-  /// YX route when it is clean, and otherwise stall for
-  /// params.fault_stall before proceeding (modeling retry/backpressure).
-  void set_link_failed(NodeId from, Dir d, bool failed);
-  std::int32_t failed_link_count() const { return failed_count_; }
-  std::uint64_t reroutes() const { return reroutes_; }
-  std::uint64_t stalls() const { return stalls_; }
-
  private:
-  bool route_clean(const std::vector<LinkId>& route) const;
-
   Mesh2D mesh_;
   AnalyticalParams params_;
   std::vector<sim::Time> link_free_at_;
-  std::vector<bool> failed_links_;
-  std::int32_t failed_count_ = 0;
-  std::uint64_t reroutes_ = 0;
-  std::uint64_t stalls_ = 0;
   std::uint64_t messages_ = 0;
   __extension__ unsigned __int128 contention_ps_sum_ = 0;
   std::uint64_t contention_count_ = 0;
@@ -104,7 +85,6 @@ class AnalyticalMeshNet final : public NetworkModel {
   // Per-message route scratch (capacity persists: transfer() is the
   // hottest network call and must not allocate after warmup).
   std::vector<LinkId> route_scratch_;
-  std::vector<LinkId> alt_scratch_;
 };
 
 }  // namespace hpccsim::mesh

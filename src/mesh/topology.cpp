@@ -62,38 +62,10 @@ void Mesh2D::xy_route_into(NodeId src, NodeId dst,
   HPCCSIM_ENSURES(at == dst);
 }
 
-void Mesh2D::yx_route_into(NodeId src, NodeId dst,
-                           std::vector<LinkId>& out) const {
-  const Coord to = coord_of(dst);
-  out.clear();
-  NodeId at = src;
-  Coord c = coord_of(src);
-  while (c.y != to.y) {
-    const Dir d = c.y < to.y ? Dir::South : Dir::North;
-    out.push_back(link(at, d));
-    at = neighbour(at, d);
-    c = coord_of(at);
-  }
-  while (c.x != to.x) {
-    const Dir d = c.x < to.x ? Dir::East : Dir::West;
-    out.push_back(link(at, d));
-    at = neighbour(at, d);
-    c = coord_of(at);
-  }
-  HPCCSIM_ENSURES(at == dst);
-}
-
 std::vector<LinkId> Mesh2D::xy_route(NodeId src, NodeId dst) const {
   std::vector<LinkId> route;
   route.reserve(static_cast<std::size_t>(distance(src, dst)));
   xy_route_into(src, dst, route);
-  return route;
-}
-
-std::vector<LinkId> Mesh2D::yx_route(NodeId src, NodeId dst) const {
-  std::vector<LinkId> route;
-  route.reserve(static_cast<std::size_t>(distance(src, dst)));
-  yx_route_into(src, dst, route);
   return route;
 }
 

@@ -6,7 +6,6 @@
 // dense, stable indexing scheme.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -24,9 +23,6 @@ struct Coord {
 };
 
 enum class Dir : std::uint8_t { East = 0, West = 1, North = 2, South = 3 };
-
-inline constexpr std::array<Dir, 4> kAllDirs = {Dir::East, Dir::West,
-                                                Dir::North, Dir::South};
 
 /// Unidirectional link id: 4 * node + direction.
 using LinkId = std::int32_t;
@@ -59,14 +55,9 @@ class Mesh2D {
   /// Deterministic and deadlock-free on a mesh. Empty if src == dst.
   std::vector<LinkId> xy_route(NodeId src, NodeId dst) const;
 
-  /// The YX (Y-dimension-first) route: the fault-recovery alternative
-  /// used when a link on the XY route is down. Same length as XY.
-  std::vector<LinkId> yx_route(NodeId src, NodeId dst) const;
-
-  /// Allocation-free variants for per-message hot paths: clear `out`
+  /// Allocation-free variant for per-message hot paths: clear `out`
   /// and refill it, retaining its capacity across calls.
   void xy_route_into(NodeId src, NodeId dst, std::vector<LinkId>& out) const;
-  void yx_route_into(NodeId src, NodeId dst, std::vector<LinkId>& out) const;
 
   /// The node sequence visited by the XY route, including endpoints.
   std::vector<NodeId> xy_path_nodes(NodeId src, NodeId dst) const;

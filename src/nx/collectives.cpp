@@ -5,7 +5,6 @@
 #include <limits>
 #include <type_traits>
 
-#include "nx/fault_hooks.hpp"
 #include "nx/machine_runtime.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"

@@ -77,6 +77,10 @@ enum class CollectiveAlgo { Binomial, Ring, RecursiveDoubling, Flat };
 /// All members wait until every member has entered.
 sim::Task<> barrier(NxContext& ctx, const Group& g);
 
+/// Tags at or above this value belong to the fault-tolerance protocol:
+/// abortable_barrier builds its tags from here.
+inline constexpr int kFaultProtocolTagBase = 1 << 24;
+
 /// Crash-aware barrier for the fault-tolerance layer: a dissemination
 /// barrier (ceil(log2 P) rounds of 8-byte exchanges) whose receives
 /// resolve early when `abort` fires. Returns true when every member

@@ -93,15 +93,6 @@ void NxContext::launch_message(int dst, int tag, Bytes bytes,
                  "msg", depart, arrival);
   }
 
-  // Transient in-flight loss (fault injection): the network timing above
-  // still happened — the bytes crossed links before being corrupted —
-  // but the destination never sees the message.
-  if (FaultHooks* hooks = machine_->fault_hooks();
-      hooks && hooks->drop_message(rank_, dst, tag, bytes, depart)) {
-    machine_->note_dropped_message();
-    return;
-  }
-
   Message msg{rank_, tag, bytes, std::move(payload)};
   engine_->schedule_call(arrival, Delivery{machine_, dst, std::move(msg)});
 }
@@ -182,12 +173,6 @@ Request NxContext::irecv(int src, int tag) {
 
 sim::Task<> NxContext::waitall(std::vector<Request> requests) {
   for (auto& r : requests) (void)co_await r.wait();
-}
-
-sim::Task<> NxContext::send_values(int dst, int tag,
-                                   std::vector<double> values) {
-  const Bytes bytes = doubles_bytes(values.size());
-  co_await send(dst, tag, bytes, make_payload(std::move(values)));
 }
 
 sim::Task<Message> NxContext::recv(int src, int tag) {

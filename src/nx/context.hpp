@@ -108,9 +108,6 @@ class NxContext {
   /// later. Charges the sender the messaging-software overhead.
   sim::Task<> send(int dst, int tag, Bytes bytes, Payload payload = {});
 
-  /// Convenience: send a vector of doubles (size derives the byte count).
-  sim::Task<> send_values(int dst, int tag, std::vector<double> values);
-
   /// Blocking receive (NX crecv): waits for a matching message, then
   /// charges the receive software overhead.
   sim::Task<Message> recv(int src, int tag);

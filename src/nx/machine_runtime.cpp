@@ -39,14 +39,15 @@ void NxMachine::set_threads(int n) {
 }
 
 bool NxMachine::parallel_eligible() {
-  return threads_ > 1 && nodes() >= kParallelMinNodes && !fault_hooks_ &&
-         !trace_writer_ && config_.send_overhead > sim::Time::zero() &&
+  return threads_ > 1 && nodes() >= kParallelMinNodes &&
+         !fault_injector_attached_ && !trace_writer_ &&
+         config_.send_overhead > sim::Time::zero() &&
          net_->min_transfer_latency() > sim::Time::zero() &&
          engine_.next_event_time_ps() == sim::Engine::kNoPendingEvent;
 }
 
 sim::Time NxMachine::run(const Program& program) {
-  if (parallel_eligible()) return run_parallel(&program, nullptr);
+  if (parallel_eligible()) return run_parallel(program);
   const sim::Time start = engine_.now();
   for (int r = 0; r < nodes(); ++r)
     engine_.spawn(program(*contexts_[r]), "node" + std::to_string(r));
@@ -54,20 +55,9 @@ sim::Time NxMachine::run(const Program& program) {
   return engine_.now() - start;
 }
 
-sim::Time NxMachine::run_each(const std::vector<Program>& per_node) {
-  HPCCSIM_EXPECTS(static_cast<int>(per_node.size()) == nodes());
-  if (parallel_eligible()) return run_parallel(nullptr, &per_node);
+sim::Time NxMachine::run_parallel(const Program& program) {
   const sim::Time start = engine_.now();
-  for (int r = 0; r < nodes(); ++r)
-    engine_.spawn(per_node[r](*contexts_[r]), "node" + std::to_string(r));
-  engine_.run();
-  return engine_.now() - start;
-}
-
-sim::Time NxMachine::run_parallel(const Program* spmd,
-                                  const std::vector<Program>* per_node) {
-  const sim::Time start = engine_.now();
-  const ParRunTotals t = par::run_sharded(*this, threads_, spmd, per_node);
+  const ParRunTotals t = par::run_sharded(*this, threads_, program);
   par_.events += t.events;
   par_.calls_scheduled += t.calls_scheduled;
   par_.peak_queue_depth = std::max(par_.peak_queue_depth, t.peak_queue_depth);
@@ -145,10 +135,6 @@ obs::Registry& NxMachine::snapshot_counters() {
   if (const auto* m = dynamic_cast<const mesh::AnalyticalMeshNet*>(
           net_.get())) {
     set("mesh.messages", m->messages_routed());
-    set("mesh.reroutes", m->reroutes());
-    set("mesh.stalls", m->stalls());
-    set("mesh.links_failed", static_cast<std::uint64_t>(
-                                 m->failed_link_count()));
     registry_.set_gauge("mesh.contention.us.mean",
                         m->contention_mean_us());
     registry_.set_gauge("mesh.contention.us.max",

@@ -13,7 +13,6 @@
 #include "mesh/analytical.hpp"
 #include "mesh/netmodel.hpp"
 #include "nx/context.hpp"
-#include "nx/fault_hooks.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "proc/machine.hpp"
@@ -71,9 +70,6 @@ class NxMachine {
   /// simulated time. May be called repeatedly (time accumulates).
   sim::Time run(const Program& program);
 
-  /// Run distinct programs on a subset of nodes (servers/clients etc.).
-  sim::Time run_each(const std::vector<Program>& per_node);
-
   /// Shard the engine across up to `n` host threads by contiguous rank
   /// bands (src/nx/parallel_engine.*, docs/MODEL.md §15). 1 (default)
   /// runs sequentially; higher counts silently fall back to sequential
@@ -83,11 +79,11 @@ class NxMachine {
   int threads() const { return threads_; }
 
   /// Would the next run() take the parallel path? Requires threads > 1,
-  /// at least kParallelMinNodes ranks, no fault hooks (fault injection
-  /// mutates shared state mid-flight), no Chrome-trace writer (emits
-  /// from inside windows), a positive send_overhead (the lookahead
-  /// window), a network model with a positive latency floor, and an
-  /// idle machine engine.
+  /// at least kParallelMinNodes ranks, no fault injector attached (its
+  /// crashes and the checkpoint layer's shared state live on the machine
+  /// engine), no Chrome-trace writer (emits from inside windows), a
+  /// positive send_overhead (the lookahead window), a network model with
+  /// a positive latency floor, and an idle machine engine.
   bool parallel_eligible();
 
   int nodes() const { return config_.node_count(); }
@@ -147,20 +143,20 @@ class NxMachine {
   proc::NodeStateTable& node_state() { return node_state_; }
   const proc::NodeStateTable& node_state() const { return node_state_; }
 
-  /// Install a fault-injection intercept (nullptr = none, the default).
-  /// The hooks object must outlive the machine's last message.
-  void set_fault_hooks(FaultHooks* hooks) { fault_hooks_ = hooks; }
-  FaultHooks* fault_hooks() const { return fault_hooks_; }
+  /// A fault injector (src/fault) attaches for its lifetime; while one
+  /// is attached the machine stays sequential (parallel_eligible()).
+  void set_fault_injector_attached(bool attached) {
+    fault_injector_attached_ = attached;
+  }
 
-  /// Messages lost in flight or discarded at a down node's NIC.
+  /// Messages discarded at a down node's NIC or purged from a crashed
+  /// node's mailbox.
   std::uint64_t messages_dropped() const { return messages_dropped_; }
   void note_dropped_message() { ++messages_dropped_; }  ///< internal
 
  private:
-  /// Shared parallel-path body of run()/run_each(): exactly one of
-  /// `spmd` / `per_node` is non-null.
-  sim::Time run_parallel(const Program* spmd,
-                         const std::vector<Program>* per_node);
+  /// The parallel path of run().
+  sim::Time run_parallel(const Program& program);
 
   proc::MachineConfig config_;
   sim::Engine engine_;
@@ -170,7 +166,7 @@ class NxMachine {
   obs::Registry registry_;
   std::array<obs::Histogram*, kCollectiveKindCount> coll_hist_{};
   obs::TraceWriter* trace_writer_ = nullptr;
-  FaultHooks* fault_hooks_ = nullptr;
+  bool fault_injector_attached_ = false;
   int threads_ = 1;
   ParRunTotals par_;  ///< accumulated over every parallel run
   std::uint64_t messages_dropped_ = 0;

@@ -63,8 +63,7 @@ struct Job {
   std::int64_t start_ps = 0;       ///< machine clock at run start
   std::int64_t window_end_ps = 0;  ///< exclusive edge for Window
   NxMachine* machine = nullptr;
-  const NxMachine::Program* spmd = nullptr;
-  const std::vector<NxMachine::Program>* per_node = nullptr;
+  const NxMachine::Program* program = nullptr;
 };
 
 /// Executes one command for one band on the current thread. Never
@@ -84,9 +83,7 @@ void run_band_command(const Job& job, Band& b) {
         }
         for (int r = b.first; r <= b.last; ++r) {
           NxContext& ctx = job.machine->context(r);
-          b.engine->spawn(
-              job.spmd ? (*job.spmd)(ctx) : (*job.per_node)[r](ctx),
-              "node" + std::to_string(r));
+          b.engine->spawn((*job.program)(ctx), "node" + std::to_string(r));
         }
         b.next_ps = b.engine->next_event_time_ps();
         break;
@@ -118,9 +115,7 @@ void run_band_command(const Job& job, Band& b) {
 }  // namespace
 
 ParRunTotals run_sharded(NxMachine& machine, int threads,
-                         const NxMachine::Program* spmd,
-                         const std::vector<NxMachine::Program>* per_node) {
-  HPCCSIM_EXPECTS((spmd != nullptr) != (per_node != nullptr));
+                         const NxMachine::Program& program) {
   const int nodes = machine.nodes();
   const int band_count = std::min({threads, kMaxBands, nodes});
   // Every send is captured when posted, at least one send_overhead
@@ -155,8 +150,7 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
   Job job;
   job.start_ps = start_ps;
   job.machine = &machine;
-  job.spmd = spmd;
-  job.per_node = per_node;
+  job.program = &program;
   const auto dispatch = [&](Job::Cmd cmd) {
     job.cmd = cmd;
     pool.dispatch(band_count, [&](int i) {

@@ -18,13 +18,11 @@ namespace hpccsim::nx::par {
 
 /// Runs one sharded machine run to completion on `threads` host threads
 /// (band 0 runs on the calling thread; workers come from a persistent
-/// process-wide pool). Exactly one of `spmd` / `per_node` is non-null.
-/// Call only when machine.parallel_eligible(); throws exactly what the
-/// sequential run would (process errors, DeadlockError with the
-/// sequential message). Returns the totals NxMachine folds into its
-/// counters.
+/// process-wide pool), spawning `program` on every rank. Call only when
+/// machine.parallel_eligible(); throws exactly what the sequential run
+/// would (process errors, DeadlockError with the sequential message).
+/// Returns the totals NxMachine folds into its counters.
 ParRunTotals run_sharded(NxMachine& machine, int threads,
-                         const NxMachine::Program* spmd,
-                         const std::vector<NxMachine::Program>* per_node);
+                         const NxMachine::Program& program);
 
 }  // namespace hpccsim::nx::par

@@ -40,9 +40,7 @@ std::vector<PlatformJob> platform_workload(const PlatformWorkloadConfig& cfg,
                                            const mesh::Mesh2D& mesh) {
   HPCCSIM_EXPECTS(cfg.jobs > 0);
   HPCCSIM_EXPECTS(cfg.days > 0.0);
-  const std::vector<AppClass> classes =
-      cfg.classes.empty() ? default_app_classes() : cfg.classes;
-  HPCCSIM_EXPECTS(!classes.empty());
+  const std::vector<AppClass> classes = default_app_classes();
   double total_weight = 0.0;
   for (const AppClass& c : classes) {
     HPCCSIM_EXPECTS(c.weight > 0.0);

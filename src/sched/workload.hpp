@@ -70,7 +70,6 @@ struct PlatformWorkloadConfig {
   double rush_hour = 10.0;
   double rush_width_h = 3.0;
   double rush_amplitude = 0.8;
-  std::vector<AppClass> classes;  ///< empty = default_app_classes()
 };
 
 /// Pure: the full job trace for (cfg, mesh), sorted by submit time.

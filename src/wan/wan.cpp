@@ -120,10 +120,9 @@ std::optional<std::vector<SiteId>> Wan::widest_path(SiteId src,
 }
 
 std::optional<TransferResult> Wan::transfer(SiteId src, SiteId dst,
-                                            Bytes bytes,
-                                            Bytes packet_bytes) const {
+                                            Bytes bytes) const {
   HPCCSIM_EXPECTS(bytes > 0);
-  HPCCSIM_EXPECTS(packet_bytes > 0);
+  constexpr Bytes packet_bytes = 1500;  // an Ethernet frame
   if (src == dst)
     return TransferResult{{src}, sim::Time::zero(), mbps(0), bytes};
   auto path_opt = widest_path(src, dst);

@@ -77,9 +77,9 @@ class Wan {
   std::optional<std::vector<SiteId>> widest_path(SiteId src, SiteId dst) const;
 
   /// Store-and-forward transfer time along the widest path.
-  /// Packets of `packet_bytes` pipeline across hops.
-  std::optional<TransferResult> transfer(SiteId src, SiteId dst, Bytes bytes,
-                                         Bytes packet_bytes = 1500) const;
+  /// 1,500-byte packets pipeline across hops.
+  std::optional<TransferResult> transfer(SiteId src, SiteId dst,
+                                         Bytes bytes) const;
 
   /// All sites reachable from `src`.
   std::vector<SiteId> reachable_from(SiteId src) const;

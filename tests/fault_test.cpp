@@ -178,8 +178,8 @@ TEST(CheckpointedRun, NoFaultsRunsAllEpochs) {
 TEST(CheckpointedRun, CrashDuringComputeRollsBackToCheckpoint) {
   // Epoch 0 commits around t=35 s; the crash lands mid-epoch-1 compute.
   const WasteReport r = run_fixed_scenario(
-      {{Time::sec(45.0), Kind::NodeCrash, 3, 0},
-       {Time::sec(50.0), Kind::NodeRepair, 3, 0}});
+      {{Time::sec(45.0), Kind::NodeCrash, 3},
+       {Time::sec(50.0), Kind::NodeRepair, 3}});
   EXPECT_EQ(r.crashes, 1u);
   EXPECT_EQ(r.restores, 1u);       // rolled back to epoch 0's image
   EXPECT_EQ(r.aborted_epochs, 1u);
@@ -196,8 +196,8 @@ TEST(CheckpointedRun, CrashDuringCollectiveRecovers) {
   // crash lands inside it, before anything has been committed, so
   // recovery must converge with no checkpoint to restore.
   const WasteReport r = run_fixed_scenario(
-      {{Time::sec(30.0) + Time::us(100.0), Kind::NodeCrash, 9, 0},
-       {Time::sec(31.0), Kind::NodeRepair, 9, 0}});
+      {{Time::sec(30.0) + Time::us(100.0), Kind::NodeCrash, 9},
+       {Time::sec(31.0), Kind::NodeRepair, 9}});
   EXPECT_EQ(r.crashes, 1u);
   EXPECT_EQ(r.restores, 0u);  // nothing committed yet
   EXPECT_EQ(r.useful, Time::sec(100.0));
@@ -208,10 +208,10 @@ TEST(CheckpointedRun, CrashDuringCollectiveRecovers) {
 TEST(CheckpointedRun, BackToBackCrashesStillConverge) {
   // Second crash lands while the machine is recovering from the first.
   const WasteReport r = run_fixed_scenario(
-      {{Time::sec(45.0), Kind::NodeCrash, 3, 0},
-       {Time::sec(46.0), Kind::NodeCrash, 12, 0},
-       {Time::sec(50.0), Kind::NodeRepair, 3, 0},
-       {Time::sec(58.0), Kind::NodeRepair, 12, 0}});
+      {{Time::sec(45.0), Kind::NodeCrash, 3},
+       {Time::sec(46.0), Kind::NodeCrash, 12},
+       {Time::sec(50.0), Kind::NodeRepair, 3},
+       {Time::sec(58.0), Kind::NodeRepair, 12}});
   EXPECT_EQ(r.crashes, 2u);
   EXPECT_EQ(r.useful, Time::sec(100.0));
   EXPECT_TRUE(r.balanced());
@@ -266,41 +266,11 @@ TEST(ParallelEngine, FaultInjectorKeepsMachineSequential) {
   EXPECT_TRUE(machine.parallel_eligible());
 }
 
-// ------------------------------------------------------------- drops --
-
-TEST(FaultInjector, DropsApplicationMessages) {
-  nx::NxMachine machine(small_machine());
-  FaultConfig fc;
-  fc.drop_rate = 1.0;  // every app message is lost
-  FaultInjector injector(machine, fc);
-  injector.arm();
-  machine.run([](nx::NxContext& ctx) -> Task<> {
-    if (ctx.rank() == 0) {
-      // isend: completes at departure, so losing the message in flight
-      // cannot block the sender.
-      auto req = ctx.isend(1, 7, 1024);
-      (void)co_await req.wait();
-    }
-  });
-  EXPECT_EQ(machine.messages_dropped(), 1u);
-  EXPECT_EQ(injector.drops(), 1u);
-}
-
-TEST(FaultInjector, NeverDropsFaultProtocolTags) {
-  nx::NxMachine machine(small_machine());
-  FaultConfig fc;
-  fc.drop_rate = 1.0;
-  FaultInjector injector(machine, fc);
-  EXPECT_FALSE(injector.drop_message(0, 1, nx::kFaultProtocolTagBase, 8,
-                                     Time::zero()));
-  EXPECT_TRUE(injector.drop_message(0, 1, /*tag=*/5, 8, Time::zero()));
-}
-
 TEST(FaultInjector, CrashPurgesQueuedMessages) {
   nx::NxMachine machine(small_machine());
   FaultInjector injector(machine, FaultConfig{});
-  injector.set_trace({{Time::ms(10.0), Kind::NodeCrash, 1, 0},
-                      {Time::ms(20.0), Kind::NodeRepair, 1, 0}});
+  injector.set_trace({{Time::ms(10.0), Kind::NodeCrash, 1},
+                      {Time::ms(20.0), Kind::NodeRepair, 1}});
   injector.arm();
   machine.run([](nx::NxContext& ctx) -> Task<> {
     // Rank 0 sends a message nobody ever receives; it is queued at

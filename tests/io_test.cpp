@@ -28,7 +28,7 @@ Time timed_write(nx::NxMachine& machine, Cfs& fs, int rank, Bytes bytes,
     co_await fs.write(ctx, offset, bytes);
     done = ctx.now() - t0;
   };
-  machine.run_each(progs);
+  machine.run([&](nx::NxContext& c) { return progs[c.rank()](c); });
   return done;
 }
 
@@ -104,7 +104,7 @@ TEST(Cfs, ReadsMoveDataBackAndCostSimilar) {
     co_await fs.read(ctx, 0, 1 * MiB);
     rt = ctx.now() - t0;
   };
-  machine.run_each(progs);
+  machine.run([&](nx::NxContext& c) { return progs[c.rank()](c); });
   EXPECT_EQ(fs.stats().bytes_read, 1 * MiB);
   // Same disk work either direction; within 50%.
   EXPECT_NEAR(rt.as_sec(), wt.as_sec(), wt.as_sec() * 0.5);
@@ -127,7 +127,7 @@ TEST(Cfs, ConcurrentClientsShareDisks) {
       (void)r;
     });
   }
-  machine.run_each(progs);
+  machine.run([&](nx::NxContext& c) { return progs[c.rank()](c); });
   const double total_bytes = 12.0 * static_cast<double>(each);
   const double floor_s = total_bytes / fs.aggregate_disk_bw().bytes_per_sec();
   EXPECT_GT(makespan.as_sec(), floor_s * 0.9);
@@ -172,7 +172,7 @@ TEST(CfsMore, InterleavedReadersAndWriters) {
     co_await fs.read(ctx, 1 * MiB, 128 * KiB);
     co_await fs.write(ctx, 2 * MiB, 128 * KiB);
   };
-  machine.run_each(progs);
+  machine.run([&](nx::NxContext& c) { return progs[c.rank()](c); });
   EXPECT_EQ(fs.stats().bytes_written, 256 * KiB + 128 * KiB);
   EXPECT_EQ(fs.stats().bytes_read, 256 * KiB + 128 * KiB);
   EXPECT_GT(fs.stats().disk_busy, sim::Time::zero());
@@ -197,7 +197,8 @@ TEST(CfsMore, EstimateWriteTimeTracksGeometry) {
   progs[0] = [&fs, total](nx::NxContext& ctx) -> Task<> {
     co_await fs.write(ctx, 0, total);
   };
-  const Time actual = machine.run_each(progs);
+  const Time actual =
+      machine.run([&](nx::NxContext& c) { return progs[c.rank()](c); });
   EXPECT_GT(actual.as_sec(), est.as_sec() * 0.5);
   EXPECT_LT(actual.as_sec(), est.as_sec() * 2.0);
 }
@@ -210,7 +211,9 @@ TEST(CfsMore, ZeroByteOperationRejected) {
   progs[0] = [&fs](nx::NxContext& ctx) -> Task<> {
     co_await fs.write(ctx, 0, 0);
   };
-  EXPECT_THROW(machine.run_each(progs), ContractError);
+  EXPECT_THROW(
+      machine.run([&](nx::NxContext& c) { return progs[c.rank()](c); }),
+      ContractError);
 }
 
 }  // namespace

@@ -457,62 +457,5 @@ TEST(WestFirst, AlgoNames) {
   EXPECT_STREQ(route_algo_name(RouteAlgo::WestFirst), "west-first");
 }
 
-// ------------------------------------------------------ link failures --
-
-TEST(Mesh2D, YxRouteSameLengthDifferentLinks) {
-  const Mesh2D m(4, 4);
-  for (NodeId s = 0; s < m.node_count(); ++s)
-    for (NodeId d = 0; d < m.node_count(); ++d) {
-      const auto xy = m.xy_route(s, d);
-      const auto yx = m.yx_route(s, d);
-      EXPECT_EQ(xy.size(), yx.size());
-      EXPECT_EQ(static_cast<int>(xy.size()), m.distance(s, d));
-    }
-  // Off-axis pairs turn the other way: first links differ.
-  const auto xy = m.xy_route(0, 5);
-  const auto yx = m.yx_route(0, 5);
-  ASSERT_EQ(xy.size(), 2u);
-  EXPECT_NE(xy.front(), yx.front());
-  EXPECT_NE(xy.back(), yx.back());
-}
-
-TEST(Analytical, FailedLinkReroutesViaYx) {
-  AnalyticalMeshNet net(Mesh2D(4, 4), test_params());
-  const auto xy = net.mesh().xy_route(0, 5);
-  const Time healthy = net.transfer(0, 5, 1024, Time::zero());
-  net.reset();
-
-  // Fail the first XY link; the clean YX fallback carries the message.
-  net.set_link_failed(xy.front() / 4,
-                      static_cast<Dir>(xy.front() % 4), true);
-  EXPECT_EQ(net.failed_link_count(), 1);
-  const Time rerouted = net.transfer(0, 5, 1024, Time::zero());
-  EXPECT_EQ(net.reroutes(), 1u);
-  EXPECT_EQ(net.stalls(), 0u);
-  // Same hop count either way, so the service time matches.
-  EXPECT_EQ(rerouted, healthy);
-}
-
-TEST(Analytical, BothRoutesFailedStalls) {
-  AnalyticalMeshNet net(Mesh2D(4, 4), test_params());
-  const Time healthy = net.transfer(0, 5, 1024, Time::zero());
-  net.reset();
-
-  const auto xy = net.mesh().xy_route(0, 5);
-  const auto yx = net.mesh().yx_route(0, 5);
-  net.set_link_failed(xy.front() / 4,
-                      static_cast<Dir>(xy.front() % 4), true);
-  net.set_link_failed(yx.front() / 4,
-                      static_cast<Dir>(yx.front() % 4), true);
-  const Time stalled = net.transfer(0, 5, 1024, Time::zero());
-  EXPECT_EQ(net.stalls(), 1u);
-  EXPECT_GE(stalled, healthy + net.params().fault_stall);
-
-  // Repair restores the fast path (reset() also clears link state).
-  net.reset();
-  EXPECT_EQ(net.failed_link_count(), 0);
-  EXPECT_EQ(net.transfer(0, 5, 1024, Time::zero()), healthy);
-}
-
 }  // namespace
 }  // namespace hpccsim::mesh
