@@ -64,9 +64,8 @@ std::vector<FaultEvent> generate_fault_trace(const FaultConfig& cfg,
   return out;
 }
 
-FaultInjector::FaultInjector(nx::NxMachine& machine, FaultConfig cfg)
+FaultInjector::FaultInjector(nx::NxMachine& machine, const FaultConfig& cfg)
     : machine_(&machine),
-      cfg_(cfg),
       trace_(generate_fault_trace(cfg, machine.config().mesh())) {
   machine_->set_fault_injector_attached(true);
 }

@@ -80,13 +80,12 @@ class FaultInjector {
   /// Generates the trace and attaches to the machine, which then stays
   /// on its sequential engine until this injector is destroyed. Call
   /// arm() once before running the program.
-  FaultInjector(nx::NxMachine& machine, FaultConfig cfg);
+  FaultInjector(nx::NxMachine& machine, const FaultConfig& cfg);
   ~FaultInjector();
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  const FaultConfig& config() const { return cfg_; }
   const std::vector<FaultEvent>& trace() const { return trace_; }
   /// CSV dump ("when_us,kind,a"), for determinism checks and tooling.
   std::string trace_csv() const;
@@ -126,7 +125,6 @@ class FaultInjector {
   void apply(const FaultEvent& ev);
 
   nx::NxMachine* machine_;
-  FaultConfig cfg_;
   std::vector<FaultEvent> trace_;
   bool armed_ = false;
   bool disarmed_ = false;
