@@ -60,7 +60,7 @@ class Trigger {
   /// the event queue, like waiter resumes). If already fired, the
   /// callback is scheduled at the current instant. Callbacks on a
   /// trigger that never fires are retained until the trigger dies —
-  /// intended for short-lived triggers (abort epochs, request states).
+  /// intended for short-lived triggers (abort epochs).
   void on_fire(Callback cb);
 
   auto wait() {

@@ -77,11 +77,8 @@ const char* collective_name(CollectiveKind k) {
     case CollectiveKind::Reduce: return "reduce";
     case CollectiveKind::Allreduce: return "allreduce";
     case CollectiveKind::Gather: return "gather";
-    case CollectiveKind::Scatter: return "scatter";
     case CollectiveKind::Alltoall: return "alltoall";
     case CollectiveKind::Allgather: return "allgather";
-    case CollectiveKind::ReduceScatter: return "reduce_scatter";
-    case CollectiveKind::Sendrecv: return "sendrecv";
   }
   return "?";
 }
@@ -344,7 +341,7 @@ sim::Task<bool> abortable_barrier(NxContext& ctx, const Group& g,
   co_return !abort.fired();
 }
 
-// ------------------------------------------------------ gather/scatter --
+// ------------------------------------------------------ gather/alltoall --
 
 sim::Task<std::vector<Message>> gather(NxContext& ctx, const Group& g,
                                        int root, Bytes bytes,
@@ -365,30 +362,6 @@ sim::Task<std::vector<Message>> gather(NxContext& ctx, const Group& g,
     co_await ctx.send(root, tag, bytes, std::move(contribution));
   }
   co_return out;
-}
-
-sim::Task<Message> scatter(NxContext& ctx, const Group& g, int root,
-                           Bytes bytes_each, std::vector<Payload> slices) {
-  CollectiveTimer timer(ctx, CollectiveKind::Scatter);
-  HPCCSIM_EXPECTS(g.contains(ctx.rank()));
-  const int tag = collective_tag(ctx, g);
-  if (ctx.rank() == root) {
-    HPCCSIM_EXPECTS(slices.empty() ||
-                    static_cast<int>(slices.size()) == g.size());
-    Payload mine;
-    for (int i = 0; i < g.size(); ++i) {
-      Payload p = slices.empty()
-                      ? Payload{}
-                      : std::move(slices[static_cast<std::size_t>(i)]);
-      if (g.rank_at(i) == root) {
-        mine = std::move(p);
-      } else {
-        co_await ctx.send(g.rank_at(i), tag, bytes_each, std::move(p));
-      }
-    }
-    co_return Message{root, tag, bytes_each, std::move(mine)};
-  }
-  co_return co_await ctx.recv(root, tag);
 }
 
 sim::Task<std::vector<Message>> alltoall(NxContext& ctx, const Group& g,
@@ -422,7 +395,7 @@ sim::Task<std::vector<Message>> alltoall(NxContext& ctx, const Group& g,
   co_return out;
 }
 
-// -------------------------------------------- allgather/reduce-scatter --
+// ----------------------------------------------------------- allgather --
 
 sim::Task<std::vector<Message>> allgather(NxContext& ctx, const Group& g,
                                           Bytes bytes_each,
@@ -452,46 +425,6 @@ sim::Task<std::vector<Message>> allgather(NxContext& ctx, const Group& g,
     out[static_cast<std::size_t>(got_idx)] = std::move(m);
   }
   co_return out;
-}
-
-sim::Task<Message> reduce_scatter(NxContext& ctx, const Group& g,
-                                  ReduceOp op, Bytes bytes_total,
-                                  Payload contribution) {
-  CollectiveTimer timer(ctx, CollectiveKind::ReduceScatter);
-  HPCCSIM_EXPECTS(g.contains(ctx.rank()));
-  const int size = g.size();
-  HPCCSIM_EXPECTS(bytes_total % static_cast<Bytes>(size) == 0);
-  if (contribution)
-    HPCCSIM_EXPECTS(contribution->size() % static_cast<std::size_t>(size) ==
-                    0);
-  // Reduce to the group root, then scatter the segments. (A ring
-  // reduce-scatter is bandwidth-optimal; this tree version keeps the
-  // combine order identical to reduce() for bit-reproducibility.)
-  const int root = g.rank_at(0);
-  Message red =
-      co_await reduce(ctx, g, root, op, bytes_total, std::move(contribution));
-  std::vector<Payload> segments;
-  if (ctx.rank() == root && red.payload) {
-    const auto& full = *red.payload;
-    const std::size_t seg = full.size() / static_cast<std::size_t>(size);
-    for (int i = 0; i < size; ++i) {
-      std::vector<double> part(
-          full.begin() + static_cast<std::ptrdiff_t>(seg * i),
-          full.begin() + static_cast<std::ptrdiff_t>(seg * (i + 1)));
-      segments.push_back(make_payload(std::move(part)));
-    }
-  }
-  co_return co_await scatter(ctx, g, root,
-                             bytes_total / static_cast<Bytes>(size),
-                             std::move(segments));
-}
-
-sim::Task<Message> sendrecv(NxContext& ctx, int partner, int tag,
-                            Bytes bytes, Payload payload) {
-  CollectiveTimer timer(ctx, CollectiveKind::Sendrecv);
-  // Buffered sends make send-then-recv deadlock-free on both sides.
-  co_await ctx.send(partner, tag, bytes, std::move(payload));
-  co_return co_await ctx.recv(partner, tag);
 }
 
 }  // namespace hpccsim::nx

@@ -2,7 +2,7 @@
 //
 // These mirror the collective layer every Delta application carried on
 // top of NX point-to-point (and that MPI later standardized): barrier,
-// broadcast, reduce, allreduce, gather, scatter, alltoall.
+// broadcast, reduce, allreduce, gather, alltoall, allgather.
 //
 // SPMD discipline: every member of a group must invoke the same
 // collectives in the same order (matching is by a per-group sequence
@@ -119,12 +119,6 @@ sim::Task<std::vector<Message>> gather(NxContext& ctx, const Group& g,
                                        int root, Bytes bytes,
                                        Payload contribution);
 
-/// Root distributes per-member payloads (indexed by group index);
-/// everyone returns their slice.
-sim::Task<Message> scatter(NxContext& ctx, const Group& g, int root,
-                           Bytes bytes_each,
-                           std::vector<Payload> slices = {});
-
 /// Every member sends a (same-sized) slice to every other member.
 /// Returns the received slices ordered by group index.
 sim::Task<std::vector<Message>> alltoall(NxContext& ctx, const Group& g,
@@ -136,20 +130,6 @@ sim::Task<std::vector<Message>> alltoall(NxContext& ctx, const Group& g,
 sim::Task<std::vector<Message>> allgather(NxContext& ctx, const Group& g,
                                           Bytes bytes_each,
                                           Payload contribution = {});
-
-/// Combine everyone's equal-length contributions, then hand member i the
-/// i-th of `parts` equal segments of the result (reduce + scatter; the
-/// building block of ring allreduce). `bytes_total` is the full vector;
-/// every member receives bytes_total / g.size(). Payload sizes must be
-/// divisible by the group size.
-sim::Task<Message> reduce_scatter(NxContext& ctx, const Group& g,
-                                  ReduceOp op, Bytes bytes_total,
-                                  Payload contribution = {});
-
-/// Paired exchange with one partner (both sides call it): sends and
-/// receives without deadlock regardless of ordering.
-sim::Task<Message> sendrecv(NxContext& ctx, int partner, int tag,
-                            Bytes bytes, Payload payload = {});
 
 /// Deterministically combine two reduce contributions (exposed for
 /// tests). `a` must come from the lower group index.

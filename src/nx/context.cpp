@@ -1,8 +1,6 @@
 #include "nx/context.hpp"
 
-#include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "nx/machine_runtime.hpp"
 
@@ -74,9 +72,8 @@ void NxContext::capture_intent(int dst, int tag, Bytes bytes,
   // here, on the band thread that owns this context.
   ++stats_.sends;
   stats_.bytes_sent += bytes;
-  intent_sink_->push_back(LaunchIntent{
-      depart, static_cast<std::int64_t>(now().picoseconds()), 0, rank_, dst,
-      tag, bytes, std::move(payload)});
+  intent_sink_->push_back(
+      LaunchIntent{depart, 0, rank_, dst, tag, bytes, std::move(payload)});
 }
 
 void NxContext::launch_message(int dst, int tag, Bytes bytes,
@@ -114,65 +111,7 @@ sim::Task<> NxContext::send(int dst, int tag, Bytes bytes, Payload payload) {
   co_await eng.delay(config().send_overhead);
   if (!captured)
     launch_message(dst, tag, bytes, std::move(payload), eng.now());
-  // The CPU-driven path also occupies the co-processor horizon so that
-  // mixed send/isend traffic stays serialized per node.
-  send_coproc_free_ = std::max(send_coproc_free_, eng.now());
   stats_.send_wait += eng.now() - start;
-}
-
-Request NxContext::isend(int dst, int tag, Bytes bytes, Payload payload) {
-  HPCCSIM_EXPECTS(dst >= 0 && dst < nodes());
-  HPCCSIM_EXPECTS(tag >= 0);
-  if (recorder_) recorder_->invalidate();  // replay models csend/crecv only
-  auto& eng = *engine_;
-  auto state = std::make_shared<detail::RequestState>(eng);
-
-  // Offloaded: departure queues behind earlier posted sends.
-  const sim::Time depart =
-      std::max(eng.now(), send_coproc_free_) + config().send_overhead;
-  send_coproc_free_ = depart;
-
-  // Reserve the route at departure, as a csend does, so reservations
-  // happen in departure order, and complete the request then. A sharded
-  // run captures the send now, like send().
-  const bool captured = intent_sink_ != nullptr;
-  if (captured) capture_intent(dst, tag, bytes, std::move(payload), depart);
-  eng.schedule_call(depart, [this, captured, dst, tag, bytes,
-                             p = std::move(payload), state]() mutable {
-    if (!captured) launch_message(dst, tag, bytes, std::move(p), now());
-    state->finished = true;
-    state->done.fire();
-  });
-  return Request(state);
-}
-
-Request NxContext::irecv(int src, int tag) {
-  if (recorder_) recorder_->invalidate();  // replay models csend/crecv only
-  auto& eng = *engine_;
-  auto state = std::make_shared<detail::RequestState>(eng);
-  // A helper process posts the receive immediately (so matching order
-  // is the posting order) and completes the request once the message
-  // and its software overhead have landed.
-  Mailbox* box = &mailbox_;
-  const sim::Time overhead = config().recv_overhead;
-  NodeStats* stats = &stats_;
-  eng.spawn(
-      [](Mailbox* mb, sim::Engine* e, sim::Time ovh,
-         std::shared_ptr<detail::RequestState> st,
-         NodeStats* ns, int s, int t) -> sim::Task<> {
-        Message m = co_await mb->recv(s, t);
-        co_await e->delay(ovh);
-        ++ns->recvs;
-        st->msg = std::move(m);
-        st->finished = true;
-        st->done.fire();
-      }(box, &eng, overhead, state, stats, src, tag),
-      "irecv");
-  return Request(state);
-}
-
-sim::Task<> NxContext::waitall(std::vector<Request> requests) {
-  for (auto& r : requests) (void)co_await r.wait();
 }
 
 sim::Task<Message> NxContext::recv(int src, int tag) {
@@ -197,11 +136,6 @@ sim::Task<std::optional<Message>> NxContext::recv_abortable(
   ++stats_.recvs;
   stats_.recv_wait += eng.now() - start;
   co_return m;
-}
-
-bool NxContext::probe(int src, int tag) {
-  if (recorder_) recorder_->invalidate();  // probe-driven control flow
-  return mailbox_.probe(src, tag);
 }
 
 sim::Task<> NxContext::compute(proc::Kernel k, std::int64_t m,

@@ -15,13 +15,13 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "core/task.hpp"
 #include "mesh/netmodel.hpp"
 #include "nx/mailbox.hpp"
 #include "nx/message.hpp"
-#include "nx/request.hpp"
 #include "nx/skeleton.hpp"
 #include "obs/counters.hpp"
 #include "proc/machine.hpp"
@@ -32,14 +32,11 @@ class NxMachine;
 
 /// One send a rank-band engine captures when it is posted, instead of
 /// touching the shared NetworkModel at departure: the coordinator
-/// replays intents between windows in (depart, call_ps, src, seq) order
-/// — the order the sequential engine makes those transfer() calls
+/// replays each window's intents in (depart, src, seq) order — the
+/// order the sequential engine makes those transfer() calls
 /// (src/nx/parallel_engine.cpp, docs/MODEL.md §15).
 struct LaunchIntent {
   sim::Time depart;       ///< when the sequential engine calls transfer()
-  /// When the send was posted: the sequential engine scheduled its
-  /// departure event then, which orders equal departures.
-  std::int64_t call_ps = 0;
   std::uint64_t seq = 0;  ///< band capture index (assigned at collection)
   int src = 0;
   int dst = 0;
@@ -83,7 +80,7 @@ class NxContext {
     mailbox_.set_engine(e);
   }
 
-  /// While set, send/isend capture a LaunchIntent when posted instead of
+  /// While set, send captures a LaunchIntent when posted instead of
   /// launching at departure (nullptr restores direct launch).
   void set_intent_sink(std::vector<LaunchIntent>* sink) {
     intent_sink_ = sink;
@@ -120,25 +117,6 @@ class NxContext {
   sim::Task<std::optional<Message>> recv_abortable(int src, int tag,
                                                    sim::Trigger& abort);
 
-  /// Non-blocking probe (NX iprobe).
-  bool probe(int src, int tag);
-
-  /// Non-blocking send (NX isend): returns immediately; the message
-  /// departs after the node's message co-processor drains earlier
-  /// posted isends plus one send overhead. The message reserves its
-  /// route at departure, like a csend, and the request completes then
-  /// (local buffering semantics).
-  Request isend(int dst, int tag, Bytes bytes, Payload payload = {});
-
-  /// Non-blocking receive (NX irecv): posts the receive immediately
-  /// (preserving posting order for matching); the request completes
-  /// when a matching message has arrived and the receive overhead has
-  /// elapsed. The node CPU is not blocked.
-  Request irecv(int src, int tag);
-
-  /// Await completion of every request, in order.
-  sim::Task<> waitall(std::vector<Request> requests);
-
   /// Charge compute time for a kernel invocation (and count its flops).
   sim::Task<> compute(proc::Kernel k, std::int64_t m, std::int64_t n = 0,
                       std::int64_t p = 0);
@@ -159,8 +137,8 @@ class NxContext {
   /// Attach (or detach, with nullptr) a skeleton recorder: every
   /// subsequent send/recv/compute/busy appends one SkelOp. Recording is
   /// observation-only — it never changes engine-visible behaviour —
-  /// and ops the replayer cannot model (isend/irecv/probe/waitall/
-  /// recv_abortable) invalidate the recording instead of lying.
+  /// and ops the replayer cannot model (recv_abortable, kAnyTag
+  /// receives) invalidate the recording instead of lying.
   void set_skeleton_recorder(SkeletonRecorder* rec) { recorder_ = rec; }
   SkeletonRecorder* skeleton_recorder() const { return recorder_; }
   /// Record a named instant (replayed as "read the clock here").
@@ -170,9 +148,9 @@ class NxContext {
   }
 
  private:
-  /// The actual network handoff shared by send/isend, made at the
-  /// departure instant: reserves the route from `depart` and schedules
-  /// delivery at the destination.
+  /// The actual network handoff, made at the departure instant:
+  /// reserves the route from `depart` and schedules delivery at the
+  /// destination.
   void launch_message(int dst, int tag, Bytes bytes, Payload payload,
                       sim::Time depart);
   /// Sharded-run stand-in for launch_message, made when the send is
@@ -198,8 +176,6 @@ class NxContext {
   std::vector<LaunchIntent>* intent_sink_ = nullptr;
   obs::Registry* coll_registry_ = nullptr;  ///< nullptr = machine registry
   std::array<obs::Histogram*, kCollectiveKindCount> coll_hist_{};
-  /// Message co-processor horizon: when the next isend can start.
-  sim::Time send_coproc_free_;
 };
 
 }  // namespace hpccsim::nx

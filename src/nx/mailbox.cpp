@@ -40,13 +40,6 @@ bool Mailbox::try_take(int src, int tag, Message& out) {
   return false;
 }
 
-bool Mailbox::probe(int src, int tag) const {
-  for (std::uint32_t id = msgs_.first(); id != sim::SlotList<Message>::npos;
-       id = msgs_.next(id))
-    if (matches(msgs_[id], src, tag)) return true;
-  return false;
-}
-
 std::uint32_t Mailbox::acquire_guard() {
   std::uint32_t gid;
   if (!free_guards_.empty()) {

@@ -103,9 +103,6 @@ class Mailbox {
     return Awaiter{this, src, tag, &abort, {}, kNoGuard, false};
   }
 
-  /// Non-blocking probe: is a matching message queued?
-  bool probe(int src, int tag) const;
-
   /// Discard every queued (undelivered) message; returns the count.
   /// Called when the owning node crashes — in-memory state is lost.
   std::size_t drop_queued();

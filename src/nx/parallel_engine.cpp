@@ -14,18 +14,16 @@
 //           engine on the thread that created its coroutine frames.
 //
 // Between Window commands the coordinator (alone, workers parked)
-// replays captured LaunchIntents against the shared NetworkModel in
-// (departure, post time, src, capture order) order — the order the
-// sequential engine would have made those transfer() calls, up to
-// same-picosecond cross-rank ties — as far as the next window can no
-// longer capture an earlier departure. All inter-band memory visibility
-// rides on the BurstGate's release/acquire pairs; no band state needs
-// atomics of its own.
+// replays every LaunchIntent the last window captured against the
+// shared NetworkModel in (departure, src, capture order) order — the
+// order the sequential engine would have made those transfer() calls,
+// up to same-picosecond cross-rank ties. All inter-band memory
+// visibility rides on the BurstGate's release/acquire pairs; no band
+// state needs atomics of its own.
 #include "nx/parallel_engine.hpp"
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -162,8 +160,7 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
   totals.runs = 1;
   totals.bands = band_count;
 
-  // Captured intents not yet replayed, sorted by (depart, call_ps, src,
-  // seq).
+  // The last window's captures, sorted by (depart, src, seq).
   std::vector<LaunchIntent> pending;
   std::exception_ptr coord_error;
   try {
@@ -183,17 +180,15 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
       // Serial network phase: workers are parked, so the coordinator
       // owns the NetworkModel, the trace, and every band engine. The
       // next window starts at t0 and can only capture sends departing at
-      // or after t0 + L, so every pending intent departing before that
+      // or after t0 + L. Every send departs exactly L after it is posted,
+      // so each of the last window's captures departs before that and
       // precedes, in the sequential engine's transfer order, all that is
-      // not captured yet: replay those. A delivery can pull t0 earlier,
-      // tightening the bound, so t0 follows each one.
-      std::size_t replayed = 0;
-      for (; replayed < pending.size(); ++replayed) {
-        LaunchIntent& in = pending[replayed];
-        if (t0 != sim::Engine::kNoPendingEvent &&
-            static_cast<std::int64_t>(in.depart.picoseconds()) >=
-                t0 + lookahead_ps)
-          break;
+      // not captured yet: replay them all. A delivery can pull t0
+      // earlier, to its arrival, which is still after its departure.
+      for (LaunchIntent& in : pending) {
+        HPCCSIM_ASSERT(t0 == sim::Engine::kNoPendingEvent ||
+                       static_cast<std::int64_t>(in.depart.picoseconds()) <
+                           t0 + lookahead_ps);
         const sim::Time arrival = machine.transfer_message(
             in.src, in.dst, in.tag, in.bytes, in.depart);
         Band& db = bands[static_cast<std::size_t>(band_of(in.dst))];
@@ -212,9 +207,7 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
         ++totals.intents;
         if (band_of(in.src) != band_of(in.dst)) ++totals.handoffs;
       }
-      pending.erase(pending.begin(),
-                    pending.begin() + static_cast<std::ptrdiff_t>(replayed));
-      // An unbounded replay (t0 was kNoPendingEvent) drained the set.
+      pending.clear();
       if (t0 == sim::Engine::kNoPendingEvent) break;
 
       if (!first_window && t0 > prev_end_ps) ++totals.window_skips;
@@ -225,13 +218,12 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
       prev_end_ps = end_ps;
       ++totals.windows;
 
-      // Collect the window's captures. Equal departures go in the order
-      // the sequential engine scheduled them: by post time, then by
-      // source rank, then by capture order — seq counts a band's
-      // captures over the whole run, and a rank lives in exactly one
-      // band, so it is that rank's program order. The key is unique, so
-      // plain sort (no allocation) is stable enough.
-      const std::size_t before = pending.size();
+      // Collect the window's captures. Equal departures were posted on
+      // the same picosecond and go by source rank, then by capture order
+      // — seq counts a band's captures over the whole run, and a rank
+      // lives in exactly one band, so it is that rank's program order.
+      // The key is unique, so plain sort (no allocation) is stable
+      // enough.
       for (Band& b : bands) {
         for (LaunchIntent& in : b.intents) {
           in.seq = b.captured++;
@@ -239,12 +231,11 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
         }
         b.intents.clear();
       }
-      if (pending.size() != before)
-        std::sort(pending.begin(), pending.end(),
-                  [](const LaunchIntent& a, const LaunchIntent& b) {
-                    return std::tie(a.depart, a.call_ps, a.src, a.seq) <
-                           std::tie(b.depart, b.call_ps, b.src, b.seq);
-                  });
+      std::sort(pending.begin(), pending.end(),
+                [](const LaunchIntent& a, const LaunchIntent& b) {
+                  return std::tie(a.depart, a.src, a.seq) <
+                         std::tie(b.depart, b.src, b.seq);
+                });
     }
   } catch (...) {
     coord_error = std::current_exception();

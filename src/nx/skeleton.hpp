@@ -23,13 +23,10 @@ enum class CollectiveKind : std::uint8_t {
   Reduce,
   Allreduce,
   Gather,
-  Scatter,
   Alltoall,
   Allgather,
-  ReduceScatter,
-  Sendrecv,
 };
-inline constexpr int kCollectiveKindCount = 11;
+inline constexpr int kCollectiveKindCount = 8;
 const char* collective_name(CollectiveKind k);
 
 /// One replayable operation. 16 bytes so a full-Delta n=25,000 LU
@@ -54,8 +51,8 @@ static_assert(sizeof(SkelOp) == 16);
 
 /// Accumulates one rank's op stream while a program derives it. A
 /// schedule that cannot be represented (field overflow, or an op the
-/// replayer does not model: isend/irecv/probe/waitall/recv_abortable)
-/// marks itself invalid and is discarded by the caller.
+/// replayer does not model: recv_abortable, a kAnyTag receive) marks
+/// itself invalid and is discarded by the caller.
 struct SkeletonRecorder {
   std::vector<SkelOp> ops;
   bool valid = true;

@@ -11,8 +11,8 @@
 
 #include "linalg/cg.hpp"
 #include "linalg/distlu.hpp"
+#include "linalg/distqr.hpp"
 #include "linalg/fft.hpp"
-#include "linalg/summa.hpp"
 #include "mesh/flit.hpp"
 #include "nx/collectives.hpp"
 #include "nx/machine_runtime.hpp"
@@ -31,7 +31,7 @@ using sim::Task;
 using sim::Time;
 
 TEST(Integration, SequentialWorkloadsOnOneMachine) {
-  // LU, then SUMMA, then CG on the same NxMachine instance: time
+  // LU, then QR, then CG on the same NxMachine instance: time
   // accumulates, state does not leak between runs.
   proc::MachineConfig mc = proc::touchstone_delta();
   mc.mesh_width = 2;
@@ -45,13 +45,13 @@ TEST(Integration, SequentialWorkloadsOnOneMachine) {
   EXPECT_LT(*lu_res.residual, 50.0);
   const Time after_lu = machine.engine().now();
 
-  linalg::SummaConfig sm;
-  sm.n = 32;
-  sm.kb = 8;
-  sm.grid = ProcessGrid{2, 2};
-  const auto sm_res = linalg::run_summa(machine, sm);
-  ASSERT_TRUE(sm_res.error.has_value());
-  EXPECT_LT(*sm_res.error, 1e-12);
+  linalg::QrConfig qr;
+  qr.n = 32;
+  qr.nb = 8;
+  qr.grid = ProcessGrid{2, 2};
+  const auto qr_res = linalg::run_distributed_qr(machine, qr);
+  ASSERT_TRUE(qr_res.residual.has_value());
+  EXPECT_LT(*qr_res.residual, 50.0);
   EXPECT_GT(machine.engine().now(), after_lu);  // clock kept advancing
 
   linalg::CgConfig cg;

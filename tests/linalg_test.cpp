@@ -1,6 +1,6 @@
 // Tests for the linear-algebra stack: local BLAS kernels against naive
 // references, the reference blocked LU, block-cyclic index algebra, and
-// the distributed LU / SUMMA (numeric mode) verified end-to-end on
+// the distributed LU / QR (numeric mode) verified end-to-end on
 // simulated machines.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "linalg/distqr.hpp"
 #include "linalg/distlu.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/summa.hpp"
 #include "linalg/verify.hpp"
 #include "proc/machine.hpp"
 
@@ -470,34 +469,6 @@ TEST(LuSkeleton, ReplayUnderDifferentNodeModelRetimesSchedule) {
   EXPECT_LT(retimed.elapsed.picoseconds(), derived.elapsed.picoseconds());
   EXPECT_GT(retimed.gflops, derived.gflops);
 }
-
-// ----------------------------------------------------------------- summa --
-
-class SummaGrids : public ::testing::TestWithParam<DistCase> {};
-
-TEST_P(SummaGrids, NumericMatchesReferenceProduct) {
-  const DistCase c = GetParam();
-  proc::MachineConfig mc = proc::touchstone_delta();
-  mc.mesh_width = c.q;
-  mc.mesh_height = c.p;
-  nx::NxMachine machine(mc);
-  SummaConfig cfg;
-  cfg.n = c.n;
-  cfg.kb = c.nb;
-  cfg.grid = ProcessGrid{c.p, c.q};
-  cfg.numeric = true;
-  cfg.seed = 11;
-  const SummaResult r = run_summa(machine, cfg);
-  ASSERT_TRUE(r.error.has_value());
-  EXPECT_LT(*r.error, 1e-12);
-  EXPECT_GT(r.gflops, 0.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grids, SummaGrids,
-    ::testing::Values(DistCase{16, 8, 1, 1}, DistCase{32, 8, 2, 2},
-                      DistCase{40, 8, 2, 3}, DistCase{64, 16, 2, 4},
-                      DistCase{50, 16, 3, 3}));
 
 // ------------------------------------------------------------- residual --
 

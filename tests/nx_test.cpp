@@ -31,9 +31,6 @@ TEST(Mailbox, TagAndSourceFiltering) {
   mb.deliver(Message{1, 7, 10, {}});
   mb.deliver(Message{2, 7, 20, {}});
   mb.deliver(Message{1, 9, 30, {}});
-  EXPECT_TRUE(mb.probe(1, 7));
-  EXPECT_TRUE(mb.probe(kAnySource, 9));
-  EXPECT_FALSE(mb.probe(3, kAnyTag));
 
   Message got;
   e.spawn([](Mailbox& box, Message& out) -> Task<> {
@@ -266,20 +263,6 @@ TEST_P(Collectives, GatherCollectsInGroupOrder) {
   for (int i = 0; i < n; ++i) EXPECT_EQ(collected[static_cast<std::size_t>(i)], i * 10.0);
 }
 
-TEST_P(Collectives, ScatterDeliversPerRankSlices) {
-  const int n = GetParam();
-  NxMachine m(tiny_machine(n));
-  std::vector<double> got(static_cast<std::size_t>(n));
-  m.run([&got, n](NxContext& ctx) -> Task<> {
-    std::vector<Payload> slices;
-    if (ctx.rank() == 0)
-      for (int i = 0; i < n; ++i) slices.push_back(payload_of(i + 0.5));
-    Message r = co_await scatter(ctx, Group::world(ctx), 0, 8, std::move(slices));
-    got[static_cast<std::size_t>(ctx.rank())] = r.values().at(0);
-  });
-  for (int i = 0; i < n; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i + 0.5);
-}
-
 TEST_P(Collectives, AlltoallExchangesAllSlices) {
   const int n = GetParam();
   NxMachine m(tiny_machine(n));
@@ -442,197 +425,6 @@ TEST(CollectiveDeterminism, BinomialSumBitIdenticalAcrossNodes) {
 }  // namespace
 }  // namespace hpccsim::nx
 
-// ------------------------------------------------------- non-blocking --
-
-namespace hpccsim::nx {
-namespace {
-
-using proc::MachineConfig;
-using sim::Task;
-using sim::Time;
-
-MachineConfig nb_machine(int nodes) {
-  return proc::touchstone_delta().with_nodes(nodes);
-}
-
-TEST(NonBlocking, IrecvCompletesOnMatch) {
-  NxMachine m(nb_machine(2));
-  double got = 0;
-  m.run([&got](NxContext& ctx) -> Task<> {
-    if (ctx.rank() == 0) {
-      co_await ctx.busy(Time::ms(1));
-      co_await ctx.send(1, 5, 8, payload_of(6.5));
-    } else {
-      Request r = ctx.irecv(0, 5);
-      EXPECT_FALSE(r.done());
-      Message msg = co_await r.wait();
-      got = msg.values().at(0);
-      EXPECT_TRUE(r.done());
-    }
-  });
-  EXPECT_EQ(got, 6.5);
-}
-
-TEST(NonBlocking, IsendReturnsImmediately) {
-  NxMachine m(nb_machine(2));
-  Time post_time, after_post;
-  m.run([&](NxContext& ctx) -> Task<> {
-    if (ctx.rank() == 0) {
-      post_time = ctx.now();
-      Request r = ctx.isend(1, 1, 1 * MiB);
-      after_post = ctx.now();
-      co_await r.wait();
-    } else {
-      (void)co_await ctx.recv(0, 1);
-    }
-  });
-  // Posting costs zero simulated time; the wait absorbs the overhead.
-  EXPECT_EQ(post_time, after_post);
-}
-
-TEST(NonBlocking, OverlapsCommunicationWithCompute) {
-  // With irecv posted before a long compute, total time is max(compute,
-  // message arrival), not the sum.
-  NxMachine m(nb_machine(2));
-  Time finish;
-  m.run([&finish](NxContext& ctx) -> Task<> {
-    if (ctx.rank() == 0) {
-      co_await ctx.send(1, 2, 1024);
-    } else {
-      Request r = ctx.irecv(0, 2);
-      co_await ctx.busy(Time::ms(20));  // long compute
-      (void)co_await r.wait();
-      finish = ctx.now();
-    }
-  });
-  EXPECT_LT(finish, Time::ms(21));  // overlapped, not 20ms + latency
-}
-
-TEST(NonBlocking, IsendsSerializeOnCoprocessor) {
-  // Two isends posted back-to-back: the second departs one overhead
-  // later, so its request completes later.
-  NxMachine m(nb_machine(3));
-  Time t1, t2;
-  m.run([&](NxContext& ctx) -> Task<> {
-    if (ctx.rank() == 0) {
-      Request a = ctx.isend(1, 1, 64);
-      Request b = ctx.isend(2, 1, 64);
-      co_await a.wait();
-      t1 = ctx.now();
-      co_await b.wait();
-      t2 = ctx.now();
-    } else {
-      (void)co_await ctx.recv(0, 1);
-    }
-  });
-  EXPECT_EQ((t2 - t1), nb_machine(3).send_overhead);
-}
-
-TEST(NonBlocking, IsendReservesRouteAtDeparture) {
-  // On the 3x1 line, rank 0 posts a small and then a 1 MiB isend to
-  // rank 2 at t=0; the big one departs two overheads later, at 80 us,
-  // and holds link 1->2 for ~42 ms. Rank 1's csend to rank 2, posted
-  // at 1 us, departs at 41 us over that same link. Routes are reserved
-  // at departure, so it is not queued behind the big message's future
-  // reservation.
-  NxMachine m(nb_machine(3));
-  Time small_done;
-  m.run([&](NxContext& ctx) -> Task<> {
-    if (ctx.rank() == 0) {
-      Request a = ctx.isend(2, 1, 64);
-      Request b = ctx.isend(2, 2, 1 * MiB);
-      (void)co_await a.wait();
-      (void)co_await b.wait();
-    } else if (ctx.rank() == 1) {
-      co_await ctx.busy(Time::us(1));
-      co_await ctx.send(2, 3, 64);
-    } else {
-      (void)co_await ctx.recv(1, 3);
-      small_done = ctx.now();
-      (void)co_await ctx.recv(0, 1);
-      (void)co_await ctx.recv(0, 2);
-    }
-  });
-  EXPECT_LT(small_done, Time::ms(1));
-}
-
-TEST(NonBlocking, WaitallDrainsEverything) {
-  NxMachine m(nb_machine(4));
-  std::vector<double> got;
-  m.run([&got](NxContext& ctx) -> Task<> {
-    if (ctx.rank() == 0) {
-      std::vector<Request> reqs;
-      for (int r = 1; r < ctx.nodes(); ++r) reqs.push_back(ctx.irecv(r, 9));
-      co_await ctx.waitall(reqs);
-      for (auto& r : reqs) {
-        Message msg = co_await r.wait();  // already done: immediate
-        (void)msg;
-      }
-      got.push_back(1.0);
-    } else {
-      co_await ctx.send(0, 9, 8, payload_of(double(ctx.rank())));
-    }
-  });
-  EXPECT_EQ(got.size(), 1u);
-}
-
-TEST(NonBlocking, PostingOrderGovernsMatching) {
-  // Two irecvs with the same (src, tag): first posted gets first message.
-  NxMachine m(nb_machine(2));
-  std::vector<double> order;
-  m.run([&order](NxContext& ctx) -> Task<> {
-    if (ctx.rank() == 0) {
-      co_await ctx.send(1, 3, 8, payload_of(1.0));
-      co_await ctx.send(1, 3, 8, payload_of(2.0));
-    } else {
-      Request a = ctx.irecv(0, 3);
-      Request b = ctx.irecv(0, 3);
-      Message mb = co_await b.wait();
-      Message ma = co_await a.wait();
-      order.push_back(ma.values().at(0));
-      order.push_back(mb.values().at(0));
-    }
-  });
-  EXPECT_EQ(order, (std::vector<double>{1.0, 2.0}));
-}
-
-TEST(NonBlocking, HaloExchangePattern) {
-  // The canonical use: post all receives, send all, waitall, compute.
-  const int n = 8;
-  NxMachine m(nb_machine(n));
-  std::vector<double> sums(n, 0);
-  m.run([&sums, n](NxContext& ctx) -> Task<> {
-    const int left = (ctx.rank() + n - 1) % n;
-    const int right = (ctx.rank() + 1) % n;
-    Request rl = ctx.irecv(left, 4);
-    Request rr = ctx.irecv(right, 4);
-    co_await ctx.send(right, 4, 8, payload_of(double(ctx.rank())));
-    co_await ctx.send(left, 4, 8, payload_of(double(ctx.rank())));
-    Message ml = co_await rl.wait();
-    Message mr = co_await rr.wait();
-    sums[ctx.rank()] = ml.values().at(0) + mr.values().at(0);
-  });
-  for (int r = 0; r < n; ++r) {
-    const int left = (r + n - 1) % n, right = (r + 1) % n;
-    EXPECT_EQ(sums[r], left + right) << "rank " << r;
-  }
-}
-
-TEST(NonBlocking, UnmatchedIrecvDeadlocks) {
-  NxMachine m(nb_machine(2));
-  EXPECT_THROW(m.run([](NxContext& ctx) -> Task<> {
-    if (ctx.rank() == 0) {
-      Request r = ctx.irecv(1, 1);  // node 1 never sends
-      (void)co_await r.wait();
-    }
-    co_return;
-  }),
-               sim::DeadlockError);
-}
-
-}  // namespace
-}  // namespace hpccsim::nx
-
 // ------------------------------------------------------------- tracing --
 
 namespace hpccsim::nx {
@@ -693,7 +485,7 @@ TEST(MessageTrace, CollectivesAreVisible) {
 }  // namespace
 }  // namespace hpccsim::nx
 
-// ----------------------------------------- allgather / reduce-scatter --
+// ----------------------------------------------------------- allgather --
 
 namespace hpccsim::nx {
 namespace {
@@ -715,43 +507,8 @@ TEST_P(MoreCollectives, AllgatherDeliversAllSlices) {
   for (bool b : ok) EXPECT_TRUE(b);
 }
 
-TEST_P(MoreCollectives, ReduceScatterSumsAndSegments) {
-  const int n = GetParam();
-  NxMachine m(proc::touchstone_delta().with_nodes(n));
-  std::vector<double> got(static_cast<std::size_t>(n), -1);
-  m.run([&got, n](NxContext& ctx) -> sim::Task<> {
-    // Contribution: vector of length 2n, entry j = rank + j.
-    std::vector<double> v(static_cast<std::size_t>(2 * n));
-    for (int j = 0; j < 2 * n; ++j)
-      v[static_cast<std::size_t>(j)] = ctx.rank() + j;
-    Message seg = co_await reduce_scatter(
-        ctx, Group::world(ctx), ReduceOp::Sum,
-        doubles_bytes(static_cast<std::size_t>(2 * n)),
-        make_payload(std::move(v)));
-    // My segment is entries [2*me, 2*me+2); entry j sums to
-    // sum_r (r + j) = n(n-1)/2 + n*j.
-    got[static_cast<std::size_t>(ctx.rank())] = seg.values().at(0);
-  });
-  for (int r = 0; r < n; ++r) {
-    const double expect = n * (n - 1) / 2.0 + n * (2.0 * r);
-    EXPECT_DOUBLE_EQ(got[static_cast<std::size_t>(r)], expect) << r;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Sizes, MoreCollectives,
                          ::testing::Values(1, 2, 4, 7, 16));
-
-TEST(SendRecv, PairedExchangeBothDirections) {
-  NxMachine m(proc::touchstone_delta().with_nodes(2));
-  std::vector<double> got(2);
-  m.run([&got](NxContext& ctx) -> sim::Task<> {
-    Message r = co_await sendrecv(ctx, 1 - ctx.rank(), 6, 8,
-                                  payload_of(100.0 + ctx.rank()));
-    got[static_cast<std::size_t>(ctx.rank())] = r.values().at(0);
-  });
-  EXPECT_EQ(got[0], 101.0);
-  EXPECT_EQ(got[1], 100.0);
-}
 
 TEST(AllgatherTiming, RingCostScalesWithGroupSize) {
   auto elapsed = [](int n) {
@@ -945,7 +702,6 @@ TEST(NxAllocation, WorldGroupAllocatesNothing) {
 
 #include <algorithm>
 #include <functional>
-#include <optional>
 #include <sstream>
 #include <string>
 
@@ -955,8 +711,8 @@ namespace {
 using sim::Task;
 using sim::Time;
 
-/// Mixed point-to-point / non-blocking / collective traffic with
-/// deterministically-seeded pseudo-random sizes and compute grains.
+/// Mixed point-to-point / collective traffic with deterministically
+/// seeded pseudo-random sizes and compute grains.
 /// Heavy cross-rank structure at several strides, so a lookahead or
 /// replay-ordering bug diverges the clock or the counters.
 Task<> traffic_program(NxContext& ctx, std::vector<double>& out) {
@@ -972,12 +728,12 @@ Task<> traffic_program(NxContext& ctx, std::vector<double>& out) {
     const int stride = 1 + (k * 7) % (n - 1);
     const int to = (r + stride) % n;
     const int from = (r + n - stride) % n;
-    Request rx = ctx.irecv(from, 100 + k);
     co_await ctx.busy(Time::ns(1 + next() % 50000));
     const Bytes bytes = 64 + next() % 8192;
     Payload pay = make_payload(std::vector<double>(next() % 32, r));
+    // Buffered csend: every rank sends before it receives, deadlock-free.
     co_await ctx.send(to, 100 + k, bytes, std::move(pay));
-    Message got = co_await rx.wait();
+    Message got = co_await ctx.recv(from, 100 + k);
     acc += static_cast<double>(got.bytes) +
            static_cast<double>(got.values().size());
     if (k % 3 == 0) {
@@ -1006,37 +762,6 @@ std::vector<std::int64_t> invariant_counters(NxMachine& m) {
   std::vector<std::int64_t> out;
   for (const char* name : kNames) out.push_back(reg.value(name));
   return out;
-}
-
-/// Non-blocking traffic: every round each rank posts a burst of isends,
-/// so the later ones queue behind its co-processor and depart overheads
-/// after their post — past the next window edge, waiting in the
-/// coordinator's pending set — interleaved with a csend/recv exchange.
-Task<> isend_program(NxContext& ctx, std::vector<double>& out) {
-  const int n = ctx.nodes();
-  const int r = ctx.rank();
-  double acc = 0;
-  for (int k = 0; k < 4; ++k) {
-    const int tag = 300 + 8 * k;
-    std::vector<Request> rx, tx;
-    for (int j = 1; j <= 3; ++j)
-      rx.push_back(ctx.irecv((r + n - j * (k + 2)) % n, tag + j));
-    for (int j = 1; j <= 3; ++j)
-      tx.push_back(ctx.isend((r + j * (k + 2)) % n, tag + j,
-                             256 * j + 8 * (r % 13),
-                             make_payload(std::vector<double>(j, r))));
-    co_await ctx.busy(Time::ns(500 * (1 + r % 7)));
-    co_await ctx.send((r + 5) % n, tag, 64);
-    acc += static_cast<double>((co_await ctx.recv((r + n - 5) % n, tag)).bytes);
-    co_await ctx.waitall(tx);
-    for (Request& q : rx) {
-      Message got = co_await q.wait();
-      acc += static_cast<double>(got.bytes) +
-             static_cast<double>(got.values().size());
-    }
-  }
-  co_await barrier(ctx, Group::world(ctx));
-  out[static_cast<std::size_t>(r)] = acc;
 }
 
 using TrafficProgram =
@@ -1090,13 +815,6 @@ TEST(ParallelEngine, TrafficByteIdenticalAcrossThreadCounts) {
   const TrafficResult seq = run_traffic(1);
   for (const int threads : {2, 4, 8})
     expect_identical(run_traffic(threads), seq,
-                     "threads=" + std::to_string(threads));
-}
-
-TEST(ParallelEngine, IsendTrafficByteIdenticalAcrossThreadCounts) {
-  const TrafficResult seq = run_traffic(1, isend_program);
-  for (const int threads : {2, 4, 8})
-    expect_identical(run_traffic(threads, isend_program), seq,
                      "threads=" + std::to_string(threads));
 }
 
@@ -1185,9 +903,8 @@ TEST(ParallelEngine, MessageTraceMatchesSequential) {
     m.run([](NxContext& ctx) -> Task<> {
       const int to = (ctx.rank() + 9) % ctx.nodes();
       const int from = (ctx.rank() + ctx.nodes() - 9) % ctx.nodes();
-      Request rx = ctx.irecv(from, 5);
       co_await ctx.send(to, 5, 2048 + 16 * static_cast<Bytes>(ctx.rank()));
-      (void)co_await rx.wait();
+      (void)co_await ctx.recv(from, 5);
     });
     return m.message_trace();
   };
@@ -1298,9 +1015,7 @@ TEST(NxAllocation, ParallelSteadyStateIsAllocationFreeAcrossBands) {
         samples[static_cast<std::size_t>(it)] =
             g_heap_allocs.load(std::memory_order_relaxed);
       // Cross-band ring exchange with null payloads, plus one modeled
-      // collective — the parallel hot path. Blocking send/recv
-      // (not irecv: request state and its helper process heap-allocate
-      // by design, in sequential mode too).
+      // collective — the parallel hot path.
       const int to = (ctx.rank() + 17) % n;
       const int from = (ctx.rank() + n - 17) % n;
       co_await ctx.send(to, 60, 1024);
@@ -1320,7 +1035,7 @@ TEST(NxAllocation, ParallelSteadyStateIsAllocationFreeAcrossBands) {
 // ------------------------------------- randomized sharded-engine driver --
 //
 // Seeded random node programs over every entry point a sharded run
-// replays — csend, isend, recv, irecv, collectives — on 64+ ranks. Busy
+// replays — csend, recv, collectives — on 64+ ranks. Busy
 // grains and sizes come from small sets on the 10 ns grid the Delta's
 // per-hop, NIC and per-byte times share, so deliveries, recv posts and
 // window edges often land on the same picosecond: the ties where an
@@ -1373,43 +1088,29 @@ Task<> random_program(NxContext& ctx, RandomSpec spec,
       co_await ctx.busy(grain());
       co_await barrier(ctx, Group::world(ctx));
     } else if (kind == 2) {
-      // An isend burst: later posts queue behind the co-processor.
+      // A burst of sends, a busy grain, then the receives: later sends
+      // depart one overhead after the one before.
       const int fan = 1 + pick(shared, 3);
-      std::vector<Request> rx, tx;
-      for (int j = 1; j <= fan; ++j)
-        rx.push_back(ctx.irecv((r + n - (stride * j) % n) % n, tag + j));
       for (int j = 1; j <= fan; ++j) {
         const Bytes b = kBytes[pick(own, 4)];
-        tx.push_back(ctx.isend((r + stride * j) % n, tag + j, b,
-                               make_payload(std::vector<double>(b / 8, r))));
+        co_await ctx.send((r + stride * j) % n, tag + j, b,
+                          make_payload(std::vector<double>(b / 8, r)));
       }
       co_await ctx.busy(grain());
-      for (Request& q : rx) {
-        Message got = co_await q.wait();
+      for (int j = 1; j <= fan; ++j) {
+        Message got =
+            co_await ctx.recv((r + n - (stride * j) % n) % n, tag + j);
         acc += static_cast<double>(got.bytes + got.values().size());
       }
-      co_await ctx.waitall(tx);
     } else {
-      // One exchange at `stride`, blocking or not on either side.
+      // One exchange at `stride`.
       const int to = (r + stride) % n;
       const int from = (r + n - stride) % n;
-      std::optional<Request> rx;
-      if (pick(own, 2)) rx = ctx.irecv(from, tag);
       co_await ctx.busy(grain());
-      const Bytes b = kBytes[pick(own, 4)];
-      std::optional<Request> tx;
-      if (pick(own, 2))
-        tx = ctx.isend(to, tag, b);
-      else
-        co_await ctx.send(to, tag, b);
+      co_await ctx.send(to, tag, kBytes[pick(own, 4)]);
       co_await ctx.busy(grain());
-      Message got;
-      if (rx)
-        got = co_await rx->wait();
-      else
-        got = co_await ctx.recv(from, tag);
+      Message got = co_await ctx.recv(from, tag);
       acc = acc / 2 + static_cast<double>(got.bytes) + got.src;
-      if (tx) co_await tx->wait();
     }
   }
   co_await barrier(ctx, Group::world(ctx));
@@ -1417,10 +1118,10 @@ Task<> random_program(NxContext& ctx, RandomSpec spec,
 }
 
 TEST(ShardedEngineRandom, ProgramsByteIdenticalAcrossThreadCounts) {
-  // Seed 4 is pinned: queueing its deliveries at replay time instead of
+  // Seed 7 is pinned: queueing its deliveries at replay time instead of
   // at their departure changes core.engine.events at threads=2.
   for (const RandomSpec spec :
-       {RandomSpec{4, 64, 12}, RandomSpec{1, 64, 16}, RandomSpec{3, 96, 10}}) {
+       {RandomSpec{7, 64, 12}, RandomSpec{1, 64, 16}, RandomSpec{3, 96, 10}}) {
     const TrafficProgram prog = [spec](NxContext& ctx,
                                        std::vector<double>& out) {
       return random_program(ctx, spec, out);
