@@ -93,6 +93,8 @@ void Engine::dispatch(const detail::QEvent& ev) {
     Callback fn = std::move(call_slots_[slot]);
     free_slots_.push_back(slot);
     fn();
+  } else if (ev.payload & kWakeBit) {
+    reinterpret_cast<Waker*>(ev.payload & ~kWakeBit)->wake();
   } else {
     std::coroutine_handle<>::from_address(
         reinterpret_cast<void*>(ev.payload))

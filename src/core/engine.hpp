@@ -25,6 +25,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/event_queue.hpp"
@@ -41,6 +42,27 @@ class Engine;
 /// Callback type for schedule_call: captures up to 48 bytes are stored
 /// inline (no allocation); larger ones fall back to one heap box.
 using Callback = InlineFn<48>;
+
+/// An event target for code that must run at an instant without owning
+/// a coroutine frame or a callback slot: Engine::schedule_wake queues
+/// the object itself, and the engine calls wake() at that instant. A
+/// wake is an event like a coroutine resume (it counts in
+/// events_processed(), not in calls_scheduled()). The object must
+/// outlive its pending wakes.
+class Waker {
+ public:
+  virtual void wake() = 0;
+};
+
+/// What Engine::delay returns: resumes the awaiting coroutine `dt`
+/// later. Trivially destructible, 16 bytes, owns no frame.
+struct [[nodiscard]] DelayAwaiter {
+  Engine* e;
+  Time dt;
+  bool await_ready() const noexcept { return false; }
+  inline void await_suspend(std::coroutine_handle<> h) const;
+  void await_resume() const noexcept {}
+};
 
 /// One-shot latch: processes await it; fire() releases all current and
 /// future waiters. Used for process-join and phase barriers.
@@ -102,6 +124,15 @@ class Engine {
     HPCCSIM_EXPECTS(h != nullptr);
     queue_.push({when.picoseconds(), next_seq_++,
                  reinterpret_cast<std::uintptr_t>(h.address())});
+    note_queue_depth();
+  }
+
+  /// Schedule `w.wake()` at an absolute time (>= now). Takes its
+  /// (time, sequence) place like schedule(); see Waker.
+  void schedule_wake(Time when, Waker& w) {
+    HPCCSIM_EXPECTS(when >= now_);
+    queue_.push({when.picoseconds(), next_seq_++,
+                 reinterpret_cast<std::uintptr_t>(&w) | kWakeBit});
     note_queue_depth();
   }
 
@@ -173,18 +204,7 @@ class Engine {
   void append_unfinished_names(std::string& out) const;
 
   /// Awaitable: suspend the current process for `dt` of simulated time.
-  auto delay(Time dt) {
-    struct Awaiter {
-      Engine* e;
-      Time dt;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        e->schedule(e->now_ + dt, h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this, dt};
-  }
+  DelayAwaiter delay(Time dt) { return DelayAwaiter{this, dt}; }
 
   std::uint64_t events_processed() const { return events_processed_; }
   std::size_t live_process_count() const;
@@ -277,6 +297,10 @@ class Engine {
   static std::uintptr_t call_payload(std::uint32_t slot) {
     return (static_cast<std::uintptr_t>(slot) << 1) | 1;
   }
+  /// Payload bit 1 marks a Waker (bit 0 clear); coroutine frames and
+  /// Wakers are at least 4-aligned, so neither address uses it.
+  static constexpr std::uintptr_t kWakeBit = 2;
+  static_assert(alignof(Waker) >= 4);
   /// Queue every held call whose `at` precedes both the next queued
   /// event and `limit` (the first instant the caller will not dispatch).
   void release_held(std::uint64_t limit);
@@ -307,6 +331,12 @@ class Engine {
   std::vector<HeldCall> held_;
   std::vector<std::unique_ptr<Root>> roots_;
 };
+
+inline void DelayAwaiter::await_suspend(std::coroutine_handle<> h) const {
+  e->schedule(e->now() + dt, h);
+}
+static_assert(std::is_trivially_destructible_v<DelayAwaiter> &&
+              sizeof(DelayAwaiter) <= 16);
 
 /// Thrown when all events drain but some process never finished — i.e. a
 /// recv with no matching send, a barrier someone never reached, etc.

@@ -27,8 +27,8 @@
 // heaps compare (when, seq). Determinism is therefore bit-identical.
 //
 // The queue never inspects payloads: a record carries a uintptr_t whose
-// low bit says whether it is a coroutine handle (0) or an index into the
-// engine's callback slot pool (1).
+// low bits say whether it is a coroutine handle (00), a sim::Waker
+// address (10) or an index into the engine's callback slot pool (x1).
 #pragma once
 
 #include <algorithm>
@@ -45,8 +45,9 @@ namespace hpccsim::sim::detail {
 struct QEvent {
   std::uint64_t when;      ///< absolute time in picoseconds
   std::uint64_t seq;       ///< global schedule sequence (tie-break)
-  std::uintptr_t payload;  ///< low bit 0: coroutine handle address;
-                           ///< low bit 1: callback slot index << 1
+  std::uintptr_t payload;  ///< low bits 00: coroutine handle address;
+                           ///< 10: Waker address | 2;
+                           ///< x1: callback slot index << 1 | 1
 };
 
 inline bool event_before(const QEvent& a, const QEvent& b) {

@@ -22,6 +22,11 @@
 // Plain lvalue, moved, and prvalue arguments are all safe (verified by
 // the nx test suite); only additionally-materialized temporaries in the
 // awaited full expression are miscompiled by GCC 12.
+//
+// The awaiters NxContext's leaf ops (send, recv, compute, busy) return
+// are trivially destructible, so the awaited object itself has no
+// destructor to run twice; their arguments still follow the rule (GCC 12
+// miscompiles the awaiting coroutine, whatever the callee is).
 #pragma once
 
 #include <coroutine>

@@ -150,8 +150,9 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
         }
         piv_this_panel.push_back(piv_row);
 
-        // Swap rows j and piv_row within the panel columns.
-        const std::int32_t oj = dist.owner_prow(j);
+        // Swap rows j and piv_row within the panel columns. Row j is in
+        // block k, so it lives on process row pr.
+        const std::int32_t oj = pr;
         const std::int32_t op = dist.owner_prow(piv_row);
         if (piv_row != j) {
           if (oj == op) {
@@ -246,25 +247,31 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
 
     // ---- 3. apply row swaps to non-panel local columns ----
     {
-      // Columns outside the panel, in local indexing.
-      out_cols.clear();
-      for (std::int64_t lc = 0; lc < lcols; ++lc) {
-        const std::int64_t gc = dist.global_col(pcol, lc);
-        if (gc < j0 || gc >= j0 + jb) out_cols.push_back(lc);
+      // Columns outside the panel: all local ones but, on the panel's
+      // process column, the jb of block k. Only numeric mode moves
+      // values, so only it lists their local indices.
+      const std::int64_t out_count = lcols - (pcol == pc ? jb : 0);
+      if (numeric) {
+        out_cols.clear();
+        for (std::int64_t lc = 0; lc < lcols; ++lc) {
+          const std::int64_t gc = dist.global_col(pcol, lc);
+          if (gc < j0 || gc >= j0 + jb) out_cols.push_back(lc);
+        }
+        HPCCSIM_ASSERT(static_cast<std::int64_t>(out_cols.size()) ==
+                       out_count);
       }
       // Process column 0 also carries the right-hand side, whose rows
       // must follow the same pivot swaps (HPL treats b as an extra
       // column of the matrix); its value rides along in the exchange.
       const bool has_b = pcol == 0;
-      if (!out_cols.empty() || has_b) {
-        const std::int64_t swap_width =
-            static_cast<std::int64_t>(out_cols.size()) + (has_b ? 1 : 0);
+      if (out_count > 0 || has_b) {
+        const std::int64_t swap_width = out_count + (has_b ? 1 : 0);
         for (std::int64_t idx = 0;
              idx < static_cast<std::int64_t>(piv_this_panel.size()); ++idx) {
           const std::int64_t j = j0 + idx;
           const std::int64_t p = piv_this_panel[static_cast<std::size_t>(idx)];
           if (p == j) continue;
-          const std::int32_t oj = dist.owner_prow(j);
+          const std::int32_t oj = pr;  // row j is in block k
           const std::int32_t op = dist.owner_prow(p);
           if (oj == op) {
             if (prow == oj) {

@@ -1,6 +1,7 @@
 #include "mesh/analytical.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 namespace hpccsim::mesh {
 
@@ -25,14 +26,24 @@ sim::Time AnalyticalMeshNet::transfer(NodeId src, NodeId dst, Bytes bytes,
     return depart + params_.nic_latency + ser;
   }
 
-  // The route goes into a member scratch buffer: this runs once per
-  // message, and the modeled hot path must not heap-allocate
-  // (docs/PERF.md).
-  std::vector<LinkId>& route = route_scratch_;
-  mesh_.xy_route_into(src, dst, route);
+  // The XY route (Mesh2D::xy_route), walked by arithmetic: link
+  // 4 * node + dir along the source row to the destination column, then
+  // along that column. This runs once per message, so it builds no route
+  // and calls nothing per hop.
+  const std::int32_t w = mesh_.width();
+  const std::int32_t turn = src - src % w + dst % w;  // (dst.x, src.y)
+  const std::int32_t xstep = turn > src ? 1 : -1;
+  const std::int32_t ystep = dst > turn ? w : -w;
+  const int xdir = static_cast<int>(xstep > 0 ? Dir::East : Dir::West);
+  const int ydir = static_cast<int>(ystep > 0 ? Dir::South : Dir::North);
+  auto each_link = [&](auto&& f) {
+    for (std::int32_t at = src; at != turn; at += xstep)
+      f(link_free_at_[static_cast<std::size_t>(4 * at + xdir)]);
+    for (std::int32_t at = turn; at != dst; at += ystep)
+      f(link_free_at_[static_cast<std::size_t>(4 * at + ydir)]);
+  };
   sim::Time start = depart;
-  for (const LinkId l : route)
-    start = std::max(start, link_free_at_[static_cast<std::size_t>(l)]);
+  each_link([&start](sim::Time t) { start = std::max(start, t); });
 
   const sim::Time queued = start - depart;
   contention_ps_sum_ += queued.picoseconds();
@@ -40,10 +51,10 @@ sim::Time AnalyticalMeshNet::transfer(NodeId src, NodeId dst, Bytes bytes,
   contention_max_ = std::max(contention_max_, queued);
 
   const sim::Time busy_until = start + ser;
-  for (const LinkId l : route)
-    link_free_at_[static_cast<std::size_t>(l)] = busy_until;
+  each_link([busy_until](sim::Time& t) { t = busy_until; });
 
-  const auto hops = static_cast<std::uint64_t>(route.size());
+  const auto hops = static_cast<std::uint64_t>(std::abs(turn - src) +
+                                               std::abs(dst - turn) / w);
   return start + params_.nic_latency * 2 + params_.per_hop_latency * hops +
          ser;
 }

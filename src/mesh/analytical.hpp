@@ -82,9 +82,6 @@ class AnalyticalMeshNet final : public NetworkModel {
   __extension__ unsigned __int128 contention_ps_sum_ = 0;
   std::uint64_t contention_count_ = 0;
   sim::Time contention_max_;
-  // Per-message route scratch (capacity persists: transfer() is the
-  // hottest network call and must not allocate after warmup).
-  std::vector<LinkId> route_scratch_;
 };
 
 }  // namespace hpccsim::mesh

@@ -40,10 +40,10 @@ std::int32_t Mesh2D::distance(NodeId a, NodeId b) const {
   return std::abs(ca.x - cb.x) + std::abs(ca.y - cb.y);
 }
 
-void Mesh2D::xy_route_into(NodeId src, NodeId dst,
-                           std::vector<LinkId>& out) const {
+std::vector<LinkId> Mesh2D::xy_route(NodeId src, NodeId dst) const {
   const Coord to = coord_of(dst);
-  out.clear();
+  std::vector<LinkId> out;
+  out.reserve(static_cast<std::size_t>(distance(src, dst)));
   NodeId at = src;
   Coord c = coord_of(src);
   // X dimension first, then Y: the Delta's dimension-order rule.
@@ -60,13 +60,7 @@ void Mesh2D::xy_route_into(NodeId src, NodeId dst,
     c = coord_of(at);
   }
   HPCCSIM_ENSURES(at == dst);
-}
-
-std::vector<LinkId> Mesh2D::xy_route(NodeId src, NodeId dst) const {
-  std::vector<LinkId> route;
-  route.reserve(static_cast<std::size_t>(distance(src, dst)));
-  xy_route_into(src, dst, route);
-  return route;
+  return out;
 }
 
 std::vector<NodeId> Mesh2D::xy_path_nodes(NodeId src, NodeId dst) const {

@@ -53,11 +53,9 @@ class Mesh2D {
 
   /// Dimension-order (XY) route: the link sequence from src to dst.
   /// Deterministic and deadlock-free on a mesh. Empty if src == dst.
+  /// The analytical model walks the same route by arithmetic; this is
+  /// its test oracle.
   std::vector<LinkId> xy_route(NodeId src, NodeId dst) const;
-
-  /// Allocation-free variant for per-message hot paths: clear `out`
-  /// and refill it, retaining its capacity across calls.
-  void xy_route_into(NodeId src, NodeId dst, std::vector<LinkId>& out) const;
 
   /// The node sequence visited by the XY route, including endpoints.
   std::vector<NodeId> xy_path_nodes(NodeId src, NodeId dst) const;

@@ -133,23 +133,49 @@ Payload combine(ReduceOp op, const Payload& a, const Payload& b) {
 
 // ----------------------------------------------------------- broadcast --
 
-namespace {
-
-sim::Task<Message> bcast_binomial(NxContext& ctx, const Group& g, int root,
-                                  Bytes bytes, Payload data, int tag) {
-  // MPICH-style binomial tree on relative indices: scan masks upward to
-  // find the parent (lowest set bit of rel), receive once, then forward
-  // to children at decreasing masks.
-  const int size = g.size();
-  const int root_idx = g.index_of(root);
-  const int rel = (g.index_of(ctx.rank()) - root_idx + size) % size;
-  auto abs_rank = [&](int r) { return g.rank_at((r + root_idx) % size); };
-
+// Every algorithm runs in bcast's own frame: a broadcast (every LU panel
+// and every allreduce makes several) resumes no frame beyond its caller's
+// and the leaf ops'.
+sim::Task<Message> bcast(NxContext& ctx, const Group& g, int root,
+                         Bytes bytes, Payload data, CollectiveAlgo algo) {
+  HPCCSIM_EXPECTS(g.contains(ctx.rank()));
+  HPCCSIM_EXPECTS(g.contains(root));
+  CollectiveTimer timer(ctx, CollectiveKind::Bcast);
+  const int tag = collective_tag(ctx, g);
   Message result{root, tag, bytes, std::move(data)};
+  const int size = g.size();
+  if (size == 1) co_return result;
+  const int root_idx = g.index_of(root);
+  const int me = g.index_of(ctx.rank());
+  const int rel = (me - root_idx + size) % size;
+
+  if (algo == CollectiveAlgo::Ring) {
+    if (rel != 0) result = co_await ctx.recv(kAnySource, tag);
+    if (rel + 1 < size)
+      co_await ctx.send(g.rank_at((me + 1) % size), tag, bytes,
+                        result.payload);
+    co_return result;
+  }
+  if (algo == CollectiveAlgo::Flat) {
+    if (rel == 0) {
+      for (int i = 0; i < size; ++i)
+        if (i != root_idx)
+          co_await ctx.send(g.rank_at(i), tag, bytes, result.payload);
+    } else {
+      result = co_await ctx.recv(root, tag);
+    }
+    co_return result;
+  }
+
+  // Binomial (RecursiveDoubling has no bcast of its own): MPICH-style
+  // tree on relative indices. Scan masks upward to find the parent
+  // (lowest set bit of rel), receive once, then forward to children at
+  // decreasing masks.
   int mask = 1;
   while (mask < size) {
     if (rel & mask) {
-      result = co_await ctx.recv(abs_rank(rel - mask), tag);
+      result = co_await ctx.recv(g.rank_at((rel - mask + root_idx) % size),
+                                 tag);
       break;
     }
     mask <<= 1;
@@ -157,60 +183,11 @@ sim::Task<Message> bcast_binomial(NxContext& ctx, const Group& g, int root,
   mask >>= 1;
   while (mask > 0) {
     if (rel + mask < size)
-      co_await ctx.send(abs_rank(rel + mask), tag, bytes, result.payload);
+      co_await ctx.send(g.rank_at((rel + mask + root_idx) % size), tag, bytes,
+                        result.payload);
     mask >>= 1;
   }
   co_return result;
-}
-
-sim::Task<Message> bcast_ring(NxContext& ctx, const Group& g, int root,
-                              Bytes bytes, Payload data, int tag) {
-  const int size = g.size();
-  const int me = g.index_of(ctx.rank());
-  const int rel = (me - g.index_of(root) + size) % size;
-  Message result{root, tag, bytes, std::move(data)};
-  if (rel != 0) result = co_await ctx.recv(kAnySource, tag);
-  if (rel + 1 < size) {
-    const int next = g.rank_at((me + 1) % size);
-    co_await ctx.send(next, tag, bytes, result.payload);
-  }
-  co_return result;
-}
-
-sim::Task<Message> bcast_flat(NxContext& ctx, const Group& g, int root,
-                              Bytes bytes, Payload data, int tag) {
-  Message result{root, tag, bytes, std::move(data)};
-  if (ctx.rank() == root) {
-    for (int i = 0; i < g.size(); ++i) {
-      const int dst = g.rank_at(i);
-      if (dst != root) co_await ctx.send(dst, tag, bytes, result.payload);
-    }
-  } else {
-    result = co_await ctx.recv(root, tag);
-  }
-  co_return result;
-}
-
-}  // namespace
-
-sim::Task<Message> bcast(NxContext& ctx, const Group& g, int root,
-                         Bytes bytes, Payload data, CollectiveAlgo algo) {
-  HPCCSIM_EXPECTS(g.contains(ctx.rank()));
-  HPCCSIM_EXPECTS(g.contains(root));
-  CollectiveTimer timer(ctx, CollectiveKind::Bcast);
-  const int tag = collective_tag(ctx, g);
-  if (g.size() == 1) co_return Message{root, tag, bytes, std::move(data)};
-  switch (algo) {
-    case CollectiveAlgo::Ring:
-      co_return co_await bcast_ring(ctx, g, root, bytes, std::move(data), tag);
-    case CollectiveAlgo::Flat:
-      co_return co_await bcast_flat(ctx, g, root, bytes, std::move(data), tag);
-    case CollectiveAlgo::Binomial:
-    case CollectiveAlgo::RecursiveDoubling:
-      co_return co_await bcast_binomial(ctx, g, root, bytes, std::move(data),
-                                        tag);
-  }
-  HPCCSIM_ASSERT(false);
 }
 
 // -------------------------------------------------------------- reduce --

@@ -6,11 +6,20 @@
 
 namespace hpccsim::nx {
 
+obs::Histogram& CollectiveHistograms::get(CollectiveKind k) {
+  obs::Histogram*& slot = hist_[static_cast<std::size_t>(k)];
+  if (!slot)
+    slot = &reg_->histogram(std::string("nx.collective.") +
+                            collective_name(k) + ".ns");
+  return *slot;
+}
+
 NxContext::NxContext(NxMachine& machine, int rank)
     : machine_(&machine),
       rank_(rank),
       engine_(&machine.engine()),
-      mailbox_(machine.engine()) {}
+      mailbox_(machine.engine()),
+      coll_hist_(&machine.collective_histograms()) {}
 
 int NxContext::nodes() const { return machine_->nodes(); }
 
@@ -18,15 +27,8 @@ const proc::MachineConfig& NxContext::config() const {
   return machine_->config();
 }
 
-obs::Histogram& NxContext::collective_histogram(CollectiveKind k) {
-  obs::Histogram*& slot = coll_hist_[static_cast<std::size_t>(k)];
-  if (!slot) {
-    obs::Registry& reg =
-        coll_registry_ ? *coll_registry_ : machine_->counters();
-    slot = &reg.histogram(std::string("nx.collective.") +
-                          collective_name(k) + ".ns");
-  }
-  return *slot;
+void NxContext::set_collective_histograms(CollectiveHistograms* h) {
+  coll_hist_ = h ? h : &machine_->collective_histograms();
 }
 
 void NxContext::record_send(int dst, int tag, Bytes bytes) {
@@ -94,35 +96,40 @@ void NxContext::launch_message(int dst, int tag, Bytes bytes,
   engine_->schedule_call(arrival, Delivery{machine_, dst, std::move(msg)});
 }
 
-sim::Task<> NxContext::send(int dst, int tag, Bytes bytes, Payload payload) {
+NxContext::SendAwaiter NxContext::send(int dst, int tag, Bytes bytes,
+                                       Payload payload) {
   HPCCSIM_EXPECTS(dst >= 0 && dst < nodes());
   HPCCSIM_EXPECTS(tag >= 0);
   if (recorder_) record_send(dst, tag, bytes);
-  auto& eng = *engine_;
-  const sim::Time start = eng.now();
+  // csend: the CPU drives the send — software overhead blocks the node.
+  op_.at = engine_->now() + config().send_overhead;
   // A sharded run captures the send here, one send_overhead before it
   // departs: that gap is the parallel engine's lookahead window.
-  const bool captured = intent_sink_ != nullptr;
-  if (captured)
-    capture_intent(dst, tag, bytes, std::move(payload),
-                   start + config().send_overhead);
-
-  // csend: the CPU drives the send — software overhead blocks the node.
-  co_await eng.delay(config().send_overhead);
-  if (!captured)
-    launch_message(dst, tag, bytes, std::move(payload), eng.now());
-  stats_.send_wait += eng.now() - start;
+  if (intent_sink_)
+    capture_intent(dst, tag, bytes, std::move(payload), op_.at);
+  else
+    op_.msg = Message{dst, tag, bytes, std::move(payload)};
+  return SendAwaiter(this);
 }
 
-sim::Task<Message> NxContext::recv(int src, int tag) {
-  if (recorder_) record_recv(src, tag);
-  auto& eng = *engine_;
-  const sim::Time start = eng.now();
-  Message m = co_await mailbox_.recv(src, tag);
-  co_await eng.delay(config().recv_overhead);
-  ++stats_.recvs;
-  stats_.recv_wait += eng.now() - start;
-  co_return m;
+void NxContext::depart() {
+  if (!intent_sink_)
+    launch_message(op_.msg.src, op_.msg.tag, op_.msg.bytes,
+                   std::move(op_.msg.payload), op_.at);
+  stats_.send_wait += config().send_overhead;
+}
+
+void NxContext::post_recv(std::coroutine_handle<> h, int src, int tag) {
+  op_.at = engine_->now();
+  op_.caller = h;
+  if (mailbox_.try_take(src, tag, op_.msg))
+    engine_->schedule(op_.at + config().recv_overhead, h);
+  else
+    mailbox_.post(src, tag, op_.msg, *this);
+}
+
+void NxContext::wake() {
+  engine_->schedule(engine_->now() + config().recv_overhead, op_.caller);
 }
 
 sim::Task<std::optional<Message>> NxContext::recv_abortable(
@@ -138,22 +145,13 @@ sim::Task<std::optional<Message>> NxContext::recv_abortable(
   co_return m;
 }
 
-sim::Task<> NxContext::compute(proc::Kernel k, std::int64_t m,
-                               std::int64_t n, std::int64_t p) {
+sim::DelayAwaiter NxContext::compute(proc::Kernel k, std::int64_t m,
+                                     std::int64_t n, std::int64_t p) {
   if (recorder_) record_compute(k, m, n, p);
   const sim::Time t = config().node.time_for(k, m, n, p);
   stats_.flops_charged += proc::kernel_flops(k, m, n, p);
   stats_.compute_time += t;
-  co_await engine_->delay(t);
-}
-
-sim::Task<> NxContext::busy(sim::Time t) {
-  if (recorder_)
-    recorder_->ops.push_back(
-        SkelOp{SkelOp::Busy, 0, 0, 0,
-               static_cast<std::uint64_t>(t.picoseconds())});
-  stats_.compute_time += t;
-  co_await engine_->delay(t);
+  return engine_->delay(t);
 }
 
 }  // namespace hpccsim::nx

@@ -12,9 +12,11 @@
 #pragma once
 
 #include <array>
+#include <coroutine>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -45,6 +47,23 @@ struct LaunchIntent {
   Payload payload;
 };
 
+/// The per-kind collective latency histograms ("nx.collective.<name>.ns")
+/// of one registry, each resolved on first use, so a kind never invoked
+/// adds nothing to the dump. One per registry: the machine's, and one
+/// per rank band of a sharded run.
+class CollectiveHistograms {
+ public:
+  explicit CollectiveHistograms(obs::Registry& reg) : reg_(&reg) {}
+  CollectiveHistograms(const CollectiveHistograms&) = delete;
+  CollectiveHistograms& operator=(const CollectiveHistograms&) = delete;
+
+  obs::Histogram& get(CollectiveKind k);
+
+ private:
+  obs::Registry* reg_;
+  std::array<obs::Histogram*, kCollectiveKindCount> hist_{};
+};
+
 /// Statistics one node accumulates (aggregated by NxMachine).
 struct NodeStats {
   std::uint64_t sends = 0;
@@ -56,11 +75,55 @@ struct NodeStats {
   sim::Time recv_wait;
 };
 
-class NxContext {
+/// A rank is one coroutine chain, so it has at most one blocking op in
+/// flight: the leaf ops (send, recv, compute, busy) keep their state in
+/// the context and return frameless awaiters. Each must be co_awaited in
+/// the expression that calls it.
+class NxContext final : private sim::Waker {
  public:
   NxContext(NxMachine& machine, int rank);
   NxContext(const NxContext&) = delete;
   NxContext& operator=(const NxContext&) = delete;
+
+  /// What send returns: resumes the caller at the departure instant,
+  /// after handing the message to the network.
+  class [[nodiscard]] SendAwaiter {
+   public:
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) const {
+      ctx_->engine_->schedule(ctx_->op_.at, h);
+    }
+    void await_resume() const { ctx_->depart(); }
+
+   private:
+    friend class NxContext;
+    explicit SendAwaiter(NxContext* ctx) : ctx_(ctx) {}
+    NxContext* ctx_;
+  };
+
+  /// What recv returns: resumes the caller recv_overhead after a
+  /// matching message is (or was already) in the mailbox.
+  class [[nodiscard]] RecvAwaiter {
+   public:
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) const {
+      ctx_->post_recv(h, src_, tag_);
+    }
+    Message await_resume() const {
+      NxContext& c = *ctx_;
+      ++c.stats_.recvs;
+      c.stats_.recv_wait += c.engine_->now() - c.op_.at;
+      return std::move(c.op_.msg);
+    }
+
+   private:
+    friend class NxContext;
+    RecvAwaiter(NxContext* ctx, int src, int tag)
+        : ctx_(ctx), src_(src), tag_(tag) {}
+    NxContext* ctx_;
+    int src_;
+    int tag_;
+  };
 
   int rank() const { return rank_; }
   int nodes() const;
@@ -86,28 +149,28 @@ class NxContext {
     intent_sink_ = sink;
   }
 
-  /// Route collective histograms into a band-private registry (merged
-  /// into the machine registry after the run); nullptr = machine
-  /// registry. Resets the per-kind cache.
-  void set_collective_registry(obs::Registry* reg) {
-    coll_registry_ = reg;
-    coll_hist_.fill(nullptr);
-  }
+  /// Route collective histograms into a band's own set (merged into the
+  /// machine registry after the run); nullptr = the machine's.
+  void set_collective_histograms(CollectiveHistograms* h);
 
   /// Per-kind collective latency histogram ("nx.collective.<name>.ns")
-  /// in the currently-bound registry. The cached-per-enum analogue of
-  /// NxMachine::collective_histogram that stays valid (and race-free)
+  /// in the currently-bound set, so it stays valid (and race-free)
   /// inside parallel windows.
-  obs::Histogram& collective_histogram(CollectiveKind k);
+  obs::Histogram& collective_histogram(CollectiveKind k) {
+    return coll_hist_->get(k);
+  }
 
   /// Blocking send (NX csend): returns once the message is handed to the
   /// network; the payload is buffered, so the receiver may consume it
   /// later. Charges the sender the messaging-software overhead.
-  sim::Task<> send(int dst, int tag, Bytes bytes, Payload payload = {});
+  SendAwaiter send(int dst, int tag, Bytes bytes, Payload payload = {});
 
   /// Blocking receive (NX crecv): waits for a matching message, then
   /// charges the receive software overhead.
-  sim::Task<Message> recv(int src, int tag);
+  RecvAwaiter recv(int src, int tag) {
+    if (recorder_) record_recv(src, tag);
+    return RecvAwaiter(this, src, tag);
+  }
 
   /// Blocking receive that can be interrupted: resolves to the message,
   /// or to nullopt as soon as `abort` fires. Receive overhead is only
@@ -118,11 +181,18 @@ class NxContext {
                                                    sim::Trigger& abort);
 
   /// Charge compute time for a kernel invocation (and count its flops).
-  sim::Task<> compute(proc::Kernel k, std::int64_t m, std::int64_t n = 0,
-                      std::int64_t p = 0);
+  sim::DelayAwaiter compute(proc::Kernel k, std::int64_t m,
+                            std::int64_t n = 0, std::int64_t p = 0);
 
   /// Charge an arbitrary busy interval.
-  sim::Task<> busy(sim::Time t);
+  sim::DelayAwaiter busy(sim::Time t) {
+    if (recorder_)
+      recorder_->ops.push_back(
+          SkelOp{SkelOp::Busy, 0, 0, 0,
+                 static_cast<std::uint64_t>(t.picoseconds())});
+    stats_.compute_time += t;
+    return engine_->delay(t);
+  }
 
   const proc::MachineConfig& config() const;
   const NodeStats& stats() const { return stats_; }
@@ -148,6 +218,15 @@ class NxContext {
   }
 
  private:
+  /// Send's second half, at the departure instant: the network handoff
+  /// (unless the send was captured) and the send-wait charge.
+  void depart();
+  /// Recv's suspension: take a queued match, or post the receive and
+  /// wait for the delivery's wake.
+  void post_recv(std::coroutine_handle<> h, int src, int tag);
+  /// The delivery of a posted receive: charge recv_overhead.
+  void wake() override;
+
   /// The actual network handoff, made at the departure instant:
   /// reserves the route from `depart` and schedules delivery at the
   /// destination.
@@ -174,8 +253,23 @@ class NxContext {
   std::map<int, int> collective_seq_;
   SkeletonRecorder* recorder_ = nullptr;
   std::vector<LaunchIntent>* intent_sink_ = nullptr;
-  obs::Registry* coll_registry_ = nullptr;  ///< nullptr = machine registry
-  std::array<obs::Histogram*, kCollectiveKindCount> coll_hist_{};
+  CollectiveHistograms* coll_hist_;
+  /// The one blocking op in flight. A send keeps its message (src holds
+  /// the destination) and departure instant; a receive its message, post
+  /// instant and caller.
+  struct PendingOp {
+    Message msg;
+    sim::Time at;
+    std::coroutine_handle<> caller;
+  } op_;
 };
+
+static_assert(sizeof(NxContext::SendAwaiter) <= 16 &&
+              sizeof(NxContext::RecvAwaiter) <= 16);
+static_assert(std::is_trivially_destructible_v<NxContext::SendAwaiter> &&
+              std::is_trivially_destructible_v<NxContext::RecvAwaiter>);
+// Contexts are paid per rank (16,384 on Columbia); the leaf ops' state
+// must not grow them past the size they had as Task coroutines.
+static_assert(sizeof(NxContext) <= 400);
 
 }  // namespace hpccsim::nx

@@ -25,14 +25,6 @@ NxMachine::NxMachine(proc::MachineConfig config, NetKind net)
     contexts_.push_back(std::make_unique<NxContext>(*this, r));
 }
 
-obs::Histogram& NxMachine::collective_histogram(CollectiveKind k) {
-  obs::Histogram*& slot = coll_hist_[static_cast<std::size_t>(k)];
-  if (!slot)
-    slot = &registry_.histogram(std::string("nx.collective.") +
-                                collective_name(k) + ".ns");
-  return *slot;
-}
-
 void NxMachine::set_threads(int n) {
   HPCCSIM_EXPECTS(n >= 1);
   threads_ = n;

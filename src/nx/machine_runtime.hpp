@@ -2,7 +2,6 @@
 // contexts) from a MachineConfig and runs an SPMD program on it.
 #pragma once
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -123,11 +122,9 @@ class NxMachine {
   obs::Registry& counters() { return registry_; }
   const obs::Registry& counters() const { return registry_; }
 
-  /// Per-kind collective latency histogram ("nx.collective.<name>.ns"),
-  /// cached by enum so the collective hot path never rebuilds the name
-  /// string. Lazy: a kind never invoked adds no histogram to the dump,
-  /// keeping registry JSON identical to the pre-cache behaviour.
-  obs::Histogram& collective_histogram(CollectiveKind k);
+  /// The machine registry's collective latency histograms, cached by
+  /// kind so the collective hot path never rebuilds a name string.
+  CollectiveHistograms& collective_histograms() { return coll_hist_; }
 
   /// Pull engine/network/node/CFS-independent totals into counters()
   /// under their catalog names (docs/METRICS.md) and return it. Safe to
@@ -164,7 +161,7 @@ class NxMachine {
   std::vector<std::unique_ptr<NxContext>> contexts_;
   proc::NodeStateTable node_state_;
   obs::Registry registry_;
-  std::array<obs::Histogram*, kCollectiveKindCount> coll_hist_{};
+  CollectiveHistograms coll_hist_{registry_};
   obs::TraceWriter* trace_writer_ = nullptr;
   bool fault_injector_attached_ = false;
   int threads_ = 1;

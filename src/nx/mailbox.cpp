@@ -14,9 +14,9 @@ void Mailbox::deliver(Message m) {
         g.delivered = true;
       }
       *r.out = std::move(m);
-      auto h = r.handle;
+      sim::Waker& w = *r.waker;
       recvs_.erase(id);
-      engine_->schedule(engine_->now(), h);
+      engine_->schedule_wake(engine_->now(), w);
       return;
     }
   }

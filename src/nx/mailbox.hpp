@@ -10,8 +10,8 @@
 // SlotList pools (recycled slots, zero heap traffic after warmup), and
 // the settle flag an abortable receive shares with its abort callback
 // is a pooled, generation-stamped record instead of a per-call
-// shared_ptr — plain recv() never allocates at all, and recv_or_abort
-// only bumps a generation counter.
+// shared_ptr — a plain receive (try_take, post) never allocates at all,
+// and recv_or_abort only bumps a generation counter.
 #pragma once
 
 #include <coroutine>
@@ -37,26 +37,22 @@ class Mailbox {
   /// Deposit a message (called by the runtime at network-arrival time).
   void deliver(Message m);
 
-  /// Awaitable: suspends until a message matching (src, tag) arrives.
-  auto recv(int src, int tag) {
-    struct Awaiter {
-      Mailbox* mb;
-      int src;
-      int tag;
-      Message out;
+  /// Move the earliest queued message matching (src, tag) into `out`;
+  /// false if none is queued.
+  bool try_take(int src, int tag, Message& out);
 
-      bool await_ready() { return mb->try_take(src, tag, out); }
-      void await_suspend(std::coroutine_handle<> h) {
-        mb->recvs_.push_back(PendingRecv{src, tag, &out, h, kNoGuard});
-      }
-      Message await_resume() { return std::move(out); }
-    };
-    return Awaiter{this, src, tag, {}};
+  /// Post a receive for (src, tag): the matching delivery moves its
+  /// message into `out` and schedules `w` at the delivery instant
+  /// (receives match in posting order). `out` and `w` must live until
+  /// then. NxContext::recv takes a queued match first, then posts.
+  void post(int src, int tag, Message& out, sim::Waker& w) {
+    recvs_.push_back(PendingRecv{src, tag, &out, &w, kNoGuard});
   }
 
-  /// Awaitable: like recv(), but also resumes (with nullopt) when
-  /// `abort` fires before a matching message arrives. Used by the
-  /// fault-tolerance layer so a crash can interrupt a blocked receive.
+  /// Awaitable: suspends until a message matching (src, tag) arrives,
+  /// resolving to it, or resolves to nullopt when `abort` fires first.
+  /// Used by the fault-tolerance layer so a crash can interrupt a
+  /// blocked receive.
   /// Ties at the same instant favour the message: a delivery scheduled
   /// at time t settles the receive before the abort callback runs.
   ///
@@ -71,6 +67,7 @@ class Mailbox {
       int tag;
       sim::Trigger* abort;
       Message out;
+      Resumer resumer;
       std::uint32_t guard = kNoGuard;
       bool ready_taken = false;
 
@@ -84,8 +81,9 @@ class Mailbox {
       void await_suspend(std::coroutine_handle<> h) {
         guard = mb->acquire_guard();
         const std::uint32_t gen = mb->guards_[guard].gen;
+        resumer.handle = h;
         const std::uint32_t where =
-            mb->recvs_.push_back(PendingRecv{src, tag, &out, h, guard});
+            mb->recvs_.push_back(PendingRecv{src, tag, &out, &resumer, guard});
         Mailbox* box = mb;
         const std::uint32_t gid = guard;
         abort->on_fire([box, gid, gen, where, h] {
@@ -100,7 +98,7 @@ class Mailbox {
         return std::nullopt;
       }
     };
-    return Awaiter{this, src, tag, &abort, {}, kNoGuard, false};
+    return Awaiter{this, src, tag, &abort, {}, {}, kNoGuard, false};
   }
 
   /// Discard every queued (undelivered) message; returns the count.
@@ -111,6 +109,12 @@ class Mailbox {
 
  private:
   static constexpr std::uint32_t kNoGuard = 0xffffffffu;
+
+  /// Resumes the coroutine of a recv_or_abort at its delivery.
+  struct Resumer final : sim::Waker {
+    std::coroutine_handle<> handle;
+    void wake() override { handle.resume(); }
+  };
 
   /// Shared between an abortable pending receive and the abort
   /// trigger's callback; whichever settles first wins, the loser no-ops.
@@ -124,7 +128,7 @@ class Mailbox {
     int src = 0;
     int tag = 0;
     Message* out = nullptr;
-    std::coroutine_handle<> handle;
+    sim::Waker* waker = nullptr;     ///< scheduled at the delivery instant
     std::uint32_t guard = kNoGuard;  ///< abort-guard slot for recv_or_abort
   };
 
@@ -133,7 +137,6 @@ class Mailbox {
            (tag == kAnyTag || m.tag == tag);
   }
 
-  bool try_take(int src, int tag, Message& out);
   std::uint32_t acquire_guard();
   /// Returns whether a delivery settled the guard; recycles the slot.
   bool release_guard(std::uint32_t gid);

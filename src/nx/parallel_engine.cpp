@@ -50,6 +50,7 @@ struct alignas(64) Band {
   std::vector<LaunchIntent> intents;  ///< captured during the window
   std::uint64_t captured = 0;         ///< intents collected so far
   obs::Registry coll_registry;        ///< band-private collective hists
+  CollectiveHistograms coll_hist{coll_registry};
   std::int64_t next_ps = sim::Engine::kNoPendingEvent;
   std::exception_ptr error;
 };
@@ -77,7 +78,7 @@ void run_band_command(const Job& job, Band& b) {
           NxContext& ctx = job.machine->context(r);
           ctx.set_engine(*b.engine);
           ctx.set_intent_sink(&b.intents);
-          ctx.set_collective_registry(&b.coll_registry);
+          ctx.set_collective_histograms(&b.coll_hist);
         }
         for (int r = b.first; r <= b.last; ++r) {
           NxContext& ctx = job.machine->context(r);
@@ -96,7 +97,7 @@ void run_band_command(const Job& job, Band& b) {
           NxContext& ctx = job.machine->context(r);
           ctx.set_engine(job.machine->engine());
           ctx.set_intent_sink(nullptr);
-          ctx.set_collective_registry(nullptr);
+          ctx.set_collective_histograms(nullptr);
         }
         // Destroy the band engine here, on the thread whose FrameArena
         // allocated its coroutine frames.

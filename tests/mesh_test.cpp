@@ -170,6 +170,90 @@ TEST(AnalyticalNet, ContentionSumPastInt64StaysExact) {
   EXPECT_EQ(net.contention_mean_us(), 4e12);
 }
 
+/// The analytical model restated over Mesh2D::xy_route, with its own
+/// free-at table: the oracle for the model's arithmetic route walk.
+class XyRouteOracle {
+ public:
+  XyRouteOracle(Mesh2D mesh, AnalyticalParams p)
+      : mesh_(mesh),
+        p_(p),
+        free_at_(static_cast<std::size_t>(mesh.link_count())) {}
+
+  Time transfer(NodeId src, NodeId dst, Bytes bytes, Time depart) {
+    ++messages_;
+    const Time ser = Time::sec(static_cast<double>(bytes) /
+                               p_.channel_bw.bytes_per_sec());
+    if (src == dst) return depart + p_.nic_latency + ser;
+    const std::vector<LinkId> route = mesh_.xy_route(src, dst);
+    Time start = depart;
+    for (const LinkId l : route)
+      start = std::max(start, free_at_[static_cast<std::size_t>(l)]);
+    queued_ps_ += (start - depart).picoseconds();
+    ++queued_count_;
+    queued_max_ = std::max(queued_max_, start - depart);
+    for (const LinkId l : route)
+      free_at_[static_cast<std::size_t>(l)] = start + ser;
+    return start + p_.nic_latency * 2 +
+           p_.per_hop_latency * static_cast<std::uint64_t>(route.size()) +
+           ser;
+  }
+
+  std::uint64_t messages() const { return messages_; }
+  double mean_us() const {
+    return queued_count_ ? static_cast<double>(queued_ps_) /
+                               static_cast<double>(queued_count_) / 1e6
+                         : 0.0;
+  }
+  double max_us() const { return queued_max_.as_us(); }
+
+ private:
+  Mesh2D mesh_;
+  AnalyticalParams p_;
+  std::vector<Time> free_at_;
+  std::uint64_t messages_ = 0;
+  std::int64_t queued_ps_ = 0;
+  std::uint64_t queued_count_ = 0;
+  Time queued_max_;
+};
+
+TEST(AnalyticalNet, TransferMatchesXyRouteOracle) {
+  for (const auto& [w, h] : {std::pair{16, 33}, std::pair{128, 128}}) {
+    const Mesh2D mesh(w, h);
+    AnalyticalMeshNet net(mesh, test_params());
+    XyRouteOracle ref(mesh, test_params());
+    Rng rng(static_cast<std::uint64_t>(w * h));
+    auto pick = [&rng](std::int32_t k) {
+      return static_cast<std::int32_t>(rng.below(static_cast<std::uint64_t>(k)));
+    };
+    auto check = [&](NodeId s, NodeId d, Bytes bytes, Time depart) {
+      ASSERT_EQ(net.transfer(s, d, bytes, depart),
+                ref.transfer(s, d, bytes, depart))
+          << w << "x" << h << " " << s << "->" << d;
+    };
+    // Random pairs over a busy stretch, so routes queue behind each other.
+    for (int i = 0; i < 4000; ++i)
+      check(pick(mesh.node_count()), pick(mesh.node_count()),
+            1 + rng.below(20'000), Time::us(pick(2000)));
+    // Same-row, same-column and self sends, both directions.
+    for (int i = 0; i < 500; ++i) {
+      const NodeId s = pick(mesh.node_count());
+      const Coord c = mesh.coord_of(s);
+      const NodeId row = mesh.id_of({pick(w), c.y});
+      const NodeId col = mesh.id_of({c.x, pick(h)});
+      const Time t = Time::us(pick(2000));
+      check(s, row, 1 + rng.below(20'000), t);
+      check(row, s, 1 + rng.below(20'000), t);
+      check(s, col, 1 + rng.below(20'000), t);
+      check(col, s, 1 + rng.below(20'000), t);
+      check(s, s, 1 + rng.below(20'000), t);
+    }
+    EXPECT_EQ(net.messages_routed(), ref.messages());
+    EXPECT_EQ(net.contention_mean_us(), ref.mean_us());
+    EXPECT_EQ(net.contention_max_us(), ref.max_us());
+    EXPECT_GT(ref.max_us(), 0.0);
+  }
+}
+
 TEST(CrossbarNet, FixedLatencyPlusSerialization) {
   CrossbarNet net(16, Time::us(1), mb_per_s(100));
   const Time arr = net.transfer(3, 12, 100'000, Time::ms(1));

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <numeric>
 #include <random>
@@ -33,13 +34,12 @@ TEST(Mailbox, TagAndSourceFiltering) {
   mb.deliver(Message{1, 9, 30, {}});
 
   Message got;
-  e.spawn([](Mailbox& box, Message& out) -> Task<> {
-    out = co_await box.recv(2, kAnyTag);
-  }(mb, got));
-  e.run();
+  ASSERT_TRUE(mb.try_take(2, kAnyTag, got));
   EXPECT_EQ(got.src, 2);
   EXPECT_EQ(got.bytes, 20u);
   EXPECT_EQ(mb.queued(), 2u);
+  EXPECT_FALSE(mb.try_take(2, kAnyTag, got));
+  EXPECT_FALSE(mb.try_take(3, 7, got));
 }
 
 TEST(Mailbox, MatchesInArrivalOrder) {
@@ -48,32 +48,36 @@ TEST(Mailbox, MatchesInArrivalOrder) {
   mb.deliver(Message{1, 5, 100, {}});
   mb.deliver(Message{1, 5, 200, {}});
   std::vector<Bytes> sizes;
-  e.spawn([](Mailbox& box, std::vector<Bytes>& out) -> Task<> {
-    out.push_back((co_await box.recv(1, 5)).bytes);
-    out.push_back((co_await box.recv(1, 5)).bytes);
-  }(mb, sizes));
-  e.run();
+  Message got;
+  while (mb.try_take(1, 5, got)) sizes.push_back(got.bytes);
   EXPECT_EQ(sizes, (std::vector<Bytes>{100, 200}));
 }
+
+/// Records its id when the engine wakes it.
+struct LoggingWaker final : sim::Waker {
+  std::vector<int>* log = nullptr;
+  int id = 0;
+  void wake() override { log->push_back(id); }
+};
 
 TEST(Mailbox, PendingRecvsServedInPostOrder) {
   sim::Engine e;
   Mailbox mb(e);
   std::vector<int> order;
+  std::array<LoggingWaker, 3> wakers;
+  std::array<Message, 3> got;
   for (int i = 0; i < 3; ++i) {
-    e.spawn([](Mailbox& box, std::vector<int>& o, int id) -> Task<> {
-      (void)co_await box.recv(kAnySource, kAnyTag);
-      o.push_back(id);
-    }(mb, order, i));
+    wakers[i].log = &order;
+    wakers[i].id = i;
+    mb.post(kAnySource, kAnyTag, got[i], wakers[i]);
   }
-  e.spawn([](sim::Engine& eng, Mailbox& box) -> Task<> {
-    co_await eng.delay(Time::us(1));
-    box.deliver(Message{9, 1, 1, {}});
-    box.deliver(Message{9, 1, 1, {}});
-    box.deliver(Message{9, 1, 1, {}});
-  }(e, mb));
-  e.run();
+  for (Bytes b = 1; b <= 3; ++b) mb.deliver(Message{9, 1, b, {}});
+  EXPECT_EQ(mb.queued(), 0u);
+  EXPECT_EQ(e.run(), 3u);  // one wake event per receive
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(got[0].bytes, 1u);
+  EXPECT_EQ(got[2].bytes, 3u);
+  EXPECT_EQ(e.calls_scheduled(), 0u);
 }
 
 // -------------------------------------------------------- point to point --
@@ -171,6 +175,76 @@ TEST(NxMachine, DeadlockOnMissingSendIsDetected) {
     if (ctx.rank() == 1) (void)co_await ctx.recv(0, 1);  // never sent
   }),
                sim::DeadlockError);
+}
+
+// ------------------------------------------------------------ leaf ops --
+//
+// Exact engine work of each leaf op on a 2-rank machine: events, calls,
+// end time and receive wait. A csend is one resume at its departure plus
+// the delivery call; a crecv is a wake at the delivery instant (when it
+// waits) and a resume after recv_overhead; compute and busy are one
+// resume each.
+
+struct LeafRun {
+  std::uint64_t events = 0;
+  std::uint64_t calls = 0;
+  std::int64_t end_ps = 0;
+  std::int64_t recv_wait_ns = 0;
+};
+
+LeafRun run_leaf_program(const NxMachine::Program& program) {
+  NxMachine m(tiny_machine(2));
+  LeafRun r;
+  r.end_ps = m.run(program).picoseconds();
+  r.events = m.engine().events_processed();
+  r.calls = m.engine().calls_scheduled();
+  r.recv_wait_ns = m.snapshot_counters().value("nx.recv_wait.ns");
+  return r;
+}
+
+TEST(NxLeafOps, RecvPostedBeforeItsMessageArrives) {
+  // Rank 1 posts its crecv at t = 0 and waits in the mailbox until the
+  // delivery, 10 us of busy time plus the send's flight later, wakes it.
+  const LeafRun r = run_leaf_program([](NxContext& ctx) -> Task<> {
+    if (ctx.rank() == 0) {
+      co_await ctx.busy(Time::us(10));
+      co_await ctx.send(1, 3, 4096);
+    } else {
+      (void)co_await ctx.recv(0, 3);
+    }
+  });
+  EXPECT_EQ(r.events, 7u);
+  EXPECT_EQ(r.calls, 1u);
+  EXPECT_EQ(r.end_ps, 249690000);
+  EXPECT_EQ(r.recv_wait_ns, 249690);
+}
+
+TEST(NxLeafOps, RecvOfAnAlreadyQueuedMessage) {
+  // The message lands in rank 1's mailbox long before rank 1, busy for
+  // 1 ms, posts its crecv: the receive only pays recv_overhead.
+  const LeafRun r = run_leaf_program([](NxContext& ctx) -> Task<> {
+    if (ctx.rank() == 0) {
+      co_await ctx.send(1, 3, 4096);
+    } else {
+      co_await ctx.busy(Time::ms(1));
+      (void)co_await ctx.recv(0, 3);
+    }
+  });
+  EXPECT_EQ(r.events, 6u);
+  EXPECT_EQ(r.calls, 1u);
+  EXPECT_EQ(r.end_ps, 1035000000);
+  EXPECT_EQ(r.recv_wait_ns, 35000);
+}
+
+TEST(NxLeafOps, ComputeThenBusy) {
+  const LeafRun r = run_leaf_program([](NxContext& ctx) -> Task<> {
+    co_await ctx.compute(proc::Kernel::Gemm, 64, 64, 32 * (ctx.rank() + 1));
+    co_await ctx.busy(Time::us(5));
+  });
+  EXPECT_EQ(r.events, 6u);
+  EXPECT_EQ(r.calls, 0u);
+  EXPECT_EQ(r.end_ps, 14923581313);
+  EXPECT_EQ(r.recv_wait_ns, 0);
 }
 
 TEST(NxMachine, RunEachAllowsHeterogeneousPrograms) {

@@ -195,6 +195,7 @@ TEST(Determinism, GoldenLuCounters) {
   EXPECT_EQ(reg.value("nx.bytes_sent"), 2443392);
   EXPECT_EQ(reg.value("mesh.messages"), 4437);
   EXPECT_EQ(reg.value("core.engine.events"), 21990);
+  EXPECT_EQ(reg.value("core.engine.calls_scheduled"), 4437);
   EXPECT_EQ(reg.value("proc.nodes"), 16);
   EXPECT_EQ(reg.value("nx.messages_dropped"), 0);
 }
@@ -216,6 +217,7 @@ TEST(Determinism, GoldenQrCounters) {
   EXPECT_EQ(reg.value("nx.sends"), 13170);
   EXPECT_EQ(reg.value("nx.bytes_sent"), 2439168);
   EXPECT_EQ(reg.value("core.engine.events"), 61812);
+  EXPECT_EQ(reg.value("core.engine.calls_scheduled"), 13170);
 }
 
 TEST(Determinism, GoldenCheckpointedRunCounters) {
