@@ -133,9 +133,8 @@ Payload combine(ReduceOp op, const Payload& a, const Payload& b) {
 
 // ----------------------------------------------------------- broadcast --
 
-// Every algorithm runs in bcast's own frame: a broadcast (every LU panel
-// and every allreduce makes several) resumes no frame beyond its caller's
-// and the leaf ops'.
+// Every algorithm runs in bcast's own frame: the broadcasts of every LU
+// panel and of every Binomial allreduce resume no frame below it.
 sim::Task<Message> bcast(NxContext& ctx, const Group& g, int root,
                          Bytes bytes, Payload data, CollectiveAlgo algo) {
   HPCCSIM_EXPECTS(g.contains(ctx.rank()));
