@@ -31,11 +31,11 @@ int collective_tag(NxContext& ctx, const Group& g) {
 // inner reduce and bcast, barrier its inner allreduce — which is
 // deliberate: the histogram is a call profile, not an app profile.
 //
-// The histogram is resolved by enum through the machine's per-kind
-// cache (NxMachine::collective_histogram), so entering a collective no
-// longer builds a "nx.collective." + name string per call. When a
-// skeleton recorder is attached, entry/exit also emit CollBegin/
-// CollEnd ops so replay can reproduce the same histogram rows.
+// The histogram is resolved by enum through the bound registry's
+// per-kind cache (nx::CollectiveHistograms), so entering a collective
+// builds no "nx.collective." + name string. When a skeleton recorder
+// is attached, entry/exit also emit CollBegin/CollEnd ops so replay
+// can reproduce the same histogram rows.
 class CollectiveTimer {
  public:
   CollectiveTimer(NxContext& ctx, CollectiveKind kind)
