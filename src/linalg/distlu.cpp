@@ -248,17 +248,15 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
     // ---- 3. apply row swaps to non-panel local columns ----
     {
       // Columns outside the panel: all local ones but, on the panel's
-      // process column, the jb of block k. Only numeric mode moves
-      // values, so only it lists their local indices.
-      const std::int64_t out_count = lcols - (pcol == pc ? jb : 0);
+      // process column, the jb from panel_lc0 on. Only numeric mode
+      // moves values, so only it lists their local indices.
+      const std::int64_t panel_w = pcol == pc ? jb : 0;
+      const std::int64_t out_count = lcols - panel_w;
       if (numeric) {
         out_cols.clear();
-        for (std::int64_t lc = 0; lc < lcols; ++lc) {
-          const std::int64_t gc = dist.global_col(pcol, lc);
-          if (gc < j0 || gc >= j0 + jb) out_cols.push_back(lc);
-        }
-        HPCCSIM_ASSERT(static_cast<std::int64_t>(out_cols.size()) ==
-                       out_count);
+        for (std::int64_t lc = 0; lc < lcols; ++lc)
+          if (lc < panel_lc0 || lc >= panel_lc0 + panel_w)
+            out_cols.push_back(lc);
       }
       // Process column 0 also carries the right-hand side, whose rows
       // must follow the same pivot swaps (HPL treats b as an extra

@@ -135,8 +135,8 @@ Payload combine(ReduceOp op, const Payload& a, const Payload& b) {
 
 // Every algorithm runs in bcast's own frame: the broadcasts of every LU
 // panel and of every Binomial allreduce resume no frame below it.
-sim::Task<Message> bcast(NxContext& ctx, const Group& g, int root,
-                         Bytes bytes, Payload data, CollectiveAlgo algo) {
+sim::Task<Message> bcast(NxContext& ctx, const Group& g, int root, Bytes bytes,
+                         Payload data, CollectiveAlgo algo) {
   HPCCSIM_EXPECTS(g.contains(ctx.rank()));
   HPCCSIM_EXPECTS(g.contains(root));
   CollectiveTimer timer(ctx, CollectiveKind::Bcast);
@@ -151,8 +151,7 @@ sim::Task<Message> bcast(NxContext& ctx, const Group& g, int root,
   if (algo == CollectiveAlgo::Ring) {
     if (rel != 0) result = co_await ctx.recv(kAnySource, tag);
     if (rel + 1 < size)
-      co_await ctx.send(g.rank_at((me + 1) % size), tag, bytes,
-                        result.payload);
+      co_await ctx.send(g.rank_at((me + 1) % size), tag, bytes, result.payload);
     co_return result;
   }
   if (algo == CollectiveAlgo::Flat) {
@@ -173,8 +172,8 @@ sim::Task<Message> bcast(NxContext& ctx, const Group& g, int root,
   int mask = 1;
   while (mask < size) {
     if (rel & mask) {
-      result = co_await ctx.recv(g.rank_at((rel - mask + root_idx) % size),
-                                 tag);
+      result =
+          co_await ctx.recv(g.rank_at((rel - mask + root_idx) % size), tag);
       break;
     }
     mask <<= 1;

@@ -9,8 +9,8 @@ namespace hpccsim::nx {
 obs::Histogram& CollectiveHistograms::get(CollectiveKind k) {
   obs::Histogram*& slot = hist_[static_cast<std::size_t>(k)];
   if (!slot)
-    slot = &reg_->histogram(std::string("nx.collective.") +
-                            collective_name(k) + ".ns");
+    slot = &reg_->histogram(std::string("nx.collective.") + collective_name(k) +
+                            ".ns");
   return *slot;
 }
 

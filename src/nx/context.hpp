@@ -181,15 +181,14 @@ class NxContext final : private sim::Waker {
                                                    sim::Trigger& abort);
 
   /// Charge compute time for a kernel invocation (and count its flops).
-  sim::DelayAwaiter compute(proc::Kernel k, std::int64_t m,
-                            std::int64_t n = 0, std::int64_t p = 0);
+  sim::DelayAwaiter compute(proc::Kernel k, std::int64_t m, std::int64_t n = 0,
+                            std::int64_t p = 0);
 
   /// Charge an arbitrary busy interval.
   sim::DelayAwaiter busy(sim::Time t) {
     if (recorder_)
-      recorder_->ops.push_back(
-          SkelOp{SkelOp::Busy, 0, 0, 0,
-                 static_cast<std::uint64_t>(t.picoseconds())});
+      recorder_->ops.push_back(SkelOp{
+          SkelOp::Busy, 0, 0, 0, static_cast<std::uint64_t>(t.picoseconds())});
     stats_.compute_time += t;
     return engine_->delay(t);
   }

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Alternated A/B runs of one benchmark workload in two checkouts.
 
-    tools/ab_pairs.py A_DIR B_DIR --workload W [--pairs 10] [--seconds 15]
-                      [--seed 1992]
+    tools/ab_pairs.py A_DIR B_DIR --workload W [--pairs 10] [--seed 1992]
 
-Pair i runs `python3 benchmark/run.py --workload W --seed S+i --seconds T`
-once in each checkout, A first on even pairs and B first on odd ones, so
-neither side always runs on a host the other has just warmed or loaded.
+Pair i runs `python3 benchmark/run.py --workload W --seed S+i` once in each
+checkout, at BENCHMARK.json's run_seconds, A first on even pairs and B
+first on odd ones, so neither side always runs on a host the other has
+just warmed or loaded.
 Each run.py builds its own checkout's hpccbench first; this script only
 reads what it prints and the run record it leaves in build-bench/runs/.
 
@@ -19,12 +19,14 @@ many pairs B beat A in the metric's better direction.
 
 import argparse
 import json
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmark"))
+sys.dont_write_bytecode = True  # leave no __pycache__ in benchmark/
+from run import load_manifest, quartiles, spread  # noqa: E402
 
 
 def label(checkout):
@@ -38,12 +40,11 @@ def label(checkout):
     return git("describe", "--always", "--dirty")
 
 
-def run(checkout, workload, seed, seconds):
+def run(checkout, workload, seed):
     """One run.py process; returns (metrics, failed, digest), or None when
     the run left no result."""
     cmd = [sys.executable, str(checkout / "benchmark" / "run.py"),
-           "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds)]
+           "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     record = checkout / "build-bench" / "runs" / f"{workload}-{seed}.json"
@@ -59,13 +60,6 @@ def run(checkout, workload, seed, seconds):
     return metrics, result["failed"], digest
 
 
-def quartiles(values):
-    if len(values) == 1:
-        return values[0], values[0], values[0]
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return q1, statistics.median(values), q3
-
-
 def fmt(v):
     return "-" if v is None else f"{v:.4g}"
 
@@ -76,11 +70,10 @@ def main():
     p.add_argument("b", type=Path, help="checkout B (the change)")
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=int, default=15)
     p.add_argument("--seed", type=int, default=1992)
     args = p.parse_args()
     a, b = args.a.resolve(), args.b.resolve()
-    specs = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    specs = load_manifest()["end_to_end"]
 
     runs = []  # (seed, order, result A, result B)
     for i in range(args.pairs):
@@ -88,8 +81,7 @@ def main():
         order = "A,B" if i % 2 == 0 else "B,A"
         got = {}
         for side in order.split(","):
-            got[side] = run(a if side == "A" else b, args.workload, seed,
-                            args.seconds)
+            got[side] = run(a if side == "A" else b, args.workload, seed)
         runs.append((seed, order, got["A"], got["B"]))
         print(f"pair {i} done", file=sys.stderr, flush=True)
 
@@ -118,13 +110,12 @@ def main():
         qa, qb = quartiles(va), quartiles(vb)
         change = 100 * (qb[1] - qa[1]) / qa[1] if qa[1] else 0.0
         wins = sum((y < x) if lower else (y > x) for x, y in pairs)
-        spread = [100 * (q[2] - q[0]) / q[1] if q[1] else 0.0
-                  for q in (qa, qb)]
+        sa, sb = 100 * spread(va), 100 * spread(vb)
         print(f"{name}: median A {fmt(qa[1])} -> B {fmt(qb[1])} "
               f"({change:+.1f}%), A quartiles {fmt(qa[0])}-{fmt(qa[2])} "
-              f"(spread {spread[0]:.0f}% of median), B quartiles "
-              f"{fmt(qb[0])}-{fmt(qb[2])} (spread {spread[1]:.0f}% of "
-              f"median), B better in {wins}/{len(pairs)} pairs")
+              f"(spread {sa:.0f}% of median), B quartiles "
+              f"{fmt(qb[0])}-{fmt(qb[2])} (spread {sb:.0f}% of median)"
+              f", B better in {wins}/{len(pairs)} pairs")
     return 0
 
 
