@@ -15,16 +15,18 @@
 //     atomics of their own.
 //   - BurstGate: a fork-join gate for a persistent worker pool. The
 //     coordinator publishes one command per burst (generation counter),
-//     workers park on the generation between bursts, and the
-//     coordinator joins on a completion count. Parked workers cost
-//     nothing (futex wait, no spinning).
+//     workers wait on the generation between bursts, and the
+//     coordinator joins on a completion count.
 //   - WorkerPool: the one process-wide set of worker threads both
 //     sharded engines run their bands on, driven through a BurstGate.
 //
-// Waiters spin briefly before parking: shard pipelines advance in
-// microseconds when balanced, so the fast path must not enter the
-// kernel, but on oversubscribed hosts (hardware_concurrency < workers)
-// unbounded spinning would livelock the very thread being waited on.
+// Every waiter spins for a bounded budget (PAUSEs, every 16th round a
+// yield) before it parks on the futex (spin_then_park): shard pipelines
+// advance in microseconds when balanced, so the fast path must not enter
+// the kernel, but on oversubscribed hosts (hardware_concurrency <
+// workers) unbounded spinning would starve the very thread being waited
+// on. A parked worker costs nothing until it is woken; a pool worker
+// that sat out the last command parks without spinning at all.
 #pragma once
 
 #include <atomic>
@@ -46,6 +48,34 @@ inline void cpu_relax() {
 #endif
 }
 
+/// Wait until `ready(v)` holds for v = a.load(acquire): spin for up to
+/// `spins` rounds, then park on the futex until it holds. Every 16th
+/// round yields the CPU instead of pausing, so a spinning waiter that
+/// the scheduler put on the same CPU as the thread it waits for lets
+/// that thread run (a pure PAUSE spin there costs its whole budget on
+/// every hand-off). Leaves the value that satisfied `ready` in `v` and
+/// returns the number of futex parks taken (0 when the first load or
+/// the spin saw it).
+template <class T, class Ready>
+std::int64_t spin_then_park(const std::atomic<T>& a, T& v, int spins,
+                            Ready ready) {
+  v = a.load(std::memory_order_acquire);
+  for (int spin = 1; spin <= spins && !ready(v); ++spin) {
+    if (spin % 16 == 0)
+      std::this_thread::yield();
+    else
+      cpu_relax();
+    v = a.load(std::memory_order_acquire);
+  }
+  std::int64_t parks = 0;
+  while (!ready(v)) {
+    ++parks;
+    a.wait(v, std::memory_order_acquire);
+    v = a.load(std::memory_order_acquire);
+  }
+  return parks;
+}
+
 /// Monotone published clock: one writer, any number of waiters.
 class ProgressCounter {
  public:
@@ -65,21 +95,18 @@ class ProgressCounter {
   /// number of futex parks taken (0 on the spin fast path) so callers
   /// can account wait pressure (mesh.flit.shard.barrier_waits).
   std::int64_t await(std::int64_t target) {
-    std::int64_t v = v_.load(std::memory_order_acquire);
-    if (v >= target) return 0;
-    for (int spin = 0; spin < 128; ++spin) {
-      cpu_relax();
-      v = v_.load(std::memory_order_acquire);
-      if (v >= target) return 0;
-    }
-    std::int64_t parks = 0;
-    do {
-      ++parks;
-      v_.wait(v, std::memory_order_acquire);
-      v = v_.load(std::memory_order_acquire);
-    } while (v < target);
-    return parks;
+    std::int64_t v = 0;
+    return spin_then_park(v_, v, kSpins,
+                          [target](std::int64_t c) { return c >= target; });
   }
+
+  /// Spin budget in rounds: 120 PAUSEs (~2.7 us on a 4-vCPU Xeon host,
+  /// ~22 ns each) and 8 yields. Flit bands await their neighbours once
+  /// per cycle, so a longer spin burns CPU a parked waiter would leave to
+  /// the band it waits for: in a prototype at the gate's 1024,
+  /// flit_columbia_t4 cpu_s rose 8.8% and wall_s 3.2% (worse in 4 of 4
+  /// alternated pairs).
+  static constexpr int kSpins = 128;
 
  private:
   std::atomic<std::int64_t> v_{0};
@@ -98,14 +125,14 @@ class BurstGate {
     gen_.notify_all();
   }
 
-  /// Worker: park until the generation moves past `seen`; returns the
-  /// new generation to remember.
-  std::uint64_t await_command(std::uint64_t seen) {
-    std::uint64_t g = gen_.load(std::memory_order_acquire);
-    while (g == seen) {
-      gen_.wait(g, std::memory_order_acquire);
-      g = gen_.load(std::memory_order_acquire);
-    }
+  /// Worker: wait until the generation moves past `seen`; returns the
+  /// new generation to remember. A worker that ran the last command
+  /// spins first (`spin`); one that sat it out parks at once, so the
+  /// idle workers of a pool grown past the host's CPUs never spin.
+  std::uint64_t await_command(std::uint64_t seen, bool spin) {
+    std::uint64_t g = 0;
+    spin_then_park(gen_, g, spin ? kSpins : 0,
+                   [seen](std::uint64_t v) { return v != seen; });
     return g;
   }
 
@@ -117,12 +144,19 @@ class BurstGate {
 
   /// Coordinator: block until `workers` check-ins for this command.
   void join(int workers) {
-    int d = done_.load(std::memory_order_acquire);
-    while (d < workers) {
-      done_.wait(d, std::memory_order_acquire);
-      d = done_.load(std::memory_order_acquire);
-    }
+    int d = 0;
+    spin_then_park(done_, d, kSpins, [workers](int v) { return v >= workers; });
   }
+
+  /// Spin budget in rounds: 960 PAUSEs (~21 us on a 4-vCPU Xeon host,
+  /// ~22 ns each) and 64 yields (~0.37 us each when no other thread
+  /// wants the CPU), from the columbia_lu_t4 sweep in docs/PERF.md
+  /// ("Parallel nx engine"). A sharded Delta LU window does ~2 us of
+  /// event work; a gate that parks at once adds a futex wake-up on each
+  /// side of every window, ~13 us in all, while a budget that outlasts
+  /// the coordinator's serial step between windows keeps both sides out
+  /// of the kernel.
+  static constexpr int kSpins = 1024;
 
  private:
   std::atomic<std::uint64_t> gen_{0};

@@ -13,7 +13,7 @@
 //   Finish  rebind contexts to the machine engine and destroy the band
 //           engine on the thread that created its coroutine frames.
 //
-// Between Window commands the coordinator (alone, workers parked)
+// Between Window commands the coordinator (alone, workers idle)
 // replays every LaunchIntent the last window captured against the
 // shared NetworkModel in (departure, src, capture order) order — the
 // order the sequential engine would have made those transfer() calls,
@@ -178,7 +178,7 @@ ParRunTotals run_sharded(NxMachine& machine, int threads,
       }
       if (band_failed) break;
 
-      // Serial network phase: workers are parked, so the coordinator
+      // Serial network phase: workers are idle, so the coordinator
       // owns the NetworkModel, the trace, and every band engine. The
       // next window starts at t0 and can only capture sends departing at
       // or after t0 + L. Every send departs exactly L after it is posted,

@@ -880,3 +880,54 @@ TEST(EventQueue, MatchesPriorityQueueOnRandomSchedules) {
 
 }  // namespace
 }  // namespace hpccsim::sim
+
+// ----------------------------------------------------- worker pool --
+
+#include <cstdint>
+
+#include "core/barrier.hpp"
+
+namespace hpccsim {
+namespace {
+
+// What one band leaves for the coordinator, a cache line per band.
+struct alignas(64) BandRecord {
+  int runs = 0;             // commands this band has run
+  std::uint64_t seen = 0;   // the coordinator's value, read in the command
+  std::uint64_t wrote = 0;  // written in the command, read after the join
+};
+
+// The gate's contract, over plain (non-atomic) data on both sides: every
+// band runs exactly once per command, reads what the coordinator wrote
+// before issuing it, and the coordinator reads each band's writes once
+// the command returns. 8 bands are more threads than a 4-vCPU host has,
+// so the bounded spin must park and still finish; the last 2-band pass
+// leaves six of the grown pool's workers sitting out every command.
+TEST(WorkerPool, EveryBandRunsOncePerCommandAndSeesCoordinatorWrites) {
+  constexpr int kCommands = 2000;
+  WorkerPool& pool = WorkerPool::instance();
+  for (const int bands : {2, 4, 8, 2}) {
+    const auto hold = pool.acquire(bands);
+    std::vector<BandRecord> record(static_cast<std::size_t>(bands));
+    std::uint64_t value = 0;
+    for (int c = 1; c <= kCommands; ++c) {
+      value = 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(c);
+      pool.dispatch(bands, [&](int i) {
+        BandRecord& r = record[static_cast<std::size_t>(i)];
+        ++r.runs;
+        r.seen = value;
+        r.wrote = value + static_cast<std::uint64_t>(i);
+      });
+      for (int i = 0; i < bands; ++i) {
+        const BandRecord& r = record[static_cast<std::size_t>(i)];
+        ASSERT_EQ(r.runs, c) << "band " << i << " of " << bands;
+        ASSERT_EQ(r.seen, value) << "band " << i << " of " << bands;
+        ASSERT_EQ(r.wrote, value + static_cast<std::uint64_t>(i))
+            << "band " << i << " of " << bands;
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace hpccsim
