@@ -153,7 +153,7 @@ class BurstGate {
   /// wants the CPU), from the columbia_lu_t4 sweep in docs/PERF.md
   /// ("Parallel nx engine"). A sharded Delta LU window does ~2 us of
   /// event work; a gate that parks at once adds a futex wake-up on each
-  /// side of every window, ~13 us in all, while a budget that outlasts
+  /// side of every window, ~14 us in all, while a budget that outlasts
   /// the coordinator's serial step between windows keeps both sides out
   /// of the kernel.
   static constexpr int kSpins = 1024;
