@@ -34,12 +34,10 @@ void WorkerPool::run_command(int bands, Task task, void* fn) {
 }
 
 void WorkerPool::worker_main(int index, std::uint64_t seen) {
-  bool ran = false;
   for (;;) {
-    seen = gate_.await_command(seen, ran);
+    seen = gate_.await_command(seen);
     if (exit_.load(std::memory_order_acquire)) return;
-    ran = index + 1 < bands_;
-    if (ran) task_(fn_, index + 1);
+    if (index + 1 < bands_) task_(fn_, index + 1);
     gate_.complete();
   }
 }

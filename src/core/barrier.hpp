@@ -25,8 +25,7 @@
 // advance in microseconds when balanced, so the fast path must not enter
 // the kernel, but on oversubscribed hosts (hardware_concurrency <
 // workers) unbounded spinning would starve the very thread being waited
-// on. A parked worker costs nothing until it is woken; a pool worker
-// that sat out the last command parks without spinning at all.
+// on. A parked waiter costs nothing until it is woken.
 #pragma once
 
 #include <atomic>
@@ -79,8 +78,8 @@ std::int64_t spin_then_park(const std::atomic<T>& a, T& v, int spins,
 /// Monotone published clock: one writer, any number of waiters.
 class ProgressCounter {
  public:
-  /// Non-publishing reset (coordinator only, while all waiters are
-  /// parked elsewhere).
+  /// Non-publishing reset (coordinator only, between commands, while
+  /// no band awaits this counter).
   void reset(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
 
   /// Publish completion of `v` (release) and wake parked waiters.
@@ -126,12 +125,16 @@ class BurstGate {
   }
 
   /// Worker: wait until the generation moves past `seen`; returns the
-  /// new generation to remember. A worker that ran the last command
-  /// spins first (`spin`); one that sat it out parks at once, so the
-  /// idle workers of a pool grown past the host's CPUs never spin.
-  std::uint64_t await_command(std::uint64_t seen, bool spin) {
+  /// new generation to remember. Workers that sat out the last command
+  /// spin too, which checks them in sooner when commands are short: a
+  /// pool grown to 7 workers ran Delta LU at 4 threads in 0.52 s against
+  /// 0.57 s when they parked at once (medians of 5, a 4-vCPU host). A
+  /// band that is busy for 20-100 us per command can lose its CPU to
+  /// them: 4 such bands with 3 idle workers took up to twice as long per
+  /// command in some runs (docs/PERF.md, "Parallel nx engine").
+  std::uint64_t await_command(std::uint64_t seen) {
     std::uint64_t g = 0;
-    spin_then_park(gen_, g, spin ? kSpins : 0,
+    spin_then_park(gen_, g, kSpins,
                    [seen](std::uint64_t v) { return v != seen; });
     return g;
   }
@@ -164,7 +167,7 @@ class BurstGate {
 };
 
 /// Persistent process-wide worker pool shared by the sharded engines.
-/// Workers are created on demand, park on a BurstGate between commands
+/// Workers are created on demand, wait on a BurstGate between commands
 /// and live until process exit.
 ///
 /// A run takes the pool with acquire() and keeps it until the returned
