@@ -126,12 +126,12 @@ class BurstGate {
 
   /// Worker: wait until the generation moves past `seen`; returns the
   /// new generation to remember. Workers that sat out the last command
-  /// spin too, which checks them in sooner when commands are short: a
-  /// pool grown to 7 workers ran Delta LU at 4 threads in 0.52 s against
-  /// 0.57 s when they parked at once (medians of 5, a 4-vCPU host). A
-  /// band that is busy for 20-100 us per command can lose its CPU to
-  /// them: 4 such bands with 3 idle workers took up to twice as long per
-  /// command in some runs (docs/PERF.md, "Parallel nx engine").
+  /// spin too, which checks them in sooner; no engine run measured
+  /// slower for it on a 4-vCPU host. Bands that each stay busy for
+  /// 20-100 us per command can lose CPU to idle workers on a full host:
+  /// a synthetic timer with 4 such bands and 3 idle workers took up to
+  /// twice as long per command in some runs (docs/PERF.md, "Idle
+  /// workers").
   std::uint64_t await_command(std::uint64_t seen) {
     std::uint64_t g = 0;
     spin_then_park(gen_, g, kSpins,
