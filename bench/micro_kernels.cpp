@@ -114,7 +114,7 @@ void BM_queue_push_pop(benchmark::State& state) {
   // Raw event-queue cost at a sustained queue depth: fill to `depth`
   // callbacks spread over a microsecond-scale window (the flit/kernel
   // clustering regime), then drain. One engine per iteration batch so
-  // queue internals (pools, buckets) stay warm across iterations.
+  // the event heap and the callback slot pool keep their capacity.
   const int depth = static_cast<int>(state.range(0));
   sim::Engine e;
   for (auto _ : state) {
@@ -141,10 +141,9 @@ struct HoldEvent {
 void BM_queue_hold(benchmark::State& state) {
   // The classic hold model: `depth` events pending, each pop pushes one
   // event uniform in [0, 2 * depth * gap), so events fire one `gap` apart
-  // on average. Sparse rows (microsecond gaps) put nearly every pending
-  // event beyond the ~67 us ring window, where each far-window slide
-  // costs what it files; the dense-deep row slides tens of thousands of
-  // events at once. One iteration is ~1,000 events.
+  // on average and the heap stays `depth` deep. The sparse rows hold
+  // 1,000 and 10,000 events 10 us apart, the dense row 100,000 events
+  // 1 ns apart. One iteration is ~1,000 events.
   const auto depth = static_cast<std::uint64_t>(state.range(0));
   const auto gap_ps = static_cast<std::uint64_t>(state.range(1)) * 1000;
   sim::Engine e;
@@ -153,7 +152,7 @@ void BM_queue_hold(benchmark::State& state) {
   for (std::uint64_t i = 0; i < depth; ++i)
     e.schedule_call(sim::Time::ps(rng.below(ev.span_ps)), ev);
   const sim::Time step = sim::Time::ps(1000 * gap_ps);
-  e.run_until(e.now() + step);  // warm the buckets
+  e.run_until(e.now() + step);  // one untimed step first
   const std::uint64_t before = e.events_processed();
   for (auto _ : state) benchmark::DoNotOptimize(e.run_until(e.now() + step));
   state.SetItemsProcessed(

@@ -145,7 +145,7 @@ void Engine::release_held(std::uint64_t limit) {
   note_queue_depth();
 }
 
-std::int64_t Engine::next_event_time_ps() {
+std::int64_t Engine::next_event_time_ps() const {
   std::int64_t t = queue_.empty()
                        ? kNoPendingEvent
                        : static_cast<std::int64_t>(queue_.top().when);

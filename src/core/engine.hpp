@@ -12,8 +12,8 @@
 // running independent engines on independent threads (util/parallel.hpp).
 //
 // Hot-path design (see docs/PERF.md for measurements):
-//   - pending events are 24-byte PODs in a two-tier bucket queue
-//     (core/event_queue.hpp), not heap-sifted fat records;
+//   - pending events are 24-byte PODs in a 4-ary min-heap
+//     (core/event_queue.hpp), not fat records with a std::function;
 //   - callbacks are InlineFn<48> stored in a recycled slot pool, so
 //     schedule_call never heap-allocates for captures <= 48 bytes;
 //   - coroutine frames come from a thread-local size-class arena
@@ -188,9 +188,8 @@ class Engine {
       std::numeric_limits<std::int64_t>::max();
 
   /// Picosecond timestamp of the earliest pending event, held deferred
-  /// calls included, or kNoPendingEvent. Non-const: peeking may
-  /// reorganize the two-tier queue's buckets.
-  std::int64_t next_event_time_ps();
+  /// calls included, or kNoPendingEvent.
+  std::int64_t next_event_time_ps() const;
 
   /// Timestamp of the last event dispatched by run_window (run_window
   /// overshoots now() to the window edge; the parallel engine needs the

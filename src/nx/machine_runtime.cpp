@@ -30,7 +30,7 @@ void NxMachine::set_threads(int n) {
   threads_ = n;
 }
 
-bool NxMachine::parallel_eligible() {
+bool NxMachine::parallel_eligible() const {
   return threads_ > 1 && nodes() >= kParallelMinNodes &&
          !fault_injector_attached_ && !trace_writer_ &&
          config_.send_overhead > sim::Time::zero() &&

@@ -83,7 +83,7 @@ class NxMachine {
   /// engine), no Chrome-trace writer (emits from inside windows), a
   /// positive send_overhead (the lookahead window), a network model with
   /// a positive latency floor, and an idle machine engine.
-  bool parallel_eligible();
+  bool parallel_eligible() const;
 
   int nodes() const { return config_.node_count(); }
   const proc::MachineConfig& config() const { return config_; }

@@ -6,11 +6,10 @@
 // This engine is the scalable rebuild behind the same fluid semantics:
 //
 //  - **Completion-time heap.** Pending completions live in a
-//    `sim::detail::BasicEventQueue<36>` — the engine's bucketed
-//    two-tier queue discipline (core/event_queue.hpp) instantiated
-//    with ~69 ms buckets so seconds-apart WAN completions land in the
-//    O(1) ring. Rate changes *reschedule* a flow by bumping its
-//    generation counter; stale heap entries are skipped on pop.
+//    `sim::detail::EventQueue`, the engine's 4-ary min-heap on
+//    (when, seq) (core/event_queue.hpp). Rate changes *reschedule* a
+//    flow by bumping its generation counter; stale heap entries are
+//    skipped on pop.
 //  - **Link → active-flow index.** Each link keeps the list of flows
 //    crossing it (swap-remove, positions mirrored per flow), so an
 //    event can reach exactly the flows it may affect.
@@ -107,9 +106,6 @@ class FlowEngine {
   void run_to_completion(const CompletionFn& on_complete);
 
  private:
-  // ~69 ms buckets: the 1024-bucket ring covers ~70 s of lookahead.
-  using Heap = sim::detail::BasicEventQueue<36>;
-
   struct LinkEntry {
     FlowId flow;
     std::int32_t hop;  ///< index into the flow's route links
@@ -172,7 +168,7 @@ class FlowEngine {
   std::vector<FlowId> changed_;
   std::vector<std::int32_t> dirty_links_;  // saturated before a change
 
-  Heap heap_;
+  sim::detail::EventQueue heap_;
   std::uint64_t seq_ = 0;
   std::uint64_t now_ps_ = 0;
   std::int32_t active_count_ = 0;

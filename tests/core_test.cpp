@@ -442,11 +442,10 @@ TEST(EngineContracts, JoinOfUnknownProcessRejected) {
 
 // ------------------------------------------- event-queue determinism --
 //
-// The overhauled engine (bucketed event queue, inline callbacks, frame
-// arena) must preserve the (time, sequence) total order exactly. These
-// workloads deliberately straddle all three queue tiers: same-instant
-// wake-ups (active bucket), short delays (near-future ring), and
-// multi-millisecond delays (far heap, beyond the ~67 us ring window).
+// The engine (4-ary event heap, inline callbacks, frame arena) must
+// preserve the (time, sequence) total order exactly. These workloads mix
+// same-instant wake-ups, nanosecond-to-microsecond delays and
+// multi-millisecond delays, with pushes interleaved with pops.
 
 namespace hpccsim::sim {
 namespace {
@@ -470,7 +469,7 @@ MixedRunResult run_mixed_workload() {
   Engine e;
   TraceHash trace;
 
-  // Plain callbacks spread from the active bucket out to the far heap.
+  // Plain callbacks spread from the current instant out to ~3.5 ms.
   for (int i = 0; i < 200; ++i) {
     const Time when = Time::us((37 * i) % 500) + Time::ns(13 * i) +
                       (i % 5 == 0 ? Time::ms(3) : Time::zero());
@@ -479,7 +478,7 @@ MixedRunResult run_mixed_workload() {
     });
   }
 
-  // Coroutine processes with step sizes covering all tiers, re-scheduling
+  // Coroutine processes with step sizes from 50 ns to 2 ms, re-scheduling
   // as they run so pushes interleave with pops.
   Trigger gate(e);
   for (int p = 0; p < 6; ++p) {
@@ -612,7 +611,7 @@ namespace {
 TEST(EngineAllocation, SmallCaptureScheduleCallIsAllocationFree) {
   Engine e;
   std::uint64_t sink = 0;
-  // Warm-up: grow the slot pool, active-bucket vector, and free list so
+  // Warm-up: grow the slot pool, event heap, and free list so
   // the steady state below reuses existing capacity.
   for (int i = 0; i < 64; ++i)
     e.schedule_call(e.now() + Time::ns(i % 7), [&sink] { ++sink; });
@@ -738,17 +737,15 @@ TEST(EngineAllocation, OversizedCaptureStillWorks) {
 
 // ---------------------------------------------------------- event queue --
 //
-// BasicEventQueue against a std::priority_queue on (when, seq), driven by
+// EventQueue against a std::priority_queue on (when, seq), driven by
 // seeded, interleaved pushes and pops. Delays land on the same instant,
-// under 4 buckets, inside the 1,024-bucket ring and up to 10^5 buckets
-// out. Sparse stretches (one or two events pending, so a pop slides the
-// window onto one far event) alternate with clusters of a few far events
-// and of hundreds to thousands inside one window span (a slide past its
-// pop budget, which takes the linear pass). A peek-then-push step
-// replays run_until: the active heap takes an event from a bucket
-// before the active one.
+// within a few hundred ns, within a few hundred us and up to ~1 s out.
+// Sparse stretches (one or two events pending) alternate with bursts of
+// same-instant ties and with deep clusters of 10^4 to 10^5 pending
+// events. A peek-then-push step replays run_until (events land behind
+// the top), and the same queue is reused after clear().
 
-#include <memory>
+#include <algorithm>
 #include <queue>
 
 #include "core/event_queue.hpp"
@@ -757,28 +754,33 @@ TEST(EngineAllocation, OversizedCaptureStillWorks) {
 namespace hpccsim::sim {
 namespace {
 
-template <unsigned Bits>
+using detail::QEvent;
+
+// Makes std::priority_queue a min-queue on (when, seq).
+struct EventAfter {
+  bool operator()(const QEvent& a, const QEvent& b) const {
+    return detail::event_before(b, a);
+  }
+};
+
 void drive_queue_against_reference(std::uint64_t seed, int ops) {
-  using Queue = detail::BasicEventQueue<Bits>;
-  using detail::QEvent;
-  constexpr std::uint64_t kWidth = Queue::kBucketWidth;
-  constexpr std::uint64_t kRing = Queue::kBuckets * kWidth;
-  constexpr std::uint64_t kFar = 100'000 * kWidth;
-  // Past this clock the pair restarts empty at 0, so 10^5 buckets of
-  // 2^36 ps never wrap the 64-bit clock.
-  constexpr std::uint64_t kClockCeiling = std::uint64_t{1} << 62;
+  constexpr std::uint64_t kNear = std::uint64_t{1} << 18;  // ~262 ns
+  constexpr std::uint64_t kMid = std::uint64_t{1} << 28;   // ~268 us
+  constexpr std::uint64_t kFar = std::uint64_t{1} << 40;   // ~1.1 s
 
   Rng rng(seed);
-  auto q = std::make_unique<Queue>();
-  std::priority_queue<QEvent, std::vector<QEvent>, detail::EventAfter> ref;
+  detail::EventQueue q;
+  std::priority_queue<QEvent, std::vector<QEvent>, EventAfter> ref;
   std::uint64_t now = 0, seq = 0;
-  int done = 0;
+  std::size_t peak = 0;
+  int done = 0, clears = 0;
   bool ok = true;
 
   const auto push_at = [&](std::uint64_t when) {
     const QEvent ev{when, seq++, 0};
-    q->push(ev);
+    q.push(ev);
     ref.push(ev);
+    peak = std::max(peak, ref.size());
     ++done;
   };
   const auto delay = [&]() -> std::uint64_t {
@@ -786,9 +788,9 @@ void drive_queue_against_reference(std::uint64_t seed, int ops) {
       case 0:
         return 0;
       case 1:
-        return rng.below(4 * kWidth);
+        return rng.below(kNear);
       case 2:
-        return rng.below(kRing);
+        return rng.below(kMid);
       default:
         return rng.below(kFar);
     }
@@ -796,10 +798,10 @@ void drive_queue_against_reference(std::uint64_t seed, int ops) {
   const auto pop_one = [&] {
     const QEvent want = ref.top();
     ref.pop();
-    const QEvent got = q->pop();
+    const QEvent got = q.pop();
     ++done;
     if (got.when != want.when || got.seq != want.seq ||
-        q->size() != ref.size()) {
+        q.size() != ref.size()) {
       ADD_FAILURE() << "seed " << seed << " op " << done << ": popped ("
                     << got.when << ", " << got.seq << "), expected ("
                     << want.when << ", " << want.seq << ")";
@@ -810,21 +812,16 @@ void drive_queue_against_reference(std::uint64_t seed, int ops) {
   const auto pop_n = [&](std::size_t n) {
     for (; n > 0 && ok && !ref.empty(); --n) pop_one();
   };
-  // One cluster of n events inside a single window span starting up to
-  // 10^5 buckets out.
-  const auto cluster = [&](std::size_t n) {
-    const std::uint64_t base = now + kRing + rng.below(kFar);
-    for (std::size_t i = 0; i < n; ++i) push_at(base + rng.below(kRing));
+  const auto clear = [&] {
+    q.clear();
+    ref = {};
+    ++clears;
+    EXPECT_TRUE(q.empty());
   };
 
   while (ok && done < ops) {
-    if (now > kClockCeiling) {
-      pop_n(ref.size());
-      q = std::make_unique<Queue>();
-      now = 0;
-    }
-    switch (rng.below(6)) {
-      case 0: {  // sparse: every pop slides onto one far event
+    switch (rng.below(8)) {
+      case 0: {  // sparse: one or two events pending, far-out delays
         pop_n(ref.size() > 2 ? ref.size() - 2 : 0);
         for (auto n = rng.below(200); n > 0 && ok; --n) {
           push_at(now + rng.below(kFar));
@@ -839,17 +836,24 @@ void drive_queue_against_reference(std::uint64_t seed, int ops) {
         }
         break;
       }
-      case 2:  // a few far events in one window span
-        cluster(2 + rng.below(7));
-        pop_n(rng.below(16));
+      case 2: {  // same-instant ties, popped in schedule order
+        const std::uint64_t when = now + (rng.below(2) ? 0 : delay());
+        for (auto n = 2 + rng.below(300); n > 0; --n) push_at(when);
+        pop_n(rng.below(400));
         break;
-      case 3:  // a burst that outruns the pop budget
-        cluster(300 + rng.below(2'700));
-        pop_n(rng.below(4'000));
+      }
+      case 3: {  // a deep cluster: drain half or more, clear the rest
+        if (rng.below(4) != 0) break;
+        const std::uint64_t span = rng.below(2) ? kMid : kFar;
+        for (auto n = 10'000 + rng.below(90'001); n > 0; --n)
+          push_at(now + rng.below(span));
+        pop_n(ref.size() / 2 + rng.below(ref.size() / 2));
+        clear();
         break;
+      }
       case 4: {  // run_until: peek, stop short of top, push behind it
         if (ref.empty()) break;
-        const QEvent& top = q->top();
+        const QEvent& top = q.top();
         if (top.when != ref.top().when || top.seq != ref.top().seq) {
           ADD_FAILURE() << "seed " << seed << " op " << done << ": top ("
                         << top.when << ", " << top.seq << ")";
@@ -858,24 +862,27 @@ void drive_queue_against_reference(std::uint64_t seed, int ops) {
         }
         now += rng.below(top.when - now + 1);
         for (auto n = 1 + rng.below(4); n > 0; --n)
-          push_at(now + rng.below(4 * kWidth));
+          push_at(now + rng.below(kNear));
         break;
       }
+      case 5:  // reuse: drop what is pending and keep going
+        if (rng.below(4) == 0) clear();
+        break;
       default:
         pop_n(rng.below(64));
         break;
     }
   }
   pop_n(ref.size());
-  EXPECT_TRUE(q->empty());
+  EXPECT_TRUE(q.empty());
+  // The mix reached what the comment above promises.
+  EXPECT_GE(peak, 10'000u) << "seed " << seed;
+  EXPECT_GT(clears, 0) << "seed " << seed;
 }
 
 TEST(EventQueue, MatchesPriorityQueueOnRandomSchedules) {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    drive_queue_against_reference<16>(seed, 40'000);
-    drive_queue_against_reference<36>(seed, 40'000);
-    drive_queue_against_reference<4>(seed, 40'000);
-  }
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    drive_queue_against_reference(seed, 300'000);
 }
 
 }  // namespace

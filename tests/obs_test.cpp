@@ -196,6 +196,7 @@ TEST(Determinism, GoldenLuCounters) {
   EXPECT_EQ(reg.value("mesh.messages"), 4437);
   EXPECT_EQ(reg.value("core.engine.events"), 21990);
   EXPECT_EQ(reg.value("core.engine.calls_scheduled"), 4437);
+  EXPECT_EQ(reg.value("core.engine.peak_queue_depth"), 16);
   EXPECT_EQ(reg.value("proc.nodes"), 16);
   EXPECT_EQ(reg.value("nx.messages_dropped"), 0);
 }
@@ -218,6 +219,7 @@ TEST(Determinism, GoldenQrCounters) {
   EXPECT_EQ(reg.value("nx.bytes_sent"), 2439168);
   EXPECT_EQ(reg.value("core.engine.events"), 61812);
   EXPECT_EQ(reg.value("core.engine.calls_scheduled"), 13170);
+  EXPECT_EQ(reg.value("core.engine.peak_queue_depth"), 16);
 }
 
 TEST(Determinism, GoldenCheckpointedRunCounters) {
