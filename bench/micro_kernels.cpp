@@ -152,7 +152,7 @@ void BM_queue_hold(benchmark::State& state) {
   for (std::uint64_t i = 0; i < depth; ++i)
     e.schedule_call(sim::Time::ps(rng.below(ev.span_ps)), ev);
   const sim::Time step = sim::Time::ps(1000 * gap_ps);
-  e.run_until(e.now() + step);  // one untimed step first
+  e.run_until(e.now() + step);  // reach the steady state untimed
   const std::uint64_t before = e.events_processed();
   for (auto _ : state) benchmark::DoNotOptimize(e.run_until(e.now() + step));
   state.SetItemsProcessed(

@@ -1,12 +1,12 @@
 // Pending-event queue for the simulation engine and the WAN flow engine.
 //
 // One implicit 4-ary min-heap of 24-byte trivially-copyable records in
-// one std::vector, ordered by (when, seq). Sequence numbers are unique,
-// so (when, seq) is a total order and every correct min-heap pops the
-// same stream: the one the engine has always dispatched. A 4-ary heap
-// is half as deep as a binary one and keeps a node's four children in
-// 96 contiguous bytes; a std::push_heap/pop_heap binary heap measured
-// slower end to end (docs/PERF.md, "Event queue").
+// one std::vector, ordered by (when, seq). Callers hand out unique
+// sequence numbers, so (when, seq) is a total order and any correct
+// min-heap pops events in the same order. A 4-ary heap is half as deep
+// as a binary one and keeps a node's four children in 96 contiguous
+// bytes; a std::push_heap/pop_heap binary heap measured slower end to
+// end (docs/PERF.md, "Event queue: one 4-ary heap").
 //
 // The queue never inspects payloads: a record carries a uintptr_t whose
 // low bits say whether it is a coroutine handle (00), a sim::Waker
